@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,8 +65,7 @@ def execute_run(config, out_dir):
     phys = config.phys()
     grid = config.grid()
     cfg = config.scheme_config()
-    state = schemes.initial_state(phys, grid, a=config.ellipse_a, b=config.ellipse_b,
-                                  center=(config.center_x, config.center_y))
+    state = config.initial_state()
     records = [diagnostics.record_state(state, phys, grid)]
     name = config.run_name()
     code = EXIT_OK
@@ -77,13 +77,11 @@ def execute_run(config, out_dir):
             if config.snapshot_every and (k + 1) % config.snapshot_every == 0:
                 save_snapshot(os.path.join(out_dir, f"{name}-step{k + 1}.json"),
                               state, config)
-    except BlowupError:
+    except (BlowupError, SolverStallError) as exc:
         records.append(diagnostics.DiagnosticsRecord(
             records[-1].step + 1, np.nan, np.nan, np.nan, np.nan, np.nan,
             np.nan, np.nan, np.nan, stable=False))
-        code = EXIT_UNSTABLE
-    except SolverStallError:
-        code = EXIT_SOLVER
+        code = EXIT_UNSTABLE if isinstance(exc, BlowupError) else EXIT_SOLVER
     else:
         save_snapshot(os.path.join(out_dir, f"{name}-final.json"), state, config)
     write_diagnostics_csv(os.path.join(out_dir, f"{name}.csv"), records)
@@ -118,12 +116,8 @@ def cmd_convergence(args):
     grid = base.grid()
 
     def run_fn(dt):
-        cfg = schemes.SchemeConfig(scheme=base.scheme, dt=dt, tol=base.tol,
-                                   rescale=base.rescale,
-                                   steady_velocity=base.steady_velocity,
-                                   dealias=base.dealias)
-        st = schemes.initial_state(phys, grid, a=base.ellipse_a, b=base.ellipse_b,
-                                   center=(base.center_x, base.center_y))
+        cfg = replace(base.scheme_config(), dt=dt)
+        st = base.initial_state()
         for s in schemes.simulate(st, phys, grid, cfg, int(round(base.t_end / dt))):
             st = s
         out = {"X": (st.curve.as_array(), st.interface.dalpha)}
@@ -166,8 +160,7 @@ def cmd_sweep(args):
             config = load_run_config(None, {**base.__dict__, "n": n, "n_boundary": None,
                                             "dt": dt, "label": ""})
             phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
-            st = schemes.initial_state(phys, grid, a=config.ellipse_a, b=config.ellipse_b,
-                                       center=(config.center_x, config.center_y))
+            st = config.initial_state()
             verdict, _, _ = diagnostics.stability_probe(st, phys, grid, cfg, config.n_steps())
             verdicts[(n, dt)] = verdict
             print(f"N={n} dt={dt:g}: {verdict}")
@@ -197,7 +190,7 @@ def cmd_cost(args):
             config = load_run_config(None, {**base.__dict__, "scheme": scheme, "n": n,
                                             "n_boundary": None, "label": ""})
             phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
-            st = schemes.initial_state(phys, grid)
+            st = config.initial_state()
             st = schemes.step(st, phys, grid, cfg)  # warm up, sets rescaling
             spectral.reset_counters()
             stokes.reset_counters()

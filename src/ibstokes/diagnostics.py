@@ -93,16 +93,6 @@ def stability_probe(state, phys, grid, cfg, n_steps):
     return "stable", records, state
 
 
-def curve_l2_norm(values, dalpha):
-    """Interface l2 norm of (N, 2) samples with dalpha weights."""
-    return float(np.sqrt(np.sum(values**2) * dalpha))
-
-
-def grid_l2_norm(field, h):
-    """Grid l2 norm of stacked (N, N, c) components with h^2 weights."""
-    return float(np.sqrt(np.sum(field**2) * h * h))
-
-
 def fit_rate(dts, errors):
     """Least-squares slope of log(error) vs log(dt), plus per-pair ratios."""
     dts = np.asarray(dts, dtype=float)

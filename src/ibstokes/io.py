@@ -17,10 +17,11 @@ from .errors import ParameterError
 from .geometry import CurveSamples, InterfaceState, reconstruct_curve
 from .grids import GridSpec
 from .params import PhysParams
-from .schemes import ALL_SCHEMES, SchemeConfig, StepState
+from .schemes import ALL_SCHEMES, SchemeConfig, StepState, initial_state
 from .stokes import FluidState
 
-SNAPSHOT_FORMAT_VERSION = 1
+# format 2 adds the SSD rescaling coefficients c_v / c_u; format 1 still loads
+SNAPSHOT_FORMAT_VERSION = 2
 
 TWO_PI = 2.0 * np.pi
 
@@ -90,6 +91,10 @@ class RunConfig:
                             rescale=self.rescale,
                             steady_velocity=self.steady_velocity,
                             dealias=self.dealias)
+
+    def initial_state(self):
+        return initial_state(self.phys(), self.grid(), a=self.ellipse_a, b=self.ellipse_b,
+                             center=(self.center_x, self.center_y))
 
     def n_steps(self):
         return int(round(self.t_end / self.dt))
@@ -163,6 +168,8 @@ def save_snapshot(path, state, run_config=None):
         "u": state.fluid.u.tolist() if state.fluid is not None else None,
         "v": state.fluid.v.tolist() if state.fluid is not None else None,
         "speed_ref": state.speed_ref,
+        "c_v": state.c_v,
+        "c_u": state.c_u,
     }
     if run_config is not None:
         doc["config"] = asdict(run_config)
@@ -174,7 +181,7 @@ def load_snapshot(path):
     """Rebuild a StepState from a snapshot file."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format_version") != SNAPSHOT_FORMAT_VERSION:
+    if doc.get("format_version") not in (1, SNAPSHOT_FORMAT_VERSION):
         raise ParameterError(f"unsupported snapshot format {doc.get('format_version')}")
     iface = InterfaceState(np.array(doc["s_alpha"]), np.array(doc["phi"]),
                            np.array(doc["ref_points"]), doc["interface_length"])
@@ -183,7 +190,8 @@ def load_snapshot(path):
         u = np.array(doc["u"])
         fluid = FluidState(u, np.array(doc["v"]), np.zeros_like(u))
     curve = reconstruct_curve(iface, drift_tol=np.inf)
-    return StepState(iface, curve, fluid, doc["t"], doc["step"], doc.get("speed_ref"))
+    return StepState(iface, curve, fluid, doc["t"], doc["step"], doc.get("speed_ref"),
+                     doc.get("c_v"), doc.get("c_u"))
 
 
 def write_diagnostics_csv(path, records):

@@ -1,11 +1,11 @@
-"""Physical parameters and their dimensionless groups.
+"""Physical parameters of the model problem.
 
 With lengths scaled by the domain size L and time by t0 = mu L / S_b, the
 steady problem depends only on L_b/L and the unsteady problem additionally on
 mu^2/(rho L S_b).  The canonical runs therefore fix S_b = rho = 1 and vary mu.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,39 +21,8 @@ class PhysParams:
     elastic: float = 1.0          # boundary elastic coefficient S_b
     domain_length: float = 1.0
     interface_length: float = TWO_PI
-    t_char: float = None          # characteristic time, default mu L / S_b
 
     def __post_init__(self):
-        if self.t_char is None:
-            self.t_char = self.mu * self.domain_length / self.elastic
-        for name in ("rho", "mu", "elastic", "domain_length", "interface_length", "t_char"):
+        for name in ("rho", "mu", "elastic", "domain_length", "interface_length"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
-
-
-def dimensionless_groups(p):
-    """The three groups, plus the reduced sets obtained with t0 = mu L / S_b."""
-    g = {
-        "elastic_time": p.elastic * p.t_char / (p.mu * p.domain_length),
-        "viscous_time": p.mu * p.t_char / (p.rho * p.domain_length**2),
-        "length_ratio": p.interface_length / p.domain_length,
-    }
-    g["unsteady_reduced"] = {
-        "viscosity_group": p.mu**2 / (p.rho * p.domain_length * p.elastic),
-        "length_ratio": g["length_ratio"],
-    }
-    g["steady_reduced"] = {"length_ratio": g["length_ratio"]}
-    return g
-
-
-# canonical viscosities of the model-problem runs
-CANONICAL_MU = (0.1, 0.05, 0.01, 0.005)
-
-
-def canonical_params(mu, rest_radius=0.2):
-    """Model-problem parameters: unit domain, S_b = rho = 1, interface
-    parameterized by the rest arclength of a circle of the given radius."""
-    if mu <= 0:
-        raise ParameterError("mu must be positive")
-    return PhysParams(rho=1.0, mu=mu, elastic=1.0, domain_length=1.0,
-                      interface_length=TWO_PI * rest_radius)

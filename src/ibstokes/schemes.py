@@ -13,7 +13,7 @@ schemes, which assemble (or apply matrix-free) dense N_b x N_b systems.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -21,8 +21,9 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from . import coupling, spectral, stokes
 from .bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_second_order, ssd_symbol_t
 from .errors import BlowupError, ParameterError, SolverStallError
-from .geometry import (InterfaceState, elastic_force, enclosed_area, reconstruct_curve,
-                       tangent_normal, theta_derivative, update_reference_points)
+from .geometry import (InterfaceState, elastic_force, enclosed_area, evolve_salpha_theta_rhs,
+                       init_ellipse, reconstruct_curve, tangent_normal, theta_derivative,
+                       update_reference_points)
 from .stokes import FluidState, steady_stokes_grid_solve, steady_velocity_on_interface, \
     unsteady_stokes_step
 
@@ -34,20 +35,19 @@ UNSTEADY_SCHEMES = ("explicit_unsteady", "ssd1_unsteady", "ssd2_unsteady",
                     "stable_unsteady", "second_order_unsteady")
 ALL_SCHEMES = STEADY_SCHEMES + UNSTEADY_SCHEMES
 
+DENSE_MAX = 256       # dense assembly of the implicit systems up to this N_b, Krylov above
+BLOWUP_FACTOR = 1e6   # velocity growth over the first step's speed that counts as blowup
+DRIFT_TOL = 1e-2      # reconstruction anchor-mismatch warning level
 
-@dataclass
+
+@dataclass(frozen=True)
 class SchemeConfig:
     scheme: str
     dt: float
     tol: float = 1e-10            # linear-solve tolerance
     rescale: bool = True          # first-step rescaling of the SSD leading terms
-    c_v: float = None             # stored rescaling coefficients (set on step 1)
-    c_u: float = None
     steady_velocity: str = "grid"  # "grid" (spread/solve/interpolate) or "integral"
-    dense_max: int = 256          # dense assembly of implicit systems up to this N_b
     dealias: bool = False
-    blowup_factor: float = 1e6
-    drift_tol: float = 1e-2       # reconstruction anchor-mismatch warning level
 
     def __post_init__(self):
         if self.scheme not in ALL_SCHEMES:
@@ -68,6 +68,8 @@ class StepState:
     t: float = 0.0
     step: int = 0
     speed_ref: float = None       # blowup-detection reference scale
+    c_v: float = None             # SSD rescaling coefficients, fixed by the first SSD step
+    c_u: float = None
 
 
 def _symbol_wavenumbers(iface):
@@ -90,7 +92,7 @@ def _maybe_dealias(cfg, *arrays):
     return tuple(spectral.dealias_23(a) for a in arrays)
 
 
-def _check_state(step_index, cfg, iface, fluid=None, speed_ref=None):
+def _check_state(step_index, iface, fluid=None, speed_ref=None):
     if not (np.all(np.isfinite(iface.s_alpha)) and np.all(np.isfinite(iface.phi))
             and np.all(np.isfinite(iface.ref_points))):
         raise BlowupError(step_index, f"non-finite interface state at step {step_index}")
@@ -100,8 +102,8 @@ def _check_state(step_index, cfg, iface, fluid=None, speed_ref=None):
         if not (np.all(np.isfinite(fluid.u)) and np.all(np.isfinite(fluid.v))):
             raise BlowupError(step_index, f"non-finite velocity field at step {step_index}")
         speed = fluid.max_speed()
-        if speed_ref is not None and speed > cfg.blowup_factor * speed_ref:
-            raise BlowupError(step_index, f"velocity grew {cfg.blowup_factor:g}x at step {step_index}")
+        if speed_ref is not None and speed > BLOWUP_FACTOR * speed_ref:
+            raise BlowupError(step_index, f"velocity grew {BLOWUP_FACTOR:g}x at step {step_index}")
 
 
 def _grid_uv(fluid):
@@ -136,26 +138,26 @@ def steady_interface_velocity(iface, curve, phys, grid, cfg, force=None):
     return _project_velocity(uv, tau, nrm)
 
 
-def _rhs_interface(iface, u_n, u_t, s_for_theta=None):
-    """(ds/dt, dtheta/dt) with an optional replacement s in the theta denominator."""
-    dth = theta_derivative(iface)
-    dv = spectral.derivative_1d(u_t, 1, period=iface.length)
-    du = spectral.derivative_1d(u_n, 1, period=iface.length)
-    s = iface.s_alpha if s_for_theta is None else s_for_theta
-    return dv - dth * u_n, (du + u_t * dth) / s
-
-
 def _finish(state, cfg, s_new, phi_new, refs, fluid=None):
     if np.any(~np.isfinite(s_new)) or np.any(s_new <= 0):
         raise BlowupError(state.step + 1,
                           f"arclength derivative lost positivity at step {state.step + 1}")
     iface = InterfaceState(s_new, phi_new, refs, state.interface.length)
-    _check_state(state.step + 1, cfg, iface, fluid, state.speed_ref)
-    curve = reconstruct_curve(iface, drift_tol=cfg.drift_tol)
+    _check_state(state.step + 1, iface, fluid, state.speed_ref)
+    curve = reconstruct_curve(iface, drift_tol=DRIFT_TOL)
     speed_ref = state.speed_ref
     if fluid is not None and speed_ref is None:
         speed_ref = max(fluid.max_speed(), 1e-12)
-    return StepState(iface, curve, fluid, state.t + cfg.dt, state.step + 1, speed_ref)
+    return StepState(iface, curve, fluid, state.t + cfg.dt, state.step + 1, speed_ref,
+                     state.c_v, state.c_u)
+
+
+def _semi_implicit(x, rhs, lead, dt):
+    """First-order small-scale-decomposition update of x' = rhs + lead * x
+    with the Fourier-diagonal leading term implicit and its explicit
+    counterpart subtracted: (x^/dt + r^ - lead x^) / (1/dt - lead)."""
+    x_hat = _fft(x)
+    return _ifft_real((x_hat / dt + _fft(rhs) - lead * x_hat) / (1.0 / dt - lead))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +167,7 @@ def _finish(state, cfg, s_new, phi_new, refs, fluid=None):
 def step_explicit_steady(state, phys, grid, cfg):
     iface = state.interface
     u_n, u_t = steady_interface_velocity(iface, state.curve, phys, grid, cfg)
-    ds, dth = _rhs_interface(iface, u_n, u_t)
+    ds, dth = evolve_salpha_theta_rhs(iface, u_n, u_t)
     ds, dth = _maybe_dealias(cfg, ds, dth)
     refs = update_reference_points(iface, u_n, u_t, cfg.dt)
     return _finish(state, cfg, iface.s_alpha + cfg.dt * ds, iface.phi + cfg.dt * dth, refs)
@@ -223,8 +225,7 @@ def step_ssd1_steady(state, phys, grid, cfg):
     dth = theta_derivative(iface)
     rhs_s = spectral.derivative_1d(u_t, 1, period=iface.length) - dth * u_n
     (rhs_s,) = _maybe_dealias(cfg, rhs_s)
-    s_hat = _fft(iface.s_alpha)
-    s_new = _ifft_real((s_hat / dt + _fft(rhs_s) + eta * s_hat) / (1.0 / dt + eta))
+    s_new = _semi_implicit(iface.s_alpha, rhs_s, -eta, dt)
 
     force1 = _force_linear_part(s_new, tau, nrm, dth, phys.elastic, iface.length) \
         - phys.elastic * dth[:, None] * nrm
@@ -232,8 +233,7 @@ def step_ssd1_steady(state, phys, grid, cfg):
     # the angle update divides the explicit terms by the new s_alpha
     rhs_phi = (spectral.derivative_1d(u_n1, 1, period=iface.length) + u_t1 * dth) / s_new
     (rhs_phi,) = _maybe_dealias(cfg, rhs_phi)
-    p_hat = _fft(iface.phi)
-    phi_new = _ifft_real((p_hat / dt + _fft(rhs_phi) + xi * p_hat) / (1.0 / dt + xi))
+    phi_new = _semi_implicit(iface.phi, rhs_phi, -xi, dt)
     refs = update_reference_points(iface, u_n1, u_t1, dt)
 
     target = enclosed_area(state.curve) - dt * float(np.sum(u_n * iface.s_alpha)) * iface.dalpha
@@ -275,7 +275,7 @@ def step_ifrk4_steady(state, phys, grid, cfg):
         stage_if = InterfaceState(s, phi, iface.ref_points, iface.length)
         stage_curve = reconstruct_curve(stage_if, drift_tol=np.inf)
         u_n, u_t = steady_interface_velocity(stage_if, stage_curve, phys, grid, cfg)
-        ds, dth = _rhs_interface(stage_if, u_n, u_t)
+        ds, dth = evolve_salpha_theta_rhs(stage_if, u_n, u_t)
         ds, dth = _maybe_dealias(cfg, ds, dth)
         # anchor velocities (x, y) at the two reference nodes for this stage
         th = stage_if.theta
@@ -304,10 +304,9 @@ def _circulant_from_multiplier(mult):
 
 
 def _derivative_matrix(n, period):
-    kappa = spectral.wavenumbers(n, period)
-    mult = 1j * kappa
+    mult = 1j * spectral.wavenumbers(n, period)
     mult[n // 2] = 0.0
-    return np.real(np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
+    return _circulant_from_multiplier(mult)
 
 
 def _dense_solve(a, b, step_index):
@@ -321,27 +320,29 @@ def _dense_solve(a, b, step_index):
     return x
 
 
-def _log_circulant(nb, length):
-    """Circulant of g -> int ln(sigma(a-a')) g da' (periodized ln|a-a'|)."""
-    kappa = spectral.wavenumbers(nb, length)
-    mult = np.zeros(nb)
-    nz = kappa != 0
-    mult[nz] = -np.pi / np.abs(kappa[nz])
-    mult[0] = length * np.log(length / TWO_PI)
-    return _circulant_from_multiplier(mult)
+def _angle_transport_solve(iface, lead_mat, u_n, u_t, s_new, dt, step_index):
+    """Second-kind angle update: the leading term ``lead_mat`` and the
+    transport (V/s^{n+1}) D theta^{n+1} implicit, the rest explicit."""
+    nb = iface.n_nodes
+    dmat = _derivative_matrix(nb, iface.length)
+    w = u_t / s_new
+    a_p = np.eye(nb) / dt - lead_mat - w[:, None] * dmat
+    du = spectral.derivative_1d(u_n, 1, period=iface.length)
+    b_p = iface.phi / dt + du / s_new + w * (TWO_PI / iface.length) - lead_mat @ iface.phi
+    return _dense_solve(a_p, b_p, step_index)
 
 
 def step_ssd2_steady(state, phys, grid, cfg):
     iface = state.interface
     dt = cfg.dt
     nb = iface.n_nodes
-    sb, mu = phys.elastic, phys.mu
     u_n, u_t = steady_interface_velocity(iface, state.curve, phys, grid, cfg)
     dth = theta_derivative(iface)
     eta, xi, _ = _steady_rates(iface, phys)
     lam_abs = _circulant_from_multiplier(eta)         # (S_b/4mu)|kappa|
-    log_mat = _log_circulant(nb, iface.length)
-    c = sb / (4.0 * np.pi * mu)
+    # periodized ln|a - a'| convolution
+    log_mat = _circulant_from_multiplier(-stokes._log_kernel_multiplier(nb, iface.length))
+    c = phys.elastic / (4.0 * np.pi * phys.mu)
 
     # s system: ds/dt = -(S_b/4mu) H D s - theta_a * U_lead(s) + explicit pair
     # with U_lead(s) = -c * int ln|a-a'| (s-1) theta_a da'
@@ -354,22 +355,16 @@ def step_ssd2_steady(state, phys, grid, cfg):
     b_s = iface.s_alpha / dt + rhs_expl - t_lead(iface.s_alpha) + (t_lead(np.zeros(nb)))
     s_new = _dense_solve(a_s, b_s, state.step + 1)
 
-    # angle system: implicit gamma|kappa| part plus implicit transport
-    # (V/s^{n+1}) D theta^{n+1}
-    xi_mat = _circulant_from_multiplier(xi)
-    dmat = _derivative_matrix(nb, iface.length)
-    w = u_t / s_new
-    a_p = np.eye(nb) / dt + xi_mat - w[:, None] * dmat
-    du = spectral.derivative_1d(u_n, 1, period=iface.length)
-    b_p = iface.phi / dt + du / s_new + w * (TWO_PI / iface.length) + xi_mat @ iface.phi
-    phi_new = _dense_solve(a_p, b_p, state.step + 1)
+    # angle system: implicit -gamma|kappa| leading term plus implicit transport
+    phi_new = _angle_transport_solve(iface, _circulant_from_multiplier(-xi), u_n, u_t,
+                                     s_new, dt, state.step + 1)
     refs = update_reference_points(iface, u_n, u_t, dt)
     return _finish(state, cfg, s_new, phi_new, refs)
 
 
 def _solve_linear(apply_lin, b, nb, cfg, step_index):
     """Solve (I - dt*W)x = b given the affine-free linear map, dense or Krylov."""
-    if nb <= cfg.dense_max:
+    if nb <= DENSE_MAX:
         stokes.counters["dense_solves"] += 1
         a = np.empty((nb, nb))
         eye = np.eye(nb)
@@ -395,35 +390,37 @@ def _force_linear_part(s, tau, nrm, dth_n, elastic, length):
     return elastic * (ds[:, None] * tau + (s * dth_n)[:, None] * nrm)
 
 
-def step_stable_steady(state, phys, grid, cfg):
+def _step_stable(state, phys, cfg, response, uv_hom, full_solve):
+    """Two-step stable scheme (after Newren, Fogelson, Guy & Kirby) on a
+    frozen curve.  The fluid enters as ``response(force)``, the linear
+    interface velocity of a force; ``uv_hom``, the velocity with no force
+    (0.0 in steady flow); and ``full_solve(force)`` -> (velocity, fluid)."""
     iface = state.interface
     dt = cfg.dt
     nb = iface.n_nodes
     tau, nrm = tangent_normal(iface)
     dth = theta_derivative(iface)
-    curve = state.curve
 
-    def velocity_of_force(force):
-        f_grid = coupling.spread(curve, force, grid)
-        fl = steady_stokes_grid_solve(f_grid, phys.mu, grid, drop_mean=True)
-        return coupling.interpolate(curve, _grid_uv(fl), grid)
-
-    # Step 1: implicit s_alpha through F(s^{n+1}, theta^n)
-    def w_of_force(force):
-        uv = velocity_of_force(force)
+    def s_rate(uv):
         u_nc, u_tc = _project_velocity(uv, tau, nrm)
         return spectral.derivative_1d(u_tc, 1, period=iface.length) - dth * u_nc
 
+    def theta_rate(uv):
+        u_nc, u_tc = _project_velocity(uv, tau, nrm)
+        return spectral.derivative_1d(u_nc, 1, period=iface.length) + dth * u_tc
+
+    # Step 1: implicit s_alpha through F(s^{n+1}, theta^n)
     def apply_lin_s(s):
-        return s - dt * w_of_force(_force_linear_part(s, tau, nrm, dth, phys.elastic, iface.length))
+        force = _force_linear_part(s, tau, nrm, dth, phys.elastic, iface.length)
+        return s - dt * s_rate(response(force))
 
     f_const = -phys.elastic * dth[:, None] * nrm
-    b = iface.s_alpha + dt * w_of_force(f_const)
+    b = iface.s_alpha + dt * s_rate(uv_hom + response(f_const))
     s_new = _solve_linear(apply_lin_s, b, nb, cfg, state.step + 1)
 
     # recover the Step-1 velocities at the solution for the reference points
     force_full = _force_linear_part(s_new, tau, nrm, dth, phys.elastic, iface.length) + f_const
-    uv1 = velocity_of_force(force_full)
+    uv1, fluid1 = full_solve(force_full)
     u_n1, u_t1 = _project_velocity(uv1, tau, nrm)
 
     # Step 2: implicit angle through F(s^{n+1}, theta^{n+1})
@@ -432,20 +429,26 @@ def step_stable_steady(state, phys, grid, cfg):
     def apply_lin_phi(phi):
         dphi = spectral.derivative_1d(phi, 1, period=iface.length)
         force = phys.elastic * ((s_new - 1.0) * dphi)[:, None] * nrm
-        uv = velocity_of_force(force)
-        u_nc, u_tc = _project_velocity(uv, tau, nrm)
-        return phi - scale * (spectral.derivative_1d(u_nc, 1, period=iface.length) + dth * u_tc)
+        return phi - scale * theta_rate(response(force))
 
     ds_new = spectral.derivative_1d(s_new, 1, period=iface.length)
     force0 = phys.elastic * (ds_new[:, None] * tau
                              + ((s_new - 1.0) * (TWO_PI / iface.length))[:, None] * nrm)
-    uv0 = velocity_of_force(force0)
-    u_n0, u_t0 = _project_velocity(uv0, tau, nrm)
-    b_phi = iface.phi + scale * (spectral.derivative_1d(u_n0, 1, period=iface.length)
-                                 + dth * u_t0)
+    b_phi = iface.phi + scale * theta_rate(uv_hom + response(force0))
     phi_new = _solve_linear(apply_lin_phi, b_phi, nb, cfg, state.step + 1)
     refs = update_reference_points(iface, u_n1, u_t1, dt)
-    return _finish(state, cfg, s_new, phi_new, refs)
+    return _finish(state, cfg, s_new, phi_new, refs, fluid1)
+
+
+def step_stable_steady(state, phys, grid, cfg):
+    curve = state.curve
+
+    def response(force):
+        fl = steady_stokes_grid_solve(coupling.spread(curve, force, grid), phys.mu, grid,
+                                      drop_mean=True)
+        return coupling.interpolate(curve, _grid_uv(fl), grid)
+
+    return _step_stable(state, phys, cfg, response, 0.0, lambda force: (response(force), None))
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +467,22 @@ def step_explicit_unsteady(state, phys, grid, cfg):
     f_grid = coupling.spread(state.curve, force, grid)
     fluid1 = unsteady_stokes_step(state.fluid, f_grid, phys.rho, phys.mu, cfg.dt, grid)
     u_n, u_t = _interp_split(state.curve, fluid1, grid, tau, nrm)
-    ds, dth = _rhs_interface(iface, u_n, u_t)
+    ds, dth = evolve_salpha_theta_rhs(iface, u_n, u_t)
     ds, dth = _maybe_dealias(cfg, ds, dth)
     refs = update_reference_points(iface, u_n, u_t, cfg.dt)
     return _finish(state, cfg, iface.s_alpha + cfg.dt * ds, iface.phi + cfg.dt * dth,
                    refs, fluid1)
 
 
-def _rescale_coefficient(observed, leading, label):
-    denom = float(np.max(np.abs(leading)))
+def _rescaling_coefficient(stored, rescale, observed, leading, label):
+    """SSD rescaling coefficient C_V or C_U: the stored value, 1 with rescaling
+    off, else the first-step ratio max|observed| / max|leading()|, or 1 with a
+    warning when the leading term vanishes."""
+    if stored is not None:
+        return stored
+    if not rescale:
+        return 1.0
+    denom = float(np.max(np.abs(leading())))
     if denom < 1e-14 * max(1.0, float(np.max(np.abs(observed)))) or denom == 0.0:
         warnings.warn(f"rescaling disabled for {label}: leading term is zero",
                       RuntimeWarning, stacklevel=3)
@@ -495,19 +505,6 @@ def _velocity_level_lead(symbol, kappa, phi, s_min):
     return _ifft_real(out)
 
 
-def compute_rescaling_coefficients(dv_star, u_first, t_of_s0, s_of_phi0):
-    """First-step rescaling ratios C_V, C_U of the SSD leading terms.
-
-    C_V compares the observed tangential-velocity derivative with the
-    leading-order prediction applied to the initial s_alpha; C_U compares the
-    implicit-solve normal velocity with the leading term of the initial
-    angle.  A vanishing denominator disables rescaling for that variable
-    (coefficient 1) with a warning.
-    """
-    return (_rescale_coefficient(dv_star, t_of_s0, "C_V"),
-            _rescale_coefficient(u_first, s_of_phi0, "C_U"))
-
-
 def _ssd_star_solve(state, phys, grid, cfg):
     """Shared first stage of the unsteady SSD schemes: the explicit-force
     fluid solve, its interface velocities, and the symbol parameters."""
@@ -522,6 +519,20 @@ def _ssd_star_solve(state, phys, grid, cfg):
     return tau, nrm, u_n_star, u_t_star, p, kappa
 
 
+def _ssd_update_solve(state, phys, grid, cfg, s_new, tau, nrm, dth, u_lead):
+    """Shared second stage of the unsteady SSD schemes: the fluid solve with
+    the force F(s^{n+1}, theta^n), its interface velocities (U, V), and C_U
+    against the leading-order normal velocity ``u_lead()``."""
+    iface = state.interface
+    force1 = _force_linear_part(s_new, tau, nrm, dth, phys.elastic, iface.length) \
+        - phys.elastic * dth[:, None] * nrm
+    fluid1 = unsteady_stokes_step(state.fluid, coupling.spread(state.curve, force1, grid),
+                                  phys.rho, phys.mu, cfg.dt, grid)
+    u_n1, u_t1 = _interp_split(state.curve, fluid1, grid, tau, nrm)
+    c_u = _rescaling_coefficient(state.c_u, cfg.rescale, u_n1, u_lead, "C_U")
+    return fluid1, u_n1, u_t1, c_u
+
+
 def step_ssd1_unsteady(state, phys, grid, cfg):
     iface = state.interface
     dt = cfg.dt
@@ -532,40 +543,21 @@ def step_ssd1_unsteady(state, phys, grid, cfg):
     dv_star = spectral.derivative_1d(u_t_star, 1, period=iface.length)
     rhs_s = dv_star - dth * u_n_star
     (rhs_s,) = _maybe_dealias(cfg, rhs_s)
+    c_v = _rescaling_coefficient(state.c_v, cfg.rescale, dv_star,
+                                 lambda: _ifft_real(t_hat * _fft(iface.s_alpha)), "C_V")
+    s_new = _semi_implicit(iface.s_alpha, rhs_s, c_v * t_hat, dt)
 
-    if cfg.c_v is None:
-        if cfg.rescale:
-            t_of_s0 = _ifft_real(t_hat * _fft(iface.s_alpha))
-            cfg.c_v = _rescale_coefficient(dv_star, t_of_s0, "C_V")
-        else:
-            cfg.c_v = 1.0
-    s_hat = _fft(iface.s_alpha)
-    s_new = _ifft_real((s_hat / dt + _fft(rhs_s) - cfg.c_v * t_hat * s_hat)
-                       / (1.0 / dt - cfg.c_v * t_hat))
-
-    force1 = _force_linear_part(s_new, tau, nrm, dth, phys.elastic, iface.length) \
-        - phys.elastic * dth[:, None] * nrm
-    fluid1 = unsteady_stokes_step(state.fluid, coupling.spread(state.curve, force1, grid),
-                                  phys.rho, phys.mu, dt, grid)
-    u_n1, u_t1 = _interp_split(state.curve, fluid1, grid, tau, nrm)
-
-    if cfg.c_u is None:
-        if cfg.rescale:
-            s_u = _velocity_level_lead(s_hat_sym, kappa, iface.phi, p.s_min)
-            cfg.c_u = _rescale_coefficient(u_n1, s_u, "C_U")
-        else:
-            cfg.c_u = 1.0
+    fluid1, u_n1, u_t1, c_u = _ssd_update_solve(
+        state, phys, grid, cfg, s_new, tau, nrm, dth,
+        lambda: _velocity_level_lead(s_hat_sym, kappa, iface.phi, p.s_min))
     rhs_phi = (spectral.derivative_1d(u_n1, 1, period=iface.length) + u_t1 * dth) / s_new
     (rhs_phi,) = _maybe_dealias(cfg, rhs_phi)
     # the leading angle operator is S/min(s); the explicit counterpart must
     # carry the same factor or the homogeneous high-k multiplier becomes
     # min(s) != 1 and the update amplifies node-scale modes
-    s_min_new = float(np.min(s_new))
-    lead = cfg.c_u * s_hat_sym / s_min_new
-    p_hat = _fft(iface.phi)
-    phi_new = _ifft_real((p_hat / dt + _fft(rhs_phi) - lead * p_hat) / (1.0 / dt - lead))
+    phi_new = _semi_implicit(iface.phi, rhs_phi, c_u * s_hat_sym / float(np.min(s_new)), dt)
     refs = update_reference_points(iface, u_n1, u_t1, dt)
-    return _finish(state, cfg, s_new, phi_new, refs, fluid1)
+    return _finish(replace(state, c_v=c_v, c_u=c_u), cfg, s_new, phi_new, refs, fluid1)
 
 
 def step_ssd2_unsteady(state, phys, grid, cfg):
@@ -596,95 +588,43 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
 
     t2_lin = t_mat + pref * (coef[:, None] * (kernel @ (d2 * dth[None, :])))
     dv_star = spectral.derivative_1d(u_t_star, 1, period=iface.length)
-    if cfg.c_v is None:
-        cfg.c_v = _rescale_coefficient(dv_star, t2_lead(iface.s_alpha), "C_V") \
-            if cfg.rescale else 1.0
+    c_v = _rescaling_coefficient(state.c_v, cfg.rescale, dv_star,
+                                 lambda: t2_lead(iface.s_alpha), "C_V")
     rhs_s = dv_star - dth * u_n_star
-    a_s = np.eye(nb) / dt - cfg.c_v * t2_lin
-    b_s = iface.s_alpha / dt + rhs_s - cfg.c_v * (t2_lead(iface.s_alpha) - t2_lead(np.zeros(nb)))
+    a_s = np.eye(nb) / dt - c_v * t2_lin
+    b_s = iface.s_alpha / dt + rhs_s - c_v * (t2_lead(iface.s_alpha) - t2_lead(np.zeros(nb)))
     s_new = _dense_solve(a_s, b_s, state.step + 1)
 
-    force1 = _force_linear_part(s_new, tau, nrm, dth, phys.elastic, iface.length) \
-        - phys.elastic * dth[:, None] * nrm
-    fluid1 = unsteady_stokes_step(state.fluid, coupling.spread(state.curve, force1, grid),
-                                  phys.rho, phys.mu, dt, grid)
-    u_n1, u_t1 = _interp_split(state.curve, fluid1, grid, tau, nrm)
-
-    if cfg.c_u is None:
-        if cfg.rescale:
-            s_u = _velocity_level_lead(s_hat_sym, kappa, iface.phi, p.s_min)
-            cfg.c_u = _rescale_coefficient(u_n1, s_u, "C_U")
-        else:
-            cfg.c_u = 1.0
+    fluid1, u_n1, u_t1, c_u = _ssd_update_solve(
+        state, phys, grid, cfg, s_new, tau, nrm, dth,
+        lambda: _velocity_level_lead(s_hat_sym, kappa, iface.phi, p.s_min))
     # angle system: diagonal leading term plus implicit transport (V/s) D theta
-    s_min_new = float(np.min(s_new))
-    s_mat = _circulant_from_multiplier(cfg.c_u * s_hat_sym / s_min_new)
-    dmat = _derivative_matrix(nb, iface.length)
-    w = u_t1 / s_new
-    a_p = np.eye(nb) / dt - s_mat - w[:, None] * dmat
-    du1 = spectral.derivative_1d(u_n1, 1, period=iface.length)
-    b_p = iface.phi / dt + du1 / s_new + w * (TWO_PI / iface.length) \
-        - s_mat @ iface.phi
-    phi_new = _dense_solve(a_p, b_p, state.step + 1)
+    s_mat = _circulant_from_multiplier(c_u * s_hat_sym / float(np.min(s_new)))
+    phi_new = _angle_transport_solve(iface, s_mat, u_n1, u_t1, s_new, dt, state.step + 1)
     refs = update_reference_points(iface, u_n1, u_t1, dt)
-    return _finish(state, cfg, s_new, phi_new, refs, fluid1)
+    return _finish(replace(state, c_v=c_v, c_u=c_u), cfg, s_new, phi_new, refs, fluid1)
 
 
 def step_stable_unsteady(state, phys, grid, cfg):
-    iface = state.interface
-    dt = cfg.dt
-    nb = iface.n_nodes
-    tau, nrm = tangent_normal(iface)
-    dth = theta_derivative(iface)
     curve = state.curve
+    rest = FluidState.rest(grid.n)
 
-    def solve_force_only(force):
+    def advance(fluid, force):
+        return unsteady_stokes_step(fluid, coupling.spread(curve, force, grid),
+                                    phys.rho, phys.mu, cfg.dt, grid)
+
+    def response(force):
         """Velocity response to a force with zero initial field (linear part)."""
-        zero = FluidState.rest(grid.n)
-        fl = unsteady_stokes_step(zero, coupling.spread(curve, force, grid),
-                                  phys.rho, phys.mu, dt, grid)
-        return coupling.interpolate(curve, _grid_uv(fl), grid)
+        return coupling.interpolate(curve, _grid_uv(advance(rest, force)), grid)
+
+    def full_solve(force):
+        fluid1 = advance(state.fluid, force)
+        return coupling.interpolate(curve, _grid_uv(fluid1), grid), fluid1
 
     fluid_hom = unsteady_stokes_step(state.fluid, np.zeros((grid.n, grid.n, 2)),
-                                     phys.rho, phys.mu, dt, grid)
+                                     phys.rho, phys.mu, cfg.dt, grid)
     uv_hom = coupling.interpolate(curve, _grid_uv(fluid_hom), grid)
-
-    def w_of_uv(uv):
-        u_nc, u_tc = _project_velocity(uv, tau, nrm)
-        return spectral.derivative_1d(u_tc, 1, period=iface.length) - dth * u_nc
-
-    def apply_lin_s(s):
-        force = _force_linear_part(s, tau, nrm, dth, phys.elastic, iface.length)
-        return s - dt * w_of_uv(solve_force_only(force))
-
-    f_const = -phys.elastic * dth[:, None] * nrm
-    b = iface.s_alpha + dt * w_of_uv(uv_hom + solve_force_only(f_const))
-    s_new = _solve_linear(apply_lin_s, b, nb, cfg, state.step + 1)
-
-    force_full = _force_linear_part(s_new, tau, nrm, dth, phys.elastic, iface.length) + f_const
-    fluid1 = unsteady_stokes_step(state.fluid, coupling.spread(curve, force_full, grid),
-                                  phys.rho, phys.mu, dt, grid)
-    u_n1, u_t1 = _interp_split(curve, fluid1, grid, tau, nrm)
-
-    scale = dt / s_new
-
-    def apply_lin_phi(phi):
-        dphi = spectral.derivative_1d(phi, 1, period=iface.length)
-        force = phys.elastic * ((s_new - 1.0) * dphi)[:, None] * nrm
-        uv = solve_force_only(force)
-        u_nc, u_tc = _project_velocity(uv, tau, nrm)
-        return phi - scale * (spectral.derivative_1d(u_nc, 1, period=iface.length) + dth * u_tc)
-
-    ds_new = spectral.derivative_1d(s_new, 1, period=iface.length)
-    force0 = phys.elastic * (ds_new[:, None] * tau
-                             + ((s_new - 1.0) * (TWO_PI / iface.length))[:, None] * nrm)
-    uv0 = uv_hom + solve_force_only(force0)
-    u_n0, u_t0 = _project_velocity(uv0, tau, nrm)
-    b_phi = iface.phi + scale * (spectral.derivative_1d(u_n0, 1, period=iface.length)
-                                 + dth * u_t0)
-    phi_new = _solve_linear(apply_lin_phi, b_phi, nb, cfg, state.step + 1)
-    refs = update_reference_points(iface, u_n1, u_t1, dt)
-    return _finish(state, cfg, s_new, phi_new, refs, fluid1)
+    return _step_stable(state, phys, cfg, response, uv_hom, full_solve)
 
 
 def step_second_order_unsteady(state, phys, grid, cfg):
@@ -697,12 +637,8 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     # fractional step to t + dt/2 with the first-order scheme; the midpoint
     # scheme runs unrescaled (the first-step rescaling heuristic under-damps
     # it and is unnecessary at second-order accuracy)
-    half_cfg = SchemeConfig(scheme="ssd1_unsteady", dt=0.5 * dt, tol=cfg.tol,
-                            rescale=False, c_v=1.0, c_u=1.0,
-                            dealias=cfg.dealias, blowup_factor=cfg.blowup_factor,
-                            drift_tol=cfg.drift_tol)
-    half = step_ssd1_unsteady(state, phys, grid, half_cfg)
-    cfg.c_v, cfg.c_u = 1.0, 1.0
+    half = step_ssd1_unsteady(replace(state, c_v=1.0, c_u=1.0), phys, grid,
+                              replace(cfg, scheme="ssd1_unsteady", dt=dt / 2))
     iface_h = half.interface
     curve_h = half.curve
     tau_h, nrm_h = tangent_normal(iface_h)
@@ -715,8 +651,6 @@ def step_second_order_unsteady(state, phys, grid, cfg):
                          gamma=float(np.max(1.0 - 1.0 / iface_h.s_alpha)))
     kappa = _symbol_wavenumbers(iface)
     t2_hat, s2_hat = ssd_symbol_second_order(kappa, p2)
-    t2_hat = cfg.c_v * t2_hat
-    s2_hat = cfg.c_u * s2_hat
 
     # trapezoidal explicit-force solve anchored at the midpoint curve
     force_h = elastic_force(iface_h, phys.elastic)
@@ -783,8 +717,6 @@ def step(state, phys, grid, cfg):
 def initial_state(phys, grid, a=0.32, b=0.24, center=(0.5, 0.5)):
     """Ellipse interface (rest radius from phys.interface_length) in a fluid
     at rest; steady schemes ignore the fluid field."""
-    from .geometry import init_ellipse
-
     rest_radius = phys.interface_length / TWO_PI
     state, curve = init_ellipse(a, b, center, grid.n_boundary, rest_radius=rest_radius)
     return StepState(state, curve, FluidState.rest(grid.n), 0.0, 0, None)

@@ -1,9 +1,8 @@
 """Periodic spectral operators for interface data and 2D grid fields.
 
-Conventions follow the discrete Fourier transform with the 1/N factor on the
-forward transform and wavenumbers k in {-N/2+1, ..., N/2}.  numpy's FFT stores
-the unpaired Nyquist mode at index N/2 with the opposite sign convention; all
-odd-symmetry multipliers (ik, -i sgn k, 1/ik) zero that mode so results stay
+Conventions follow the discrete Fourier transform with wavenumbers
+k in {-N/2+1, ..., N/2}.  numpy's FFT stores the unpaired Nyquist mode at
+index N/2 with the opposite sign convention; all odd-symmetry multipliers (ik, -i sgn k, 1/ik) zero that mode so results stay
 real and skew-symmetry is preserved.  Even multipliers keep it.
 """
 
@@ -37,31 +36,6 @@ def integer_modes(n):
 def wavenumbers(n, period=TWO_PI):
     """FFT-ordered physical wavenumbers 2*pi*m/period."""
     return TWO_PI * integer_modes(n) / period
-
-
-def forward_1d(f):
-    """Forward transform with the 1/N normalization."""
-    f = np.asarray(f)
-    counters["fft"] += 1
-    return np.fft.fft(f) / f.size
-
-
-def inverse_1d(fh):
-    fh = np.asarray(fh)
-    counters["fft"] += 1
-    return np.fft.ifft(fh * fh.size)
-
-
-def forward_2d(field):
-    field = np.asarray(field)
-    counters["fft"] += 1
-    return np.fft.fft2(field) / field.size
-
-
-def inverse_2d(fh):
-    fh = np.asarray(fh)
-    counters["fft"] += 1
-    return np.fft.ifft2(fh * fh.size)
 
 
 def derivative_1d(f, order=1, period=TWO_PI):

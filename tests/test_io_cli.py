@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ibstokes import cli, schemes
-from ibstokes.errors import ParameterError
+from ibstokes.errors import ParameterError, SolverStallError
 from ibstokes.io import (RunConfig, load_run_config, load_snapshot,
                          parse_config_text, save_snapshot)
 from ibstokes.presets import PRESETS
@@ -74,7 +74,6 @@ class TestSnapshots:
         config, phys, grid, state = self.make_state()
         cfg1 = config.scheme_config()
         cfg2 = config.scheme_config()
-        cfg1.c_v = cfg1.c_u = cfg2.c_v = cfg2.c_u = 1.0
         path = tmp_path / "snap.json"
         save_snapshot(str(path), state, config)
         direct = schemes.step(state, phys, grid, cfg1)
@@ -87,6 +86,55 @@ class TestSnapshots:
         path.write_text(json.dumps({"format_version": 999}))
         with pytest.raises(ParameterError):
             load_snapshot(str(path))
+
+    def test_format_1_still_loads(self, tmp_path):
+        # format 1 has no rescaling coefficients; the next SSD step recomputes them
+        config, phys, grid, state = self.make_state()
+        assert state.c_v is not None and state.c_u is not None
+        path = tmp_path / "v1.json"
+        save_snapshot(str(path), state, config)
+        doc = json.loads(path.read_text())
+        del doc["c_v"], doc["c_u"]
+        doc["format_version"] = 1
+        path.write_text(json.dumps(doc))
+        back = load_snapshot(str(path))
+        assert back.c_v is None and back.c_u is None
+        assert np.array_equal(back.interface.s_alpha, state.interface.s_alpha)
+        assert back.t == state.t and back.step == state.step
+
+
+def _restart_run(scheme):
+    steady = scheme in schemes.STEADY_SCHEMES
+    dt = {"explicit_steady": 0.01, "stable_steady": 1.0, "explicit_unsteady": 0.005}.get(
+        scheme, 0.1 if steady else 0.05)
+    return RunConfig(scheme=scheme, n=32, dt=dt, mu=1.0 if steady else 0.01)
+
+
+def _state_arrays(state):
+    fluid = () if state.fluid is None else (state.fluid.u, state.fluid.v)
+    return (state.interface.s_alpha, state.interface.phi, state.interface.ref_points) + fluid
+
+
+@pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)
+def test_restart_follows_straight_run(scheme, tmp_path):
+    # k steps, snapshot, m more steps with a fresh SchemeConfig must retrace
+    # the run that never stopped
+    k, m = 3, 5
+    config = _restart_run(scheme)
+    phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
+    path = tmp_path / "restart.json"
+    straight = config.initial_state()
+    for step in range(1, k + m + 1):
+        straight = schemes.step(straight, phys, grid, cfg)
+        if step == k:
+            save_snapshot(str(path), straight, config)
+    resumed = load_snapshot(str(path))
+    fresh = config.scheme_config()
+    for _ in range(m):
+        resumed = schemes.step(resumed, phys, grid, fresh)
+    assert resumed.step == straight.step
+    for a, b in zip(_state_arrays(straight), _state_arrays(resumed)):
+        assert np.max(np.abs(a - b)) <= 1e-14
 
 
 class TestCli:
@@ -168,6 +216,24 @@ class TestCli:
         assert "X" in summary and "u" in summary
         assert len(summary["X"]["errors"]) == 2
 
+    def test_solver_stall_writes_failure_row(self, tmp_path, monkeypatch):
+        real_step = schemes.step
+
+        def stalling_step(state, phys, grid, cfg):
+            if state.step == 1:
+                raise SolverStallError("stalled on purpose")
+            return real_step(state, phys, grid, cfg)
+
+        monkeypatch.setattr(schemes, "step", stalling_step)
+        code = self.run_cli("run", "--set", "scheme=ssd1_unsteady", "--set", "n=32",
+                            "--set", "dt=0.1", "--set", "t_end=1",
+                            "--set", "label=stall", "--out", str(tmp_path))
+        assert code == 3
+        rows = (tmp_path / "stall.csv").read_text().splitlines()
+        assert len(rows) == 4  # header, initial state, step 1, failure row
+        assert rows[-1].startswith("2,nan,") and rows[-1].endswith(",0")
+        assert not (tmp_path / "stall-final.json").exists()
+
     def test_cost_command(self, tmp_path):
         code = self.run_cli("cost", "--schemes", "ssd1_unsteady", "--n-list", "32,64",
                             "--steps", "2", "--out", str(tmp_path))
@@ -203,3 +269,17 @@ def test_stable_scheme_fluid_solves_exceed_boundary_count():
     stokes.reset_counters()
     schemes.step(state, phys, grid, cfg)
     assert stokes.counters["fluid_solves"] >= grid.n_boundary  # dense probing
+
+
+@pytest.mark.parametrize("scheme", ["stable_steady", "stable_unsteady"])
+def test_stable_krylov_matches_dense(scheme, monkeypatch):
+    # N_b = 32 > DENSE_MAX = 16 sends both implicit systems through GMRES
+    steady = scheme == "stable_steady"
+    config = RunConfig(scheme=scheme, n=16, n_boundary=32, dt=1.0 if steady else 0.05,
+                       mu=1.0 if steady else 0.01)
+    phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
+    dense = schemes.step(config.initial_state(), phys, grid, cfg)
+    monkeypatch.setattr(schemes, "DENSE_MAX", 16)
+    krylov = schemes.step(config.initial_state(), phys, grid, cfg)
+    for a, b in zip(_state_arrays(dense), _state_arrays(krylov)):
+        assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(a))

@@ -4,39 +4,14 @@ import pytest
 from ibstokes import schemes
 from ibstokes.errors import ParameterError
 from ibstokes.grids import GridSpec
-from ibstokes.params import CANONICAL_MU, PhysParams, canonical_params, dimensionless_groups
+from ibstokes.params import PhysParams
 from ibstokes.schemes import SchemeConfig
 
 
 class TestGroups:
-    def test_unit_values(self):
-        g = dimensionless_groups(PhysParams(rho=1, mu=1, elastic=1, domain_length=1))
-        assert g["unsteady_reduced"]["viscosity_group"] == pytest.approx(1.0)
-        # default characteristic time mu L / S_b makes the elastic group 1
-        assert g["elastic_time"] == pytest.approx(1.0)
-
-    def test_small_viscosity(self):
-        g = dimensionless_groups(PhysParams(rho=1, mu=0.01, elastic=1, domain_length=1))
-        assert g["unsteady_reduced"]["viscosity_group"] == pytest.approx(1e-4)
-
-    def test_scaling_invariance(self):
-        a = dimensionless_groups(PhysParams(rho=1, mu=1, elastic=1, domain_length=1))
-        b = dimensionless_groups(PhysParams(rho=4, mu=2, elastic=1, domain_length=1))
-        assert b["unsteady_reduced"]["viscosity_group"] \
-            == pytest.approx(a["unsteady_reduced"]["viscosity_group"])
-
     def test_positive_params_required(self):
         with pytest.raises(ParameterError):
             PhysParams(mu=-1.0)
-        with pytest.raises(ParameterError):
-            canonical_params(0.0)
-
-
-def test_canonical_presets():
-    assert set(CANONICAL_MU) == {0.1, 0.05, 0.01, 0.005}
-    p = canonical_params(0.01)
-    assert p.rho == 1.0 and p.elastic == 1.0
-    assert p.interface_length == pytest.approx(2 * np.pi * 0.2)
 
 
 def test_steady_time_rescaling_equivalence():
@@ -47,7 +22,9 @@ def test_steady_time_rescaling_equivalence():
     p2 = PhysParams(rho=1, mu=2, elastic=4, interface_length=2 * np.pi * 0.2)
     grid = GridSpec.make(64, **grid_kw)
     dt1 = 0.05
-    dt2 = dt1 * (p2.t_char / p1.t_char)   # equal dimensionless step
+    t0_1 = p1.mu * p1.domain_length / p1.elastic
+    t0_2 = p2.mu * p2.domain_length / p2.elastic
+    dt2 = dt1 * (t0_2 / t0_1)   # equal dimensionless step
 
     def run(phys, dt):
         cfg = SchemeConfig(scheme="explicit_steady", dt=dt)

@@ -6,7 +6,7 @@ from ibstokes.bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_t
 from ibstokes.geometry import InterfaceState, reconstruct_curve
 from ibstokes.grids import GridSpec
 from ibstokes.params import PhysParams
-from ibstokes.schemes import SchemeConfig, StepState, compute_rescaling_coefficients
+from ibstokes.schemes import SchemeConfig, StepState, _rescaling_coefficient
 from ibstokes.stokes import FluidState
 
 UNSTEADY = ["explicit_unsteady", "ssd1_unsteady", "ssd2_unsteady",
@@ -112,11 +112,11 @@ class TestSsd1Unsteady:
     def test_stable_at_dt_one(self):
         phys, grid = model(64, mu=0.01)
         cfg = SchemeConfig(scheme="ssd1_unsteady", dt=1.0)
-        verdict, _, _ = diagnostics.stability_probe(
+        verdict, _, final = diagnostics.stability_probe(
             schemes.initial_state(phys, grid), phys, grid, cfg, 20)
         assert verdict == "stable"
-        assert np.isfinite(cfg.c_v) and cfg.c_v > 0
-        assert np.isfinite(cfg.c_u) and cfg.c_u > 0
+        assert np.isfinite(final.c_v) and final.c_v > 0
+        assert np.isfinite(final.c_u) and final.c_u > 0
 
     def test_area_drift_bound(self):
         # fixed-horizon run T=2 at dt=1/4: area loss within 5 percent
@@ -177,25 +177,29 @@ class TestSecondOrder:
 
 class TestRescaling:
     def test_equilibrium_start_disables_rescaling(self):
+        zero = np.zeros(8)
         with pytest.warns(RuntimeWarning):
-            c_v, c_u = compute_rescaling_coefficients(
-                np.zeros(8), np.zeros(8), np.zeros(8), np.zeros(8))
-        assert c_v == 1.0 and c_u == 1.0
+            c = _rescaling_coefficient(None, True, zero, lambda: zero, "C_V")
+        assert c == 1.0
 
     def test_self_ratio_is_one(self):
         x = np.sin(np.arange(8))
-        c_v, c_u = compute_rescaling_coefficients(x, x, x, x)
-        assert c_v == 1.0 and c_u == 1.0
+        assert _rescaling_coefficient(None, True, x, lambda: x, "C_V") == 1.0
+        # a stored coefficient wins, and rescaling off gives 1
+        assert _rescaling_coefficient(0.5, True, x, lambda: 2 * x, "C_V") == 0.5
+        assert _rescaling_coefficient(None, False, x, lambda: 2 * x, "C_V") == 1.0
 
     def test_coefficients_frozen_after_first_step(self):
         phys, grid = model(32, mu=0.01)
         cfg = SchemeConfig(scheme="ssd1_unsteady", dt=0.1)
         state = schemes.initial_state(phys, grid)
+        assert (state.c_v, state.c_u) == (None, None)
         state = schemes.step(state, phys, grid, cfg)
-        c_v1, c_u1 = cfg.c_v, cfg.c_u
-        schemes.step(state, phys, grid, cfg)
-        assert (cfg.c_v, cfg.c_u) == (c_v1, c_u1)
+        c_v1, c_u1 = state.c_v, state.c_u
+        state = schemes.step(state, phys, grid, cfg)
+        assert (state.c_v, state.c_u) == (c_v1, c_u1)
         assert c_v1 > 0 and np.isfinite(c_v1)
+        assert c_u1 > 0 and np.isfinite(c_u1)
 
 
 def test_all_unsteady_schemes_agree_with_explicit_after_10_tiny_steps():

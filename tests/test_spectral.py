@@ -186,33 +186,3 @@ class TestDerivative2D:
     def test_non_square_rejected(self):
         with pytest.raises(InvalidGridError):
             spectral.derivative_2d(np.ones((8, 16)), "x")
-
-
-class TestInvariants:
-    def test_parseval(self):
-        rng = np.random.default_rng(11)
-        n = 128
-        da = 2 * np.pi / n
-        f = rng.standard_normal(n)
-        fh = spectral.forward_1d(f)
-        lhs = np.sum(np.abs(f) ** 2) * da
-        rhs = n * np.sum(np.abs(fh) ** 2) * da
-        assert abs(lhs - rhs) <= 1e-10 * lhs
-
-    def test_forward_inverse_roundtrip(self):
-        rng = np.random.default_rng(5)
-        f = rng.standard_normal(64)
-        back = spectral.inverse_1d(spectral.forward_1d(f))
-        assert np.max(np.abs(back - f)) <= 1e-12 * max(1.0, np.max(np.abs(f)))
-
-    def test_conjugate_symmetry_of_real_input(self):
-        rng = np.random.default_rng(6)
-        fh = spectral.forward_1d(rng.standard_normal(32))
-        for k in range(1, 16):
-            assert abs(fh[-k] - np.conj(fh[k])) <= 1e-12
-
-    def test_roundtrip_2d(self):
-        rng = np.random.default_rng(8)
-        f = rng.standard_normal((32, 32))
-        back = np.real(spectral.inverse_2d(spectral.forward_2d(f)))
-        assert np.max(np.abs(back - f)) <= 1e-12
