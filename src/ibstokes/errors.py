@@ -29,10 +29,6 @@ class SingularPointError(IBStokesError, ValueError):
     """Kernel evaluated at zero separation."""
 
 
-class NoSteadySolutionError(IBStokesError, ValueError):
-    """Steady Stokes solve requested for a force with nonzero mean."""
-
-
 class ParameterError(IBStokesError, ValueError):
     """Invalid physical or numerical parameter (e.g. dt <= 0)."""
 

@@ -47,7 +47,6 @@ class RunConfig:
     rescale: bool = True
     tol: float = 1e-10
     steady_velocity: str = "grid"
-    dealias: bool = False
     snapshot_every: int = 0         # 0: final snapshot only
     output_dir: str = "out"
     label: str = ""
@@ -89,8 +88,7 @@ class RunConfig:
     def scheme_config(self):
         return SchemeConfig(scheme=self.scheme, dt=self.dt, tol=self.tol,
                             rescale=self.rescale,
-                            steady_velocity=self.steady_velocity,
-                            dealias=self.dealias)
+                            steady_velocity=self.steady_velocity)
 
     def initial_state(self):
         return initial_state(self.phys(), self.grid(), a=self.ellipse_a, b=self.ellipse_b,
@@ -188,7 +186,7 @@ def load_snapshot(path):
     fluid = None
     if doc["u"] is not None:
         u = np.array(doc["u"])
-        fluid = FluidState(u, np.array(doc["v"]), np.zeros_like(u))
+        fluid = FluidState(u, np.array(doc["v"]))
     curve = reconstruct_curve(iface, drift_tol=np.inf)
     return StepState(iface, curve, fluid, doc["t"], doc["step"], doc.get("speed_ref"),
                      doc.get("c_v"), doc.get("c_u"))

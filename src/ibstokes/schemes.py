@@ -47,7 +47,6 @@ class SchemeConfig:
     tol: float = 1e-10            # linear-solve tolerance
     rescale: bool = True          # first-step rescaling of the SSD leading terms
     steady_velocity: str = "grid"  # "grid" (spread/solve/interpolate) or "integral"
-    dealias: bool = False
 
     def __post_init__(self):
         if self.scheme not in ALL_SCHEMES:
@@ -79,17 +78,13 @@ def _symbol_wavenumbers(iface):
 
 
 def _fft(x):
+    spectral.counters["fft"] += 1
     return np.fft.fft(x)
 
 
 def _ifft_real(xh):
+    spectral.counters["fft"] += 1
     return np.real(np.fft.ifft(xh))
-
-
-def _maybe_dealias(cfg, *arrays):
-    if not cfg.dealias:
-        return arrays
-    return tuple(spectral.dealias_23(a) for a in arrays)
 
 
 def _check_state(step_index, iface, fluid=None, speed_ref=None):
@@ -133,7 +128,7 @@ def steady_interface_velocity(iface, curve, phys, grid, cfg, force=None):
         uv = np.column_stack([u, v])
     else:
         f_grid = coupling.spread(curve, force, grid)
-        fluid = steady_stokes_grid_solve(f_grid, phys.mu, grid, drop_mean=True)
+        fluid = steady_stokes_grid_solve(f_grid, phys.mu, grid)
         uv = coupling.interpolate(curve, _grid_uv(fluid), grid)
     return _project_velocity(uv, tau, nrm)
 
@@ -168,7 +163,6 @@ def step_explicit_steady(state, phys, grid, cfg):
     iface = state.interface
     u_n, u_t = steady_interface_velocity(iface, state.curve, phys, grid, cfg)
     ds, dth = evolve_salpha_theta_rhs(iface, u_n, u_t)
-    ds, dth = _maybe_dealias(cfg, ds, dth)
     refs = update_reference_points(iface, u_n, u_t, cfg.dt)
     return _finish(state, cfg, iface.s_alpha + cfg.dt * ds, iface.phi + cfg.dt * dth, refs)
 
@@ -224,7 +218,6 @@ def step_ssd1_steady(state, phys, grid, cfg):
     tau, nrm = tangent_normal(iface)
     dth = theta_derivative(iface)
     rhs_s = spectral.derivative_1d(u_t, 1, period=iface.length) - dth * u_n
-    (rhs_s,) = _maybe_dealias(cfg, rhs_s)
     s_new = _semi_implicit(iface.s_alpha, rhs_s, -eta, dt)
 
     force1 = _force_linear_part(s_new, tau, nrm, dth, phys.elastic, iface.length) \
@@ -232,7 +225,6 @@ def step_ssd1_steady(state, phys, grid, cfg):
     u_n1, u_t1 = steady_interface_velocity(iface, state.curve, phys, grid, cfg, force=force1)
     # the angle update divides the explicit terms by the new s_alpha
     rhs_phi = (spectral.derivative_1d(u_n1, 1, period=iface.length) + u_t1 * dth) / s_new
-    (rhs_phi,) = _maybe_dealias(cfg, rhs_phi)
     phi_new = _semi_implicit(iface.phi, rhs_phi, -xi, dt)
     refs = update_reference_points(iface, u_n1, u_t1, dt)
 
@@ -276,7 +268,6 @@ def step_ifrk4_steady(state, phys, grid, cfg):
         stage_curve = reconstruct_curve(stage_if, drift_tol=np.inf)
         u_n, u_t = steady_interface_velocity(stage_if, stage_curve, phys, grid, cfg)
         ds, dth = evolve_salpha_theta_rhs(stage_if, u_n, u_t)
-        ds, dth = _maybe_dealias(cfg, ds, dth)
         # anchor velocities (x, y) at the two reference nodes for this stage
         th = stage_if.theta
         vel = np.empty((2, 2))
@@ -300,6 +291,7 @@ def step_ifrk4_steady(state, phys, grid, cfg):
 def _circulant_from_multiplier(mult):
     """Real circulant matrix applying a conjugate-symmetric Fourier multiplier."""
     n = len(mult)
+    spectral.counters["fft"] += 2
     return np.real(np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
 
 
@@ -444,8 +436,7 @@ def step_stable_steady(state, phys, grid, cfg):
     curve = state.curve
 
     def response(force):
-        fl = steady_stokes_grid_solve(coupling.spread(curve, force, grid), phys.mu, grid,
-                                      drop_mean=True)
+        fl = steady_stokes_grid_solve(coupling.spread(curve, force, grid), phys.mu, grid)
         return coupling.interpolate(curve, _grid_uv(fl), grid)
 
     return _step_stable(state, phys, cfg, response, 0.0, lambda force: (response(force), None))
@@ -468,7 +459,6 @@ def step_explicit_unsteady(state, phys, grid, cfg):
     fluid1 = unsteady_stokes_step(state.fluid, f_grid, phys.rho, phys.mu, cfg.dt, grid)
     u_n, u_t = _interp_split(state.curve, fluid1, grid, tau, nrm)
     ds, dth = evolve_salpha_theta_rhs(iface, u_n, u_t)
-    ds, dth = _maybe_dealias(cfg, ds, dth)
     refs = update_reference_points(iface, u_n, u_t, cfg.dt)
     return _finish(state, cfg, iface.s_alpha + cfg.dt * ds, iface.phi + cfg.dt * dth,
                    refs, fluid1)
@@ -542,7 +532,6 @@ def step_ssd1_unsteady(state, phys, grid, cfg):
     dth = theta_derivative(iface)
     dv_star = spectral.derivative_1d(u_t_star, 1, period=iface.length)
     rhs_s = dv_star - dth * u_n_star
-    (rhs_s,) = _maybe_dealias(cfg, rhs_s)
     c_v = _rescaling_coefficient(state.c_v, cfg.rescale, dv_star,
                                  lambda: _ifft_real(t_hat * _fft(iface.s_alpha)), "C_V")
     s_new = _semi_implicit(iface.s_alpha, rhs_s, c_v * t_hat, dt)
@@ -551,7 +540,6 @@ def step_ssd1_unsteady(state, phys, grid, cfg):
         state, phys, grid, cfg, s_new, tau, nrm, dth,
         lambda: _velocity_level_lead(s_hat_sym, kappa, iface.phi, p.s_min))
     rhs_phi = (spectral.derivative_1d(u_n1, 1, period=iface.length) + u_t1 * dth) / s_new
-    (rhs_phi,) = _maybe_dealias(cfg, rhs_phi)
     # the leading angle operator is S/min(s); the explicit counterpart must
     # carry the same factor or the homogeneous high-k multiplier becomes
     # min(s) != 1 and the update amplifies node-scale modes
@@ -607,15 +595,14 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
 
 def step_stable_unsteady(state, phys, grid, cfg):
     curve = state.curve
-    rest = FluidState.rest(grid.n)
 
     def advance(fluid, force):
         return unsteady_stokes_step(fluid, coupling.spread(curve, force, grid),
                                     phys.rho, phys.mu, cfg.dt, grid)
 
     def response(force):
-        """Velocity response to a force with zero initial field (linear part)."""
-        return coupling.interpolate(curve, _grid_uv(advance(rest, force)), grid)
+        """Velocity response to a force from a fluid at rest (linear part)."""
+        return coupling.interpolate(curve, _grid_uv(advance(None, force)), grid)
 
     def full_solve(force):
         fluid1 = advance(state.fluid, force)
@@ -661,7 +648,6 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     u_n_star, u_t_star = _project_velocity(uvs, tau_h, nrm_h)
 
     rhs_s = spectral.derivative_1d(u_t_star, 1, period=iface.length) - dth_h * u_n_star
-    (rhs_s,) = _maybe_dealias(cfg, rhs_s)
     s_hat = _fft(iface.s_alpha)
     sh_hat = _fft(iface_h.s_alpha)
     s_new = _ifft_real((s_hat * (1.0 / dt + 0.5 * t2_hat) + _fft(rhs_s) - t2_hat * sh_hat)
@@ -684,7 +670,6 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     s_lead_h = _ifft_real(lead * _fft(iface_h.phi))
     rhs_phi = (spectral.derivative_1d(u_n_bar, 1, period=iface.length)
                + u_t_bar * dth_h) / iface_h.s_alpha - s_lead_h
-    (rhs_phi,) = _maybe_dealias(cfg, rhs_phi)
     p_hat = _fft(iface.phi)
     phi_new = _ifft_real((p_hat * (1.0 / dt + 0.5 * lead) + _fft(rhs_phi))
                          / (1.0 / dt - 0.5 * lead))

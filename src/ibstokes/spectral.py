@@ -12,8 +12,8 @@ from .errors import InvalidGridError, SymmetryError
 
 TWO_PI = 2.0 * np.pi
 
-# cheap instrumentation used by the cost-scaling report; a 2D transform
-# counts as one event
+# cheap instrumentation used by the cost-scaling report: one count per
+# numpy.fft transform call, 1-D or 2-D, anywhere in the package
 counters = {"fft": 0}
 
 
@@ -143,14 +143,3 @@ def derivative_2d(field, axis, length=1.0):
         fh *= (1j * k)[None, :]
         return np.real(np.fft.ifft(fh, axis=1))
     raise InvalidGridError(f"axis must be 'x' or 'y', got {axis!r}")
-
-
-def dealias_23(f):
-    """Optional 2/3-rule filter for interface data (off by default everywhere)."""
-    f = _check_1d(f)
-    n = f.size
-    m = integer_modes(n)
-    counters["fft"] += 2
-    fh = np.fft.fft(f)
-    fh[np.abs(m) > n / 3] = 0.0
-    return np.real(np.fft.ifft(fh))

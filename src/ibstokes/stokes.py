@@ -1,14 +1,19 @@
-"""Fluid solves on the periodic grid (spectral steady/unsteady Stokes with
-pressure projection) and the single-layer boundary-integral velocity for
-steady Stokes flow."""
+"""Fluid solves on the periodic grid and the single-layer boundary-integral
+velocity for steady Stokes flow.
+
+The grid solves are velocity-only: the force is Leray-projected mode by mode
+(the projection removes exactly the part a pressure gradient balances, so
+the pressure itself is never formed) and the viscous operator acts as a
+Fourier multiplier on the rfft2 half spectrum.  The steady and unsteady
+solves share one spectral core and differ only in their multipliers.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .errors import (InvalidGeometryError, InvalidGridError,
-                     NoSteadySolutionError, ParameterError)
+from .errors import InvalidGeometryError, InvalidGridError, ParameterError
 
 # instrumentation for the cost-scaling report
 counters = {"fluid_solves": 0, "dense_solves": 0}
@@ -21,31 +26,31 @@ def reset_counters():
 
 @dataclass
 class FluidState:
-    """Velocity components and pressure on the N x N periodic grid."""
+    """Velocity components on the N x N periodic grid."""
 
     u: np.ndarray
     v: np.ndarray
-    p: np.ndarray
 
     @classmethod
     def rest(cls, n):
-        return cls(np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n)))
-
-    def copy(self):
-        return FluidState(self.u.copy(), self.v.copy(), self.p.copy())
+        return cls(np.zeros((n, n)), np.zeros((n, n)))
 
     def max_speed(self):
         return float(np.sqrt(np.max(self.u**2 + self.v**2)))
 
 
 def grid_wavenumbers(n, length):
-    """FFT-ordered wavenumber grids (KX, KY) with the Nyquist mode zeroed
-    (odd-symmetry operators) and the full |k|^2 for even symbols."""
+    """Wavenumber grids (KX, KY) on the rfft2 half spectrum, shape
+    (N, N/2 + 1), with the Nyquist mode zeroed on both axes (odd-symmetry
+    operators), and the full |k|^2 for even symbols."""
     k = spectral.wavenumbers(n, length)
     kd = np.where(spectral.integer_modes(n) == -(n // 2), 0.0, k)
-    kx = kd[:, None] * np.ones(n)[None, :]
-    ky = np.ones(n)[:, None] * kd[None, :]
-    k2_full = (k**2)[:, None] + (k**2)[None, :]
+    # the half axis holds modes 0..N/2; numpy's full layout stores N/2 as
+    # -N/2, which has the same square and is zeroed in kd
+    half = n // 2 + 1
+    kx = kd[:, None] * np.ones(half)[None, :]
+    ky = np.ones(n)[:, None] * kd[None, :half]
+    k2_full = (k**2)[:, None] + (k[:half] ** 2)[None, :]
     return kx, ky, k2_full
 
 
@@ -64,11 +69,24 @@ def divergence_inf_norm(fluid, length=1.0):
     return float(np.max(np.abs(div)))
 
 
-def _pressure_from_force(fu_hat, fv_hat, kx, ky):
-    k2 = kx**2 + ky**2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_hat = np.where(k2 > 0, -1j * (kx * fu_hat + ky * fv_hat) / np.where(k2 > 0, k2, 1.0), 0.0)
-    return p_hat
+def _spectral_solve(fluid, force, grid, keep, gain):
+    """Per rfft2 mode, u_hat_new = keep(|k|^2) u_hat + gain(|k|^2) P f_hat,
+    with P the Leray projection.  ``fluid`` None is a fluid at rest: its
+    transform and ``keep`` are skipped."""
+    n = grid.n
+    if force.shape != (n, n, 2) or (fluid is not None and fluid.u.shape != (n, n)):
+        raise InvalidGridError("field shapes inconsistent with grid")
+    counters["fluid_solves"] += 1
+    kx, ky, k2 = grid_wavenumbers(n, grid.length)
+    spectral.counters["fft"] += 4 if fluid is None else 6
+    pu, pv = leray_project(np.fft.rfft2(force[..., 0]), np.fft.rfft2(force[..., 1]), kx, ky)
+    g = gain(k2)
+    un, vn = g * pu, g * pv
+    if fluid is not None:
+        c = keep(k2)
+        un += c * np.fft.rfft2(fluid.u)
+        vn += c * np.fft.rfft2(fluid.v)
+    return FluidState(np.fft.irfft2(un, s=(n, n)), np.fft.irfft2(vn, s=(n, n)))
 
 
 def unsteady_stokes_step(fluid, force, rho, mu, dt, grid, theta=1.0):
@@ -76,71 +94,32 @@ def unsteady_stokes_step(fluid, force, rho, mu, dt, grid, theta=1.0):
 
     theta = 1 is backward Euler in the viscosity (the default scheme);
     theta = 0.5 is the trapezoidal update used by the second-order scheme.
-    Per mode k != 0:
+    Per mode:
 
         (rho/dt + theta mu |k|^2) u_hat_new = (rho/dt - (1-theta) mu |k|^2) u_hat
                                               + P f_hat
 
-    and the k = 0 mode advances by the mean force alone.
+    which at k = 0 advances the mean by the mean force alone.  ``fluid`` None
+    starts from rest.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be positive, got {dt}")
-    n = grid.n
-    if fluid.u.shape != (n, n) or force.shape != (n, n, 2):
-        raise InvalidGridError("field shapes inconsistent with grid")
-    counters["fluid_solves"] += 1
-    kx, ky, k2 = grid_wavenumbers(n, grid.length)
-    spectral.counters["fft"] += 6
-    uh = np.fft.fft2(fluid.u)
-    vh = np.fft.fft2(fluid.v)
-    fuh = np.fft.fft2(force[..., 0])
-    fvh = np.fft.fft2(force[..., 1])
-    pu, pv = leray_project(fuh, fvh, kx, ky)
-    a = rho / dt + theta * mu * k2
-    b = rho / dt - (1.0 - theta) * mu * k2
-    un = (b * uh + pu) / a
-    vn = (b * vh + pv) / a
-    # k = 0: no viscous or pressure action, mean force only
-    un[0, 0] = uh[0, 0] + dt / rho * fuh[0, 0]
-    vn[0, 0] = vh[0, 0] + dt / rho * fvh[0, 0]
-    p_hat = _pressure_from_force(fuh, fvh, kx, ky)
-    return FluidState(np.real(np.fft.ifft2(un)),
-                      np.real(np.fft.ifft2(vn)),
-                      np.real(np.fft.ifft2(p_hat)))
+    a = rho / dt
+    return _spectral_solve(fluid, force, grid,
+                           keep=lambda k2: (a - (1.0 - theta) * mu * k2) / (a + theta * mu * k2),
+                           gain=lambda k2: 1.0 / (a + theta * mu * k2))
 
 
-def steady_stokes_grid_solve(force, mu, grid, drop_mean=False):
-    """Solve 0 = -grad p + mu lap u + f on the torus.
+def steady_stokes_grid_solve(force, mu, grid):
+    """Solve 0 = -grad p + mu lap u + f on the torus for u.
 
-    A mean force has no steady solution; by default it raises, with
-    drop_mean=True the k = 0 force mode is discarded (used inside implicit
-    operators whose probe vectors carry an aliasing-level mean).
+    A mean force has no steady solution; the k = 0 force mode is discarded
+    (inside the implicit operators the probe forces carry an aliasing-level
+    mean), so the velocity has zero mean.
     """
-    n = grid.n
-    if force.shape != (n, n, 2):
-        raise InvalidGridError("force shape inconsistent with grid")
-    counters["fluid_solves"] += 1
-    kx, ky, k2 = grid_wavenumbers(n, grid.length)
-    spectral.counters["fft"] += 5
-    fuh = np.fft.fft2(force[..., 0])
-    fvh = np.fft.fft2(force[..., 1])
-    mean = np.hypot(abs(fuh[0, 0]), abs(fvh[0, 0])) / n**2
-    if not drop_mean:
-        scale = max(np.max(np.abs(force)), 1.0)
-        if mean > 1e-10 * scale:
-            raise NoSteadySolutionError(
-                f"mean force {mean:.3e} exceeds tolerance; no steady solution on the torus")
-    fuh[0, 0] = 0.0
-    fvh[0, 0] = 0.0
-    pu, pv = leray_project(fuh, fvh, kx, ky)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        denom = np.where(k2 > 0, mu * k2, 1.0)
-        un = np.where(k2 > 0, pu / denom, 0.0)
-        vn = np.where(k2 > 0, pv / denom, 0.0)
-    p_hat = _pressure_from_force(fuh, fvh, kx, ky)
-    return FluidState(np.real(np.fft.ifft2(un)),
-                      np.real(np.fft.ifft2(vn)),
-                      np.real(np.fft.ifft2(p_hat)))
+    return _spectral_solve(None, force, grid, keep=None,
+                           gain=lambda k2: np.divide(1.0, mu * k2, out=np.zeros_like(k2),
+                                                     where=k2 > 0))
 
 
 def _log_kernel_multiplier(n, interface_length):

@@ -17,7 +17,7 @@ class TestEnergies:
 
     def test_kinetic_uniform_flow(self):
         n = 32
-        f = FluidState(np.ones((n, n)), np.zeros((n, n)), np.zeros((n, n)))
+        f = FluidState(np.ones((n, n)), np.zeros((n, n)))
         assert kinetic_energy(f, 2.0, 1.0 / n) == pytest.approx(1.0)
 
     def test_kinetic_shear_mode(self):
@@ -25,7 +25,7 @@ class TestEnergies:
         n = 64
         y = np.arange(n) / n
         u = np.sin(2 * np.pi * y)[None, :] * np.ones((n, 1))
-        f = FluidState(u, np.zeros((n, n)), np.zeros((n, n)))
+        f = FluidState(u, np.zeros((n, n)))
         assert kinetic_energy(f, 1.0, 1.0 / n) == pytest.approx(0.25, abs=1e-12)
 
     def test_kinetic_none_fluid(self):
@@ -50,8 +50,8 @@ class TestEnergies:
         rng = np.random.default_rng(0)
         n = 32
         u = rng.standard_normal((n, n))
-        f1 = FluidState(u, 0 * u, 0 * u)
-        f3 = FluidState(3 * u, 0 * u, 0 * u)
+        f1 = FluidState(u, 0 * u)
+        f3 = FluidState(3 * u, 0 * u)
         assert kinetic_energy(f3, 1.0, 1.0 / n) \
             == pytest.approx(9 * kinetic_energy(f1, 1.0, 1.0 / n))
         s = 1.0 + rng.standard_normal(64) * 0.1

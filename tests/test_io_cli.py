@@ -271,6 +271,27 @@ def test_stable_scheme_fluid_solves_exceed_boundary_count():
     assert stokes.counters["fluid_solves"] >= grid.n_boundary  # dense probing
 
 
+@pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)
+def test_fft_counter_matches_numpy_calls(scheme, monkeypatch):
+    # every numpy.fft transform the step makes adds exactly one to the counter
+    from ibstokes import spectral
+    steady = scheme in schemes.STEADY_SCHEMES
+    config = RunConfig(scheme=scheme, n=16, dt=0.1 if steady else 0.01,
+                       mu=1.0 if steady else 0.01)
+    phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
+    state = config.initial_state()
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    before = spectral.counters["fft"]
+    schemes.step(state, phys, grid, cfg)
+    assert len(calls) > 0
+    assert spectral.counters["fft"] - before == len(calls)
+
+
 @pytest.mark.parametrize("scheme", ["stable_steady", "stable_unsteady"])
 def test_stable_krylov_matches_dense(scheme, monkeypatch):
     # N_b = 32 > DENSE_MAX = 16 sends both implicit systems through GMRES

@@ -228,8 +228,7 @@ class TestStableSteady:
         force = phys.elastic * (
             spectral.derivative_1d(new.interface.s_alpha, 1, period=iface.length)[:, None] * tau
             + ((new.interface.s_alpha - 1.0) * dth)[:, None] * nrm)
-        fl = steady_stokes_grid_solve(coupling.spread(state.curve, force, grid),
-                                      phys.mu, grid, drop_mean=True)
+        fl = steady_stokes_grid_solve(coupling.spread(state.curve, force, grid), phys.mu, grid)
         uv = coupling.interpolate(state.curve, np.stack([fl.u, fl.v], -1), grid)
         u_n = uv[:, 0] * nrm[:, 0] + uv[:, 1] * nrm[:, 1]
         u_t = uv[:, 0] * tau[:, 0] + uv[:, 1] * tau[:, 1]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ibstokes import geometry, spectral, stokes
-from ibstokes.errors import InvalidGeometryError, NoSteadySolutionError, ParameterError
+from ibstokes.errors import InvalidGeometryError, ParameterError
 from ibstokes.geometry import CurveSamples
 from ibstokes.grids import GridSpec
 from ibstokes.stokes import FluidState
@@ -26,8 +26,8 @@ class TestLeray:
         n = 32
         kx, ky, _ = stokes.grid_wavenumbers(n, 1.0)
         rng = np.random.default_rng(0)
-        fu = np.fft.fft2(rng.standard_normal((n, n)))
-        fv = np.fft.fft2(rng.standard_normal((n, n)))
+        fu = np.fft.rfft2(rng.standard_normal((n, n)))
+        fv = np.fft.rfft2(rng.standard_normal((n, n)))
         pu, pv = stokes.leray_project(fu, fv, kx, ky)
         qu, qv = stokes.leray_project(pu, pv, kx, ky)
         assert np.max(np.abs(qu - pu)) <= 1e-12 * np.max(np.abs(pu))
@@ -38,9 +38,9 @@ class TestLeray:
     def test_gradient_mode_killed(self):
         n = 16
         kx, ky, _ = stokes.grid_wavenumbers(n, 1.0)
-        # f_hat = k on a single mode
-        fu = np.zeros((n, n), complex)
-        fv = np.zeros((n, n), complex)
+        # f_hat = k on a single mode of the rfft2 half spectrum
+        fu = np.zeros((n, n // 2 + 1), complex)
+        fv = np.zeros((n, n // 2 + 1), complex)
         fu[2, 3], fv[2, 3] = kx[2, 3], ky[2, 3]
         pu, pv = stokes.leray_project(fu, fv, kx, ky)
         assert np.max(np.abs(pu)) <= 1e-14
@@ -53,7 +53,7 @@ class TestUnsteadyStep:
         grid = GridSpec.make(n)
         y = np.arange(n) / n
         u0 = np.sin(2 * np.pi * y)[None, :] * np.ones((n, 1))
-        fluid = FluidState(u0.copy(), np.zeros((n, n)), np.zeros((n, n)))
+        fluid = FluidState(u0.copy(), np.zeros((n, n)))
         out = stokes.unsteady_stokes_step(fluid, np.zeros((n, n, 2)), 1.0, 1.0, 0.1, grid)
         expect = u0 / (1.0 + 0.1 * (2 * np.pi) ** 2)
         assert np.max(np.abs(out.u - expect)) <= 1e-12
@@ -61,7 +61,7 @@ class TestUnsteadyStep:
         e1 = np.sum(out.u**2 + out.v**2)
         assert e1 < e0
 
-    def test_gradient_force_absorbed_by_pressure(self):
+    def test_gradient_force_leaves_fluid_at_rest(self):
         n = 32
         grid = GridSpec.make(n)
         x = np.arange(n) / n
@@ -73,17 +73,22 @@ class TestUnsteadyStep:
         out = stokes.unsteady_stokes_step(fluid, f, 1.0, 1.0, 0.1, grid)
         assert np.max(np.abs(out.u)) <= 1e-13
         assert np.max(np.abs(out.v)) <= 1e-13
-        assert np.max(np.abs(out.p)) > 0.1  # pressure took the force
 
-    def test_single_mode_hand_solve(self):
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_single_mode_hand_solve(self, theta):
+        # from u0 = 0.7 sin(2 pi y) under f = (sin(2 pi y), 0) the mode obeys
+        # (rho/dt + theta mu k^2) u1 = (rho/dt - (1-theta) mu k^2) u0 + f
         n = 64
         grid = GridSpec.make(n)
-        rho = mu = 1.0
-        dt = 0.1
-        out = stokes.unsteady_stokes_step(FluidState.rest(n), shear_force(n), rho, mu, dt, grid)
+        rho, mu, dt = 1.0, 1.0, 0.1
         y = np.arange(n) / n
-        expect = dt / rho * np.sin(2 * np.pi * y)[None, :] / (1 + mu * dt * (2 * np.pi) ** 2 / rho)
-        assert np.max(np.abs(out.u - expect * np.ones((n, 1)))) <= 1e-13
+        mode = np.sin(2 * np.pi * y)[None, :] * np.ones((n, 1))
+        fluid = FluidState(0.7 * mode, np.zeros((n, n)))
+        out = stokes.unsteady_stokes_step(fluid, shear_force(n), rho, mu, dt, grid, theta=theta)
+        k2 = (2 * np.pi) ** 2
+        keep = (rho / dt - (1 - theta) * mu * k2) / (rho / dt + theta * mu * k2)
+        gain = 1.0 / (rho / dt + theta * mu * k2)
+        assert np.max(np.abs(out.u - (keep * 0.7 + gain) * mode)) <= 1e-13
         assert np.max(np.abs(out.v)) <= 1e-14
 
     def test_mean_force_moves_mean_mode(self):
@@ -98,9 +103,12 @@ class TestUnsteadyStep:
         n = 64
         grid = GridSpec.make(n)
         rng = np.random.default_rng(1)
-        out = stokes.unsteady_stokes_step(FluidState.rest(n), random_force(rng, n),
-                                          1.0, 0.01, 0.05, grid)
+        force = random_force(rng, n)
+        out = stokes.unsteady_stokes_step(FluidState.rest(n), force, 1.0, 0.01, 0.05, grid)
         assert stokes.divergence_inf_norm(out) <= 1e-10 * out.max_speed()
+        # no field is a fluid at rest
+        none = stokes.unsteady_stokes_step(None, force, 1.0, 0.01, 0.05, grid)
+        assert np.array_equal(none.u, out.u) and np.array_equal(none.v, out.v)
 
     def test_bad_dt(self):
         grid = GridSpec.make(16)
@@ -136,14 +144,14 @@ class TestSteadyGridSolve:
         expect = np.sin(2 * np.pi * y)[None, :] / (mu * (2 * np.pi) ** 2)
         assert np.max(np.abs(out.u - expect * np.ones((n, 1)))) <= 1e-13
 
-    def test_mean_force_rejected(self):
+    def test_mean_force_dropped(self):
+        # a mean force has no steady solution; its k = 0 mode is discarded
         grid = GridSpec.make(16)
         f = np.zeros((16, 16, 2))
         f[..., 1] = 0.01
-        with pytest.raises(NoSteadySolutionError):
-            stokes.steady_stokes_grid_solve(f, 1.0, grid)
-        out = stokes.steady_stokes_grid_solve(f, 1.0, grid, drop_mean=True)
+        out = stokes.steady_stokes_grid_solve(f, 1.0, grid)
         assert np.max(np.abs(out.u)) == 0.0
+        assert np.max(np.abs(out.v)) == 0.0
 
     def test_divergence_free_output(self):
         n = 64
