@@ -10,15 +10,18 @@ its explicit counterpart, so every scheme is consistent with the same
 dynamics; only the stability properties differ.  Implicit leading operators
 are diagonal in Fourier space except for the second-kind and two-step
 schemes, which assemble (or apply matrix-free) dense N_b x N_b systems.
+The second-kind circulants are gathered from their first columns, and a
+circulant product from the multipliers' product: O(N_b^2) assembly.
 """
 
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import circulant
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from . import coupling, spectral, stokes
+from . import bessel, coupling, spectral, stokes
 from .bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_second_order, ssd_symbol_t
 from .errors import BlowupError, ParameterError, SolverStallError
 from .geometry import (InterfaceState, elastic_force, enclosed_area, evolve_salpha_theta_rhs,
@@ -289,10 +292,10 @@ def step_ifrk4_steady(state, phys, grid, cfg):
 
 
 def _circulant_from_multiplier(mult):
-    """Real circulant matrix applying a conjugate-symmetric Fourier multiplier."""
-    n = len(mult)
-    spectral.counters["fft"] += 2
-    return np.real(np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
+    """Real circulant applying a conjugate-symmetric Fourier multiplier, gathered
+    from its first column: C[i, j] = c[(i - j) % n], c = real(ifft(mult))."""
+    spectral.counters["fft"] += 1
+    return circulant(np.real(np.fft.ifft(mult)))
 
 
 def _derivative_matrix(n, period):
@@ -330,7 +333,7 @@ def step_ssd2_steady(state, phys, grid, cfg):
     nb = iface.n_nodes
     u_n, u_t = steady_interface_velocity(iface, state.curve, phys, grid, cfg)
     dth = theta_derivative(iface)
-    eta, xi, _ = _steady_rates(iface, phys)
+    eta, _, gamma = _steady_rates(iface, phys)
     lam_abs = _circulant_from_multiplier(eta)         # (S_b/4mu)|kappa|
     # periodized ln|a - a'| convolution
     log_mat = _circulant_from_multiplier(-stokes._log_kernel_multiplier(nb, iface.length))
@@ -348,8 +351,8 @@ def step_ssd2_steady(state, phys, grid, cfg):
     s_new = _dense_solve(a_s, b_s, state.step + 1)
 
     # angle system: implicit -gamma|kappa| leading term plus implicit transport
-    phi_new = _angle_transport_solve(iface, _circulant_from_multiplier(-xi), u_n, u_t,
-                                     s_new, dt, state.step + 1)
+    phi_new = _angle_transport_solve(iface, -gamma * lam_abs, u_n, u_t, s_new, dt,
+                                     state.step + 1)
     refs = update_reference_points(iface, u_n, u_t, dt)
     return _finish(state, cfg, s_new, phi_new, refs)
 
@@ -558,23 +561,20 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
     dth = theta_derivative(iface)
     beta = p.lam * p.s_min
 
-    # dense correction: convolution with the smooth kernel K0(beta|d|) + ln|d|
-    # (the log singularities cancel; this is the combination appearing in the
-    # second fundamental solution) acting on D^2((s-1) theta_a)
-    mult = np.zeros(nb)
-    nz = kappa != 0
-    mult[nz] = np.pi / np.sqrt(beta**2 + kappa[nz] ** 2) - np.pi / np.abs(kappa[nz])
-    mult[0] = np.pi / beta + iface.length * np.log(iface.length / TWO_PI)
-    kernel = _circulant_from_multiplier(mult)
-    d2 = _circulant_from_multiplier(-kappa**2)
+    # dense correction: the smooth K0(beta|d|) + ln|d| convolution (the log
+    # singularities cancel, as in the second fundamental solution) acting on
+    # D^2((s-1) theta_a), assembled as one circulant of the multipliers' product
+    mult = np.pi * bessel.k0_convolution_symbol(beta, kappa) \
+        - stokes._log_kernel_multiplier(nb, iface.length)
+    kd2 = _circulant_from_multiplier(mult * -kappa**2)
     t_mat = _circulant_from_multiplier(t_hat)
     pref = -(phys.elastic * dt) / (2.0 * np.pi)
     coef = dth / iface.s_alpha**2
 
     def t2_lead(s):
-        return t_mat @ s + pref * coef * (kernel @ (d2 @ ((s - 1.0) * dth)))
+        return t_mat @ s + pref * coef * (kd2 @ ((s - 1.0) * dth))
 
-    t2_lin = t_mat + pref * (coef[:, None] * (kernel @ (d2 * dth[None, :])))
+    t2_lin = t_mat + pref * (coef[:, None] * kd2 * dth[None, :])
     dv_star = spectral.derivative_1d(u_t_star, 1, period=iface.length)
     c_v = _rescaling_coefficient(state.c_v, cfg.rescale, dv_star,
                                  lambda: t2_lead(iface.s_alpha), "C_V")

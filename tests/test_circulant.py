@@ -1,0 +1,71 @@
+"""Circulant algebra behind the second-kind schemes' dense systems."""
+
+import numpy as np
+import pytest
+
+from ibstokes import bessel, schemes, spectral, stokes
+from ibstokes.bessel import SsdSymbolParams
+from ibstokes.io import RunConfig
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _random_multiplier(n, seed=0):
+    # the transform of a real sequence is conjugate-symmetric
+    mult = np.fft.fft(np.random.default_rng(seed).standard_normal(n))
+    assert abs(mult[n // 2]) > 1e-3
+    return mult
+
+
+def _ssd2_unsteady_multipliers(n=32):
+    """The kernel multiplier and -kappa^2 of the first ssd2_unsteady step."""
+    config = RunConfig(scheme="ssd2_unsteady", n=n, dt=0.05, mu=0.01)
+    phys, iface = config.phys(), config.initial_state().interface
+    p = SsdSymbolParams.from_state(iface.s_alpha, phys.elastic, phys.mu, phys.rho, config.dt)
+    kappa = spectral.wavenumbers(iface.n_nodes, iface.length)
+    beta = p.lam * p.s_min
+    mult = np.pi * bessel.k0_convolution_symbol(beta, kappa) \
+        - stokes._log_kernel_multiplier(iface.n_nodes, iface.length)
+    return mult, -kappa**2, kappa, beta, iface.length
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_first_column_build_matches_fft_of_identity(n):
+    mult = _random_multiplier(n)
+    old = np.real(np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
+    assert _rel(schemes._circulant_from_multiplier(mult), old) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_circulant_applies_multiplier(n):
+    mult = _random_multiplier(n, seed=1)
+    x = np.random.default_rng(2).standard_normal(n)
+    expect = np.real(np.fft.ifft(mult * np.fft.fft(x)))
+    assert _rel(schemes._circulant_from_multiplier(mult) @ x, expect) <= 1e-14
+
+
+def test_product_of_circulants_is_circulant_of_product():
+    mult, d2, _, _, _ = _ssd2_unsteady_multipliers()
+    circ = schemes._circulant_from_multiplier
+    assert _rel(circ(mult * d2), circ(mult) @ circ(d2)) <= 1e-12
+
+
+def test_kernel_multiplier_is_k0_minus_log_symbol():
+    # criterion 7's identity: pi/sqrt(beta^2 + kappa^2) - pi/|kappa|, and at
+    # kappa = 0 the mean pi/beta + L_b ln(L_b/2pi)
+    mult, _, kappa, beta, length = _ssd2_unsteady_multipliers()
+    nz = kappa != 0
+    expect = np.empty_like(mult)
+    expect[nz] = np.pi / np.sqrt(beta**2 + kappa[nz] ** 2) - np.pi / np.abs(kappa[nz])
+    expect[0] = np.pi / beta + length * np.log(length / (2.0 * np.pi))
+    assert np.max(np.abs(mult - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+def test_scaled_multiplier_is_scaled_circulant():
+    config = RunConfig(scheme="ssd2_steady", n=32, dt=0.1, mu=1.0)
+    eta, xi, gamma = schemes._steady_rates(config.initial_state().interface, config.phys())
+    assert gamma > 0
+    circ = schemes._circulant_from_multiplier
+    assert _rel(circ(-xi), -gamma * circ(eta)) <= 1e-14
