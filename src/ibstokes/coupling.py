@@ -1,12 +1,17 @@
 """Peskin 4-point discrete delta, the spreading/interpolation pair, and the
 discrete inner products they are adjoint under.
 
+``delta_stencils`` builds one transfer object per curve: the 4x4 weight
+block of delta_h at each interface node and the grid cells it covers.
 Spreading scatters interface quantities onto the grid with weights
 delta_h(x - X_j) * dalpha; interpolation gathers grid fields with weights
-delta_h * h^2.  Both use the same weight blocks, which makes the pair exactly
-adjoint in floating point; that identity is what the energy estimates of the
-semi-implicit schemes rest on.
+delta_h * h^2.  Both read the same object and never rebuild it, so the pair
+is adjoint by construction, exactly in floating point; that identity is what
+the energy estimates of the semi-implicit schemes rest on.  A step builds the
+object once for each curve it couples through.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,58 +35,64 @@ def peskin_phi(r):
     return out
 
 
-def delta_stencils(curve, grid):
-    """4x4 weight blocks of delta_h centered at each interface node.
+@dataclass(frozen=True)
+class Stencils:
+    """The delta_h weights of one curve on one grid, shared by spread and
+    interpolate.
 
-    Returns (ix, iy, w): periodic grid indices shaped (N_b, 4) per axis and
-    weights (N_b, 4, 4) with w[j, p, q] = phi(dx_p) phi(dy_q) / h^2.
+    ix, iy: periodic grid indices per axis, (N_b, 4); w: weights (N_b, 4, 4)
+    with w[j, p, q] = phi(dx_p) phi(dy_q) / h^2; cells: the flat grid index
+    ix[j, p] * N + iy[j, q] of each weight.
     """
+
+    ix: np.ndarray
+    iy: np.ndarray
+    w: np.ndarray
+    cells: np.ndarray
+
+
+def delta_stencils(curve, grid):
+    """The transfer object of ``curve`` on ``grid``: 4x4 weight blocks of
+    delta_h centered at each interface node."""
     h = grid.h
     n = grid.n
-    gx = np.asarray(curve.x, dtype=float) / h
-    gy = np.asarray(curve.y, dtype=float) / h
+    gx = np.asarray(curve.x, dtype=float)[:, None] / h
+    gy = np.asarray(curve.y, dtype=float)[:, None] / h
     offs = np.arange(-1, 3)
-    ix0 = np.floor(gx).astype(int)
-    iy0 = np.floor(gy).astype(int)
-    ix = (ix0[:, None] + offs[None, :]) % n
-    iy = (iy0[:, None] + offs[None, :]) % n
-    wx = peskin_phi(gx[:, None] - (ix0[:, None] + offs[None, :]))
-    wy = peskin_phi(gy[:, None] - (iy0[:, None] + offs[None, :]))
-    w = wx[:, :, None] * wy[:, None, :] / h**2
-    return ix, iy, w
+    cx = np.floor(gx).astype(int) + offs      # unwrapped cell indices, (N_b, 4)
+    cy = np.floor(gy).astype(int) + offs
+    ix, iy = cx % n, cy % n
+    w = peskin_phi(gx - cx)[:, :, None] * peskin_phi(gy - cy)[:, None, :] / h**2
+    return Stencils(ix, iy, w, ix[:, :, None] * n + iy[:, None, :])
 
 
-def spread(curve, values, grid):
+def spread(stencils, values, grid):
     """Scatter per-node values to the grid: sum_j g_j delta_h(x - X_j) dalpha.
 
-    values may be (N_b,) or (N_b, 2); the result is (N, N) or (N, N, 2).
-    Accumulation runs in fixed node-major order, so output is deterministic.
+    values (N_b, ...) give a field (N, N, ...).  Accumulation runs per
+    component in fixed node-major order, so output is deterministic.
     """
     values = np.asarray(values, dtype=float)
-    ix, iy, w = delta_stencils(curve, grid)
-    if values.ndim == 1:
-        field = np.zeros((grid.n, grid.n))
-        contrib = w * (values[:, None, None] * grid.dalpha)
-        np.add.at(field, (ix[:, :, None], iy[:, None, :]), contrib)
-        return field
-    field = np.zeros((grid.n, grid.n, values.shape[1]))
-    for c in range(values.shape[1]):
-        contrib = w * (values[:, c, None, None] * grid.dalpha)
-        np.add.at(field[..., c], (ix[:, :, None], iy[:, None, :]), contrib)
-    return field
+    cols = values.reshape(len(values), -1)
+    field = np.zeros((grid.n * grid.n, cols.shape[1]))
+    for c in range(cols.shape[1]):
+        contrib = stencils.w * (cols[:, c, None, None] * grid.dalpha)
+        np.add.at(field[:, c], stencils.cells, contrib)
+    return field.reshape((grid.n, grid.n) + values.shape[1:])
 
 
-def interpolate(curve, field, grid):
-    """Gather a grid field at the interface: sum_x u(x) delta_h(x - X_j) h^2."""
+def interpolate(stencils, field, grid):
+    """Gather a grid field at the interface: sum_x u(x) delta_h(x - X_j) h^2.
+
+    field (N, N, ...) gives node values (N_b, ...).
+    """
     field = np.asarray(field, dtype=float)
-    ix, iy, w = delta_stencils(curve, grid)
-    wh2 = w * grid.h**2
-    if field.ndim == 2:
-        return np.einsum("jpq,jpq->j", wh2, field[ix[:, :, None], iy[:, None, :]])
-    out = np.empty((curve.n_nodes, field.shape[2]))
-    for c in range(field.shape[2]):
-        out[:, c] = np.einsum("jpq,jpq->j", wh2, field[..., c][ix[:, :, None], iy[:, None, :]])
-    return out
+    cols = field.reshape(grid.n * grid.n, -1)
+    wh2 = stencils.w * grid.h**2
+    out = np.empty((len(wh2), cols.shape[1]))
+    for c in range(cols.shape[1]):
+        out[:, c] = np.einsum("jpq,jpq->j", wh2, cols[:, c][stencils.cells])
+    return out.reshape(out.shape[:1] + field.shape[2:])
 
 
 def inner_product_gamma(f, g, dalpha):

@@ -115,12 +115,13 @@ def _project_velocity(uv, tau, nrm):
     return u_n, u_t
 
 
-def steady_interface_velocity(iface, curve, phys, grid, cfg, force=None):
+def steady_interface_velocity(iface, curve, stencils, phys, grid, cfg, force=None):
     """(U, V) = normal/tangential interface velocity of the steady flow.
 
-    Backend "grid": spread the force, solve steady Stokes spectrally,
-    interpolate back (this is what reproduces the reported stability
-    behavior).  Backend "integral": the free-space single-layer formula.
+    Backend "grid": spread the force through the curve's ``stencils``, solve
+    steady Stokes spectrally, interpolate back (this is what reproduces the
+    reported stability behavior).  Backend "integral": the free-space
+    single-layer formula on ``curve``.
     """
     if force is None:
         force = elastic_force(iface, phys.elastic)
@@ -130,9 +131,9 @@ def steady_interface_velocity(iface, curve, phys, grid, cfg, force=None):
                                             iface.theta, iface.length)
         uv = np.column_stack([u, v])
     else:
-        f_grid = coupling.spread(curve, force, grid)
+        f_grid = coupling.spread(stencils, force, grid)
         fluid = steady_stokes_grid_solve(f_grid, phys.mu, grid)
-        uv = coupling.interpolate(curve, _grid_uv(fluid), grid)
+        uv = coupling.interpolate(stencils, _grid_uv(fluid), grid)
     return _project_velocity(uv, tau, nrm)
 
 
@@ -164,7 +165,8 @@ def _semi_implicit(x, rhs, lead, dt):
 
 def step_explicit_steady(state, phys, grid, cfg):
     iface = state.interface
-    u_n, u_t = steady_interface_velocity(iface, state.curve, phys, grid, cfg)
+    stencils = coupling.delta_stencils(state.curve, grid)
+    u_n, u_t = steady_interface_velocity(iface, state.curve, stencils, phys, grid, cfg)
     ds, dth = evolve_salpha_theta_rhs(iface, u_n, u_t)
     refs = update_reference_points(iface, u_n, u_t, cfg.dt)
     return _finish(state, cfg, iface.s_alpha + cfg.dt * ds, iface.phi + cfg.dt * dth, refs)
@@ -216,7 +218,8 @@ def step_ssd1_steady(state, phys, grid, cfg):
     """
     iface = state.interface
     dt = cfg.dt
-    u_n, u_t = steady_interface_velocity(iface, state.curve, phys, grid, cfg)
+    stencils = coupling.delta_stencils(state.curve, grid)
+    u_n, u_t = steady_interface_velocity(iface, state.curve, stencils, phys, grid, cfg)
     eta, xi, _ = _steady_rates(iface, phys)
     tau, nrm = tangent_normal(iface)
     dth = theta_derivative(iface)
@@ -225,7 +228,8 @@ def step_ssd1_steady(state, phys, grid, cfg):
 
     force1 = _force_linear_part(s_new, tau, nrm, dth, phys.elastic, iface.length) \
         - phys.elastic * dth[:, None] * nrm
-    u_n1, u_t1 = steady_interface_velocity(iface, state.curve, phys, grid, cfg, force=force1)
+    u_n1, u_t1 = steady_interface_velocity(iface, state.curve, stencils, phys, grid, cfg,
+                                           force=force1)
     # the angle update divides the explicit terms by the new s_alpha
     rhs_phi = (spectral.derivative_1d(u_n1, 1, period=iface.length) + u_t1 * dth) / s_new
     phi_new = _semi_implicit(iface.phi, rhs_phi, -xi, dt)
@@ -269,7 +273,9 @@ def step_ifrk4_steady(state, phys, grid, cfg):
             raise BlowupError(state.step + 1, "stage state degenerate inside RK4")
         stage_if = InterfaceState(s, phi, iface.ref_points, iface.length)
         stage_curve = reconstruct_curve(stage_if, drift_tol=np.inf)
-        u_n, u_t = steady_interface_velocity(stage_if, stage_curve, phys, grid, cfg)
+        u_n, u_t = steady_interface_velocity(stage_if, stage_curve,
+                                             coupling.delta_stencils(stage_curve, grid),
+                                             phys, grid, cfg)
         ds, dth = evolve_salpha_theta_rhs(stage_if, u_n, u_t)
         # anchor velocities (x, y) at the two reference nodes for this stage
         th = stage_if.theta
@@ -331,7 +337,8 @@ def step_ssd2_steady(state, phys, grid, cfg):
     iface = state.interface
     dt = cfg.dt
     nb = iface.n_nodes
-    u_n, u_t = steady_interface_velocity(iface, state.curve, phys, grid, cfg)
+    stencils = coupling.delta_stencils(state.curve, grid)
+    u_n, u_t = steady_interface_velocity(iface, state.curve, stencils, phys, grid, cfg)
     dth = theta_derivative(iface)
     eta, _, gamma = _steady_rates(iface, phys)
     lam_abs = _circulant_from_multiplier(eta)         # (S_b/4mu)|kappa|
@@ -436,11 +443,11 @@ def _step_stable(state, phys, cfg, response, uv_hom, full_solve):
 
 
 def step_stable_steady(state, phys, grid, cfg):
-    curve = state.curve
+    stencils = coupling.delta_stencils(state.curve, grid)
 
     def response(force):
-        fl = steady_stokes_grid_solve(coupling.spread(curve, force, grid), phys.mu, grid)
-        return coupling.interpolate(curve, _grid_uv(fl), grid)
+        fl = steady_stokes_grid_solve(coupling.spread(stencils, force, grid), phys.mu, grid)
+        return coupling.interpolate(stencils, _grid_uv(fl), grid)
 
     return _step_stable(state, phys, cfg, response, 0.0, lambda force: (response(force), None))
 
@@ -449,8 +456,8 @@ def step_stable_steady(state, phys, grid, cfg):
 # unsteady schemes
 # ---------------------------------------------------------------------------
 
-def _interp_split(curve, fluid, grid, tau, nrm):
-    uv = coupling.interpolate(curve, _grid_uv(fluid), grid)
+def _interp_split(stencils, fluid, grid, tau, nrm):
+    uv = coupling.interpolate(stencils, _grid_uv(fluid), grid)
     return _project_velocity(uv, tau, nrm)
 
 
@@ -458,9 +465,10 @@ def step_explicit_unsteady(state, phys, grid, cfg):
     iface = state.interface
     tau, nrm = tangent_normal(iface)
     force = elastic_force(iface, phys.elastic)
-    f_grid = coupling.spread(state.curve, force, grid)
+    stencils = coupling.delta_stencils(state.curve, grid)
+    f_grid = coupling.spread(stencils, force, grid)
     fluid1 = unsteady_stokes_step(state.fluid, f_grid, phys.rho, phys.mu, cfg.dt, grid)
-    u_n, u_t = _interp_split(state.curve, fluid1, grid, tau, nrm)
+    u_n, u_t = _interp_split(stencils, fluid1, grid, tau, nrm)
     ds, dth = evolve_salpha_theta_rhs(iface, u_n, u_t)
     refs = update_reference_points(iface, u_n, u_t, cfg.dt)
     return _finish(state, cfg, iface.s_alpha + cfg.dt * ds, iface.phi + cfg.dt * dth,
@@ -498,30 +506,30 @@ def _velocity_level_lead(symbol, kappa, phi, s_min):
     return _ifft_real(out)
 
 
-def _ssd_star_solve(state, phys, grid, cfg):
+def _ssd_star_solve(state, stencils, phys, grid, cfg):
     """Shared first stage of the unsteady SSD schemes: the explicit-force
     fluid solve, its interface velocities, and the symbol parameters."""
     iface = state.interface
     tau, nrm = tangent_normal(iface)
     force = elastic_force(iface, phys.elastic)
-    f_grid = coupling.spread(state.curve, force, grid)
+    f_grid = coupling.spread(stencils, force, grid)
     fluid_star = unsteady_stokes_step(state.fluid, f_grid, phys.rho, phys.mu, cfg.dt, grid)
-    u_n_star, u_t_star = _interp_split(state.curve, fluid_star, grid, tau, nrm)
+    u_n_star, u_t_star = _interp_split(stencils, fluid_star, grid, tau, nrm)
     p = SsdSymbolParams.from_state(iface.s_alpha, phys.elastic, phys.mu, phys.rho, cfg.dt)
     kappa = _symbol_wavenumbers(iface)
     return tau, nrm, u_n_star, u_t_star, p, kappa
 
 
-def _ssd_update_solve(state, phys, grid, cfg, s_new, tau, nrm, dth, u_lead):
+def _ssd_update_solve(state, stencils, phys, grid, cfg, s_new, tau, nrm, dth, u_lead):
     """Shared second stage of the unsteady SSD schemes: the fluid solve with
     the force F(s^{n+1}, theta^n), its interface velocities (U, V), and C_U
     against the leading-order normal velocity ``u_lead()``."""
     iface = state.interface
     force1 = _force_linear_part(s_new, tau, nrm, dth, phys.elastic, iface.length) \
         - phys.elastic * dth[:, None] * nrm
-    fluid1 = unsteady_stokes_step(state.fluid, coupling.spread(state.curve, force1, grid),
+    fluid1 = unsteady_stokes_step(state.fluid, coupling.spread(stencils, force1, grid),
                                   phys.rho, phys.mu, cfg.dt, grid)
-    u_n1, u_t1 = _interp_split(state.curve, fluid1, grid, tau, nrm)
+    u_n1, u_t1 = _interp_split(stencils, fluid1, grid, tau, nrm)
     c_u = _rescaling_coefficient(state.c_u, cfg.rescale, u_n1, u_lead, "C_U")
     return fluid1, u_n1, u_t1, c_u
 
@@ -529,7 +537,8 @@ def _ssd_update_solve(state, phys, grid, cfg, s_new, tau, nrm, dth, u_lead):
 def step_ssd1_unsteady(state, phys, grid, cfg):
     iface = state.interface
     dt = cfg.dt
-    tau, nrm, u_n_star, u_t_star, p, kappa = _ssd_star_solve(state, phys, grid, cfg)
+    stencils = coupling.delta_stencils(state.curve, grid)
+    tau, nrm, u_n_star, u_t_star, p, kappa = _ssd_star_solve(state, stencils, phys, grid, cfg)
     t_hat = ssd_symbol_t(kappa, p)
     s_hat_sym = ssd_symbol_s(kappa, p)
     dth = theta_derivative(iface)
@@ -540,7 +549,7 @@ def step_ssd1_unsteady(state, phys, grid, cfg):
     s_new = _semi_implicit(iface.s_alpha, rhs_s, c_v * t_hat, dt)
 
     fluid1, u_n1, u_t1, c_u = _ssd_update_solve(
-        state, phys, grid, cfg, s_new, tau, nrm, dth,
+        state, stencils, phys, grid, cfg, s_new, tau, nrm, dth,
         lambda: _velocity_level_lead(s_hat_sym, kappa, iface.phi, p.s_min))
     rhs_phi = (spectral.derivative_1d(u_n1, 1, period=iface.length) + u_t1 * dth) / s_new
     # the leading angle operator is S/min(s); the explicit counterpart must
@@ -555,7 +564,8 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
     iface = state.interface
     dt = cfg.dt
     nb = iface.n_nodes
-    tau, nrm, u_n_star, u_t_star, p, kappa = _ssd_star_solve(state, phys, grid, cfg)
+    stencils = coupling.delta_stencils(state.curve, grid)
+    tau, nrm, u_n_star, u_t_star, p, kappa = _ssd_star_solve(state, stencils, phys, grid, cfg)
     t_hat = ssd_symbol_t(kappa, p)
     s_hat_sym = ssd_symbol_s(kappa, p)
     dth = theta_derivative(iface)
@@ -584,7 +594,7 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
     s_new = _dense_solve(a_s, b_s, state.step + 1)
 
     fluid1, u_n1, u_t1, c_u = _ssd_update_solve(
-        state, phys, grid, cfg, s_new, tau, nrm, dth,
+        state, stencils, phys, grid, cfg, s_new, tau, nrm, dth,
         lambda: _velocity_level_lead(s_hat_sym, kappa, iface.phi, p.s_min))
     # angle system: diagonal leading term plus implicit transport (V/s) D theta
     s_mat = _circulant_from_multiplier(c_u * s_hat_sym / float(np.min(s_new)))
@@ -594,23 +604,23 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
 
 
 def step_stable_unsteady(state, phys, grid, cfg):
-    curve = state.curve
+    stencils = coupling.delta_stencils(state.curve, grid)
 
     def advance(fluid, force):
-        return unsteady_stokes_step(fluid, coupling.spread(curve, force, grid),
+        return unsteady_stokes_step(fluid, coupling.spread(stencils, force, grid),
                                     phys.rho, phys.mu, cfg.dt, grid)
 
     def response(force):
         """Velocity response to a force from a fluid at rest (linear part)."""
-        return coupling.interpolate(curve, _grid_uv(advance(None, force)), grid)
+        return coupling.interpolate(stencils, _grid_uv(advance(None, force)), grid)
 
     def full_solve(force):
         fluid1 = advance(state.fluid, force)
-        return coupling.interpolate(curve, _grid_uv(fluid1), grid), fluid1
+        return coupling.interpolate(stencils, _grid_uv(fluid1), grid), fluid1
 
     fluid_hom = unsteady_stokes_step(state.fluid, np.zeros((grid.n, grid.n, 2)),
                                      phys.rho, phys.mu, cfg.dt, grid)
-    uv_hom = coupling.interpolate(curve, _grid_uv(fluid_hom), grid)
+    uv_hom = coupling.interpolate(stencils, _grid_uv(fluid_hom), grid)
     return _step_stable(state, phys, cfg, response, uv_hom, full_solve)
 
 
@@ -627,7 +637,7 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     half = step_ssd1_unsteady(replace(state, c_v=1.0, c_u=1.0), phys, grid,
                               replace(cfg, scheme="ssd1_unsteady", dt=dt / 2))
     iface_h = half.interface
-    curve_h = half.curve
+    stencils_h = coupling.delta_stencils(half.curve, grid)
     tau_h, nrm_h = tangent_normal(iface_h)
     dth_h = theta_derivative(iface_h)
 
@@ -641,10 +651,10 @@ def step_second_order_unsteady(state, phys, grid, cfg):
 
     # trapezoidal explicit-force solve anchored at the midpoint curve
     force_h = elastic_force(iface_h, phys.elastic)
-    fluid_star = unsteady_stokes_step(state.fluid, coupling.spread(curve_h, force_h, grid),
+    fluid_star = unsteady_stokes_step(state.fluid, coupling.spread(stencils_h, force_h, grid),
                                       phys.rho, phys.mu, dt, grid, theta=0.5)
     uv_bar_star = 0.5 * (_grid_uv(fluid_star) + _grid_uv(state.fluid))
-    uvs = coupling.interpolate(curve_h, uv_bar_star, grid)
+    uvs = coupling.interpolate(stencils_h, uv_bar_star, grid)
     u_n_star, u_t_star = _project_velocity(uvs, tau_h, nrm_h)
 
     rhs_s = spectral.derivative_1d(u_t_star, 1, period=iface.length) - dth_h * u_n_star
@@ -656,10 +666,10 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     s_bar = 0.5 * (s_new + iface.s_alpha)
     force_bar = _force_linear_part(s_bar, tau_h, nrm_h, dth_h, phys.elastic, iface.length) \
         - phys.elastic * dth_h[:, None] * nrm_h
-    fluid1 = unsteady_stokes_step(state.fluid, coupling.spread(curve_h, force_bar, grid),
+    fluid1 = unsteady_stokes_step(state.fluid, coupling.spread(stencils_h, force_bar, grid),
                                   phys.rho, phys.mu, dt, grid, theta=0.5)
     uv_bar = 0.5 * (_grid_uv(fluid1) + _grid_uv(state.fluid))
-    uvb = coupling.interpolate(curve_h, uv_bar, grid)
+    uvb = coupling.interpolate(stencils_h, uv_bar, grid)
     u_n_bar, u_t_bar = _project_velocity(uvb, tau_h, nrm_h)
 
     # the angle leading operator carries 1/min(s) on both the implicit

@@ -40,16 +40,17 @@ class FluidState:
 
 
 def grid_wavenumbers(n, length):
-    """Wavenumber grids (KX, KY) on the rfft2 half spectrum, shape
-    (N, N/2 + 1), with the Nyquist mode zeroed on both axes (odd-symmetry
-    operators), and the full |k|^2 for even symbols."""
+    """Wavenumbers (KX, KY) on the rfft2 half spectrum, with the Nyquist mode
+    zeroed on both axes (odd-symmetry operators), and the full |k|^2 for even
+    symbols.  KX and KY are read-only (N, N/2 + 1) broadcast views of one
+    axis vector each; only |k|^2 is a full array."""
     k = spectral.wavenumbers(n, length)
     kd = np.where(spectral.integer_modes(n) == -(n // 2), 0.0, k)
     # the half axis holds modes 0..N/2; numpy's full layout stores N/2 as
     # -N/2, which has the same square and is zeroed in kd
     half = n // 2 + 1
-    kx = kd[:, None] * np.ones(half)[None, :]
-    ky = np.ones(n)[:, None] * kd[None, :half]
+    kx = np.broadcast_to(kd[:, None], (n, half))
+    ky = np.broadcast_to(kd[None, :half], (n, half))
     k2_full = (k**2)[:, None] + (k[:half] ** 2)[None, :]
     return kx, ky, k2_full
 

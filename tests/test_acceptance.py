@@ -53,8 +53,9 @@ def test_criterion_1_adjointness():
             0.5 + r * np.sin(ang) + 0.02 * rng.standard_normal(nb) / 4)
         g = rng.standard_normal(nb)
         u = rng.standard_normal((64, 64))
-        lhs = inner_product_omega(u, coupling.spread(curve, g, grid), grid.h)
-        rhs = inner_product_gamma(coupling.interpolate(curve, u, grid), g, grid.dalpha)
+        stencils = coupling.delta_stencils(curve, grid)
+        lhs = inner_product_omega(u, coupling.spread(stencils, g, grid), grid.h)
+        rhs = inner_product_gamma(coupling.interpolate(stencils, u, grid), g, grid.dalpha)
         scale = np.linalg.norm(u) * np.linalg.norm(g)
         worst = max(worst, abs(lhs - rhs) / scale)
     elapsed = time.time() - t0

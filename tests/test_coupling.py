@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ibstokes import coupling, geometry
+from ibstokes import coupling, geometry, schemes
 from ibstokes.coupling import inner_product_gamma, inner_product_omega, peskin_phi
 from ibstokes.errors import InvalidGridError
 from ibstokes.geometry import CurveSamples
 from ibstokes.grids import GridSpec
+from ibstokes.io import RunConfig
 
 
 def random_curve(rng, nb, jitter=0.03):
@@ -45,7 +46,7 @@ class TestStencils:
         grid = GridSpec.make(32)
         rng = np.random.default_rng(0)
         curve = random_curve(rng, 64)
-        _, _, w = coupling.delta_stencils(curve, grid)
+        w = coupling.delta_stencils(curve, grid).w
         sums = np.sum(w, axis=(1, 2)) * grid.h**2
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
         assert np.min(w) >= 0.0
@@ -54,8 +55,8 @@ class TestStencils:
 class TestSpreadInterpolate:
     def test_zero_input(self):
         grid = GridSpec.make(16)
-        curve = random_curve(np.random.default_rng(1), 32)
-        assert np.max(np.abs(coupling.spread(curve, np.zeros(32), grid))) == 0.0
+        stencils = coupling.delta_stencils(random_curve(np.random.default_rng(1), 32), grid)
+        assert np.max(np.abs(coupling.spread(stencils, np.zeros(32), grid))) == 0.0
 
     def test_force_conservation(self):
         # sum_grid spread(F) h^2 = sum_interface F dalpha, per component
@@ -63,7 +64,7 @@ class TestSpreadInterpolate:
         rng = np.random.default_rng(2)
         curve = random_curve(rng, 64)
         f = rng.standard_normal((64, 2))
-        field = coupling.spread(curve, f, grid)
+        field = coupling.spread(coupling.delta_stencils(curve, grid), f, grid)
         for c in range(2):
             lhs = np.sum(field[..., c]) * grid.h**2
             rhs = np.sum(f[:, c]) * grid.dalpha
@@ -73,14 +74,14 @@ class TestSpreadInterpolate:
         grid = GridSpec.make(32)
         curve = CurveSamples(np.array([8 * grid.h, 0.9]), np.array([4 * grid.h, 0.33]))
         # second node parked far away with zero weight value
-        field = coupling.spread(curve, np.array([1.0, 0.0]), grid)
+        field = coupling.spread(coupling.delta_stencils(curve, grid), np.array([1.0, 0.0]), grid)
         peak = peskin_phi(0.0) ** 2 / grid.h**2 * grid.dalpha
         assert field[8, 4] == pytest.approx(peak, rel=1e-13)
 
     def test_interpolate_constant(self):
         grid = GridSpec.make(32)
-        curve = random_curve(np.random.default_rng(3), 64)
-        vals = coupling.interpolate(curve, np.full((32, 32), 2.7), grid)
+        stencils = coupling.delta_stencils(random_curve(np.random.default_rng(3), 64), grid)
+        vals = coupling.interpolate(stencils, np.full((32, 32), 2.7), grid)
         assert np.max(np.abs(vals - 2.7)) <= 1e-12
 
     def test_interpolate_linear_field_on_grid_line(self):
@@ -90,7 +91,7 @@ class TestSpreadInterpolate:
         x = np.arange(32) * grid.h
         field = np.tile(x[:, None], (1, 32))
         curve = CurveSamples(np.array([0.37, 0.5]), np.array([0.4, 0.52]))
-        vals = coupling.interpolate(curve, field, grid)
+        vals = coupling.interpolate(coupling.delta_stencils(curve, grid), field, grid)
         assert abs(vals[0] - 0.37) <= 1e-12
         assert abs(vals[1] - 0.5) <= 1e-12
 
@@ -101,8 +102,9 @@ class TestSpreadInterpolate:
             curve = random_curve(rng, 128)
             g = rng.standard_normal(128)
             u = rng.standard_normal((64, 64))
-            lhs = inner_product_omega(u, coupling.spread(curve, g, grid), grid.h)
-            rhs = inner_product_gamma(coupling.interpolate(curve, u, grid), g, grid.dalpha)
+            stencils = coupling.delta_stencils(curve, grid)
+            lhs = inner_product_omega(u, coupling.spread(stencils, g, grid), grid.h)
+            rhs = inner_product_gamma(coupling.interpolate(stencils, u, grid), g, grid.dalpha)
             scale = np.linalg.norm(u) * np.linalg.norm(g)
             assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -112,15 +114,31 @@ class TestSpreadInterpolate:
         curve = random_curve(rng, 64)
         g = rng.standard_normal((64, 2))
         u = rng.standard_normal((32, 32, 2))
-        lhs = inner_product_omega(u, coupling.spread(curve, g, grid), grid.h)
-        rhs = inner_product_gamma(coupling.interpolate(curve, u, grid), g, grid.dalpha)
+        stencils = coupling.delta_stencils(curve, grid)
+        lhs = inner_product_omega(u, coupling.spread(stencils, g, grid), grid.h)
+        rhs = inner_product_gamma(coupling.interpolate(stencils, u, grid), g, grid.dalpha)
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(g)
+
+    def test_trailing_components_match_single_component_transfers(self):
+        # one code path for every trailing shape: a two-component transfer is
+        # bitwise the pair of one-component transfers through the same object
+        grid = GridSpec.make(32)
+        rng = np.random.default_rng(7)
+        stencils = coupling.delta_stencils(random_curve(rng, 64), grid)
+        g = rng.standard_normal((64, 2))
+        u = rng.standard_normal((32, 32, 2))
+        field = coupling.spread(stencils, g, grid)
+        vals = coupling.interpolate(stencils, u, grid)
+        assert field.shape == (32, 32, 2) and vals.shape == (64, 2)
+        for c in range(2):
+            assert np.array_equal(field[..., c], coupling.spread(stencils, g[:, c], grid))
+            assert np.array_equal(vals[:, c], coupling.interpolate(stencils, u[..., c], grid))
 
     def test_periodic_wrap(self):
         # a node just outside the box spreads onto wrapped cells with full mass
         grid = GridSpec.make(16)
         curve = CurveSamples(np.array([-0.01, 1.005]), np.array([0.5, 0.5]))
-        field = coupling.spread(curve, np.ones(2), grid)
+        field = coupling.spread(coupling.delta_stencils(curve, grid), np.ones(2), grid)
         assert abs(np.sum(field) * grid.h**2 - 2 * grid.dalpha) <= 1e-13
 
     def test_deterministic(self):
@@ -128,8 +146,8 @@ class TestSpreadInterpolate:
         rng = np.random.default_rng(6)
         curve = random_curve(rng, 64)
         g = rng.standard_normal(64)
-        a = coupling.spread(curve, g, grid)
-        b = coupling.spread(curve, g, grid)
+        a = coupling.spread(coupling.delta_stencils(curve, grid), g, grid)
+        b = coupling.spread(coupling.delta_stencils(curve, grid), g, grid)
         assert np.array_equal(a, b)
 
 
@@ -160,6 +178,29 @@ def test_spread_of_elastic_force_has_zero_mean():
     grid = GridSpec.make(32, interface_length=2 * np.pi * 0.2)
     state, curve = geometry.init_ellipse(0.32, 0.24, (0.5, 0.5), 64, rest_radius=0.2)
     f = geometry.elastic_force(state, 1.0)
-    field = coupling.spread(curve, f, grid)
+    field = coupling.spread(coupling.delta_stencils(curve, grid), f, grid)
     for c in range(2):
         assert abs(np.sum(field[..., c]) * grid.h**2) <= 1e-10
+
+
+@pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)
+def test_stencil_builds_per_step(scheme, monkeypatch):
+    # a step builds the transfer object once for each curve it couples
+    # through: the step's own curve, every RK4 stage curve, and the
+    # second-order scheme's midpoint curve
+    steady = scheme in schemes.STEADY_SCHEMES
+    config = RunConfig(scheme=scheme, n=16, dt=0.1 if steady else 0.01,
+                       mu=1.0 if steady else 0.01)
+    phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
+    builds = {}
+    build = coupling.delta_stencils
+
+    def counted(curve, grid):
+        key = (curve.x.tobytes(), curve.y.tobytes())
+        builds[key] = builds.get(key, 0) + 1
+        return build(curve, grid)
+
+    monkeypatch.setattr(coupling, "delta_stencils", counted)
+    schemes.step(config.initial_state(), phys, grid, cfg)
+    expected = {"ifrk4_steady": 4, "second_order_unsteady": 2}.get(scheme, 1)
+    assert sorted(builds.values()) == [1] * expected

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ibstokes import diagnostics, schemes, spectral
+from ibstokes import coupling, diagnostics, schemes, spectral
 from ibstokes.errors import BlowupError
 from ibstokes.geometry import InterfaceState, enclosed_area, reconstruct_curve
 from ibstokes.grids import GridSpec
@@ -122,7 +122,8 @@ class TestSsd1Steady:
         cfg = SchemeConfig(scheme="ssd1_steady", dt=4.0)
         state = schemes.initial_state(phys, grid)
         iface = state.interface
-        u_n, _ = schemes.steady_interface_velocity(iface, state.curve, phys, grid, cfg)
+        stencils = coupling.delta_stencils(state.curve, grid)
+        u_n, _ = schemes.steady_interface_velocity(iface, state.curve, stencils, phys, grid, cfg)
         flux = cfg.dt * np.sum(u_n * iface.s_alpha) * iface.dalpha
         a0 = enclosed_area(state.curve)
         a1 = enclosed_area(schemes.step(state, phys, grid, cfg).curve)
@@ -219,7 +220,6 @@ class TestStableSteady:
         new = schemes.step(state, phys, grid, cfg)
         # re-deriving the velocities from the solution must reproduce the
         # s update: s_new = s_old + dt*(D V - D theta U)
-        from ibstokes import coupling
         from ibstokes.geometry import elastic_force, tangent_normal, theta_derivative
         from ibstokes.stokes import steady_stokes_grid_solve
         iface = state.interface
@@ -228,8 +228,9 @@ class TestStableSteady:
         force = phys.elastic * (
             spectral.derivative_1d(new.interface.s_alpha, 1, period=iface.length)[:, None] * tau
             + ((new.interface.s_alpha - 1.0) * dth)[:, None] * nrm)
-        fl = steady_stokes_grid_solve(coupling.spread(state.curve, force, grid), phys.mu, grid)
-        uv = coupling.interpolate(state.curve, np.stack([fl.u, fl.v], -1), grid)
+        stencils = coupling.delta_stencils(state.curve, grid)
+        fl = steady_stokes_grid_solve(coupling.spread(stencils, force, grid), phys.mu, grid)
+        uv = coupling.interpolate(stencils, np.stack([fl.u, fl.v], -1), grid)
         u_n = uv[:, 0] * nrm[:, 0] + uv[:, 1] * nrm[:, 1]
         u_t = uv[:, 0] * tau[:, 0] + uv[:, 1] * tau[:, 1]
         rhs = spectral.derivative_1d(u_t, 1, period=iface.length) - dth * u_n
