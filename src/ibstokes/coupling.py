@@ -50,6 +50,12 @@ class Stencils:
     w: np.ndarray
     cells: np.ndarray
 
+    def __getitem__(self, nodes):
+        """The stencils of a slice of the nodes, e.g. ``stencils[j:j + 1]``
+        for node j alone: spreading through it equals spreading values that
+        vanish off those nodes through the whole curve's object."""
+        return Stencils(self.ix[nodes], self.iy[nodes], self.w[nodes], self.cells[nodes])
+
 
 def delta_stencils(curve, grid):
     """The transfer object of ``curve`` on ``grid``: 4x4 weight blocks of

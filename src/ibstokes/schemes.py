@@ -9,13 +9,19 @@ The semi-implicit updates add the implicit leading-order term and subtract
 its explicit counterpart, so every scheme is consistent with the same
 dynamics; only the stability properties differ.  Implicit leading operators
 are diagonal in Fourier space except for the second-kind and two-step
-schemes, which assemble (or apply matrix-free) dense N_b x N_b systems.
-The second-kind circulants are gathered from their first columns, and a
-circulant product from the multipliers' product: O(N_b^2) assembly.
+schemes, which solve dense N_b x N_b systems.  The second-kind circulants
+are gathered from their first columns, and a circulant product from the
+multipliers' product: O(N_b^2) assembly.  The two-step stable schemes form
+the interface mobility M (force -> interface velocity of the frozen curve,
+one fluid solve per unit force) once per step, and both of their implicit
+systems are dense algebra on it; steady and unsteady flow differ only in
+the fluid solve behind M and the unforced velocity.  Above DENSE_MAX nodes
+they are solved matrix-free by GMRES instead.
 """
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import circulant
@@ -38,7 +44,7 @@ UNSTEADY_SCHEMES = ("explicit_unsteady", "ssd1_unsteady", "ssd2_unsteady",
                     "stable_unsteady", "second_order_unsteady")
 ALL_SCHEMES = STEADY_SCHEMES + UNSTEADY_SCHEMES
 
-DENSE_MAX = 256       # dense assembly of the implicit systems up to this N_b, Krylov above
+DENSE_MAX = 256       # dense stable-scheme systems up to this N_b, GMRES above
 BLOWUP_FACTOR = 1e6   # velocity growth over the first step's speed that counts as blowup
 DRIFT_TOL = 1e-2      # reconstruction anchor-mismatch warning level
 
@@ -304,17 +310,22 @@ def _circulant_from_multiplier(mult):
     return circulant(np.real(np.fft.ifft(mult)))
 
 
+@lru_cache(maxsize=8)
 def _derivative_matrix(n, period):
+    """Spectral first-derivative circulant (Nyquist mode zeroed).  It depends
+    only on (N_b, L_b), so it is built once and cached, read-only."""
     mult = 1j * spectral.wavenumbers(n, period)
     mult[n // 2] = 0.0
-    return _circulant_from_multiplier(mult)
+    dmat = _circulant_from_multiplier(mult)
+    dmat.flags.writeable = False
+    return dmat
 
 
-def _dense_solve(a, b, step_index):
+def _dense_solve(a, b, step_index, rtol=1e-8):
     stokes.counters["dense_solves"] += 1
     x = np.linalg.solve(a, b)
     resid = np.linalg.norm(a @ x - b)
-    if not np.isfinite(resid) or resid > 1e-8 * max(np.linalg.norm(b), 1e-30):
+    if not np.isfinite(resid) or resid > rtol * max(np.linalg.norm(b), 1e-30):
         if np.linalg.cond(a) >= 1e14:
             raise SolverStallError(f"singular implicit system at step {step_index}")
         raise SolverStallError(f"dense solve residual {resid:.2e} at step {step_index}")
@@ -364,20 +375,13 @@ def step_ssd2_steady(state, phys, grid, cfg):
     return _finish(state, cfg, s_new, phi_new, refs)
 
 
-def _solve_linear(apply_lin, b, nb, cfg, step_index):
-    """Solve (I - dt*W)x = b given the affine-free linear map, dense or Krylov."""
-    if nb <= DENSE_MAX:
-        stokes.counters["dense_solves"] += 1
-        a = np.empty((nb, nb))
-        eye = np.eye(nb)
-        for j in range(nb):
-            a[:, j] = apply_lin(eye[:, j])
-        x = np.linalg.solve(a, b)
-        resid = np.linalg.norm(a @ x - b)
-        if not np.isfinite(resid) or resid > max(cfg.tol, 1e-12) * max(np.linalg.norm(b), 1e-30):
-            raise SolverStallError(f"implicit solve residual {resid:.2e} at step {step_index}")
-        return x
-    op = LinearOperator((nb, nb), matvec=apply_lin)
+def _solve_linear(lin, b, cfg, step_index):
+    """Solve the implicit system A x = b, with ``lin`` either the assembled
+    matrix A (dense solve) or the linear map x -> A x (GMRES)."""
+    if isinstance(lin, np.ndarray):
+        return _dense_solve(lin, b, step_index, rtol=max(cfg.tol, 1e-12))
+    nb = len(b)
+    op = LinearOperator((nb, nb), matvec=lin)
     restart = min(50, nb)
     maxiter = max(1, (10 * nb) // restart)
     x, info = gmres(op, b, rtol=cfg.tol, atol=0.0, restart=restart, maxiter=maxiter)
@@ -392,16 +396,60 @@ def _force_linear_part(s, tau, nrm, dth_n, elastic, length):
     return elastic * (ds[:, None] * tau + (s * dth_n)[:, None] * nrm)
 
 
-def _step_stable(state, phys, cfg, response, uv_hom, full_solve):
+def _interface_mobility(stencils, solve, grid):
+    """Interface mobility M = J L S of a frozen curve (the IB mobility of
+    Balboa Usabiaga et al. 2016): the (2 N_b, 2 N_b) node-major matrix whose
+    column 2j + c is the interface velocity of the unit force on node j in
+    direction c.  Each node is spread once through its own stencils; each
+    column then costs one fluid solve ``solve(f_grid)`` and an interpolation.
+    Spreading and interpolation are adjoint, so M is symmetric."""
+    nb = len(stencils.w)
+    mob = np.empty((2 * nb, 2 * nb))
+    unit = np.eye(2)[None]
+    for j in range(nb):
+        fields = coupling.spread(stencils[j:j + 1], unit, grid)  # (N, N, 2, 2)
+        for c in range(2):
+            uv = coupling.interpolate(stencils, _grid_uv(solve(fields[..., c])), grid)
+            mob[:, 2 * j + c] = uv.ravel()
+    return mob
+
+
+def _frame_blocks(mob, tau, nrm):
+    """M in the nodes' (tangent, normal) frames: K_ab[i, k] is the
+    a-velocity at node i of a unit b-force at node k.  Returns K_tt, K_tn,
+    K_nt, K_nn."""
+    nb = len(tau)
+    m4 = mob.reshape(nb, 2, nb, 2)
+    return [np.einsum("id,idke,ke->ik", a, m4, b) for a in (tau, nrm) for b in (tau, nrm)]
+
+
+def _step_stable(state, phys, grid, cfg, solve, advance=None):
     """Two-step stable scheme (after Newren, Fogelson, Guy & Kirby) on a
-    frozen curve.  The fluid enters as ``response(force)``, the linear
-    interface velocity of a force; ``uv_hom``, the velocity with no force
-    (0.0 in steady flow); and ``full_solve(force)`` -> (velocity, fluid)."""
+    frozen curve.  The fluid enters as ``solve(f_grid)``, the fluid driven
+    from rest by a grid force, and in unsteady flow ``advance(f_grid)``, the
+    solve from the current fluid (None in steady flow, which keeps no fluid
+    and has no unforced velocity).
+
+    Up to DENSE_MAX nodes both implicit systems are dense algebra on the
+    interface mobility M (``_interface_mobility``), built once per step:
+    A_s = I - dt R_s M F_s and A_phi = I - diag(dt/s^{n+1}) R_phi M F_phi,
+    with F the force map of the unknown and R the rate map of the velocity,
+    both written through the derivative matrix.  Above it GMRES applies the
+    same maps matrix-free, one grid solve per product."""
     iface = state.interface
     dt = cfg.dt
     nb = iface.n_nodes
+    elastic = phys.elastic
+    stencils = coupling.delta_stencils(state.curve, grid)
     tau, nrm = tangent_normal(iface)
     dth = theta_derivative(iface)
+
+    def velocity(fluid):
+        return coupling.interpolate(stencils, _grid_uv(fluid), grid)
+
+    def response(force):
+        """Linear interface velocity of a force (fluid from rest)."""
+        return velocity(solve(coupling.spread(stencils, force, grid)))
 
     def s_rate(uv):
         u_nc, u_tc = _project_velocity(uv, tau, nrm)
@@ -411,45 +459,61 @@ def _step_stable(state, phys, cfg, response, uv_hom, full_solve):
         u_nc, u_tc = _project_velocity(uv, tau, nrm)
         return spectral.derivative_1d(u_nc, 1, period=iface.length) + dth * u_tc
 
-    # Step 1: implicit s_alpha through F(s^{n+1}, theta^n)
+    uv_hom = 0.0 if advance is None else velocity(advance(np.zeros((grid.n, grid.n, 2))))
+    dense = nb <= DENSE_MAX
+    if dense:
+        dmat = _derivative_matrix(nb, iface.length)
+        k_tt, k_tn, k_nt, k_nn = _frame_blocks(_interface_mobility(stencils, solve, grid),
+                                               tau, nrm)
+
+    # Step 1: implicit s_alpha through F(s^{n+1}, theta^n), whose tangential
+    # and normal parts are S_b D s and S_b theta_a s
     def apply_lin_s(s):
-        force = _force_linear_part(s, tau, nrm, dth, phys.elastic, iface.length)
+        force = _force_linear_part(s, tau, nrm, dth, elastic, iface.length)
         return s - dt * s_rate(response(force))
 
-    f_const = -phys.elastic * dth[:, None] * nrm
+    lin_s = apply_lin_s
+    if dense:
+        lin_s = np.eye(nb) - dt * elastic * (dmat @ (k_tt @ dmat + k_tn * dth)
+                                             - dth[:, None] * (k_nt @ dmat + k_nn * dth))
+    f_const = -elastic * dth[:, None] * nrm
     b = iface.s_alpha + dt * s_rate(uv_hom + response(f_const))
-    s_new = _solve_linear(apply_lin_s, b, nb, cfg, state.step + 1)
+    s_new = _solve_linear(lin_s, b, cfg, state.step + 1)
 
     # recover the Step-1 velocities at the solution for the reference points
-    force_full = _force_linear_part(s_new, tau, nrm, dth, phys.elastic, iface.length) + f_const
-    uv1, fluid1 = full_solve(force_full)
+    force_full = _force_linear_part(s_new, tau, nrm, dth, elastic, iface.length) + f_const
+    if advance is None:
+        fluid1, uv1 = None, response(force_full)
+    else:
+        fluid1 = advance(coupling.spread(stencils, force_full, grid))
+        uv1 = velocity(fluid1)
     u_n1, u_t1 = _project_velocity(uv1, tau, nrm)
 
-    # Step 2: implicit angle through F(s^{n+1}, theta^{n+1})
+    # Step 2: implicit angle through F(s^{n+1}, theta^{n+1}), whose normal
+    # part is S_b (s^{n+1} - 1) D phi
     scale = dt / s_new
 
     def apply_lin_phi(phi):
         dphi = spectral.derivative_1d(phi, 1, period=iface.length)
-        force = phys.elastic * ((s_new - 1.0) * dphi)[:, None] * nrm
+        force = elastic * ((s_new - 1.0) * dphi)[:, None] * nrm
         return phi - scale * theta_rate(response(force))
 
+    lin_phi = apply_lin_phi
+    if dense:
+        lin_phi = np.eye(nb) - scale[:, None] * ((dmat @ k_nn + dth[:, None] * k_tn)
+                                                 @ (elastic * (s_new - 1.0)[:, None] * dmat))
     ds_new = spectral.derivative_1d(s_new, 1, period=iface.length)
-    force0 = phys.elastic * (ds_new[:, None] * tau
-                             + ((s_new - 1.0) * (TWO_PI / iface.length))[:, None] * nrm)
+    force0 = elastic * (ds_new[:, None] * tau
+                        + ((s_new - 1.0) * (TWO_PI / iface.length))[:, None] * nrm)
     b_phi = iface.phi + scale * theta_rate(uv_hom + response(force0))
-    phi_new = _solve_linear(apply_lin_phi, b_phi, nb, cfg, state.step + 1)
+    phi_new = _solve_linear(lin_phi, b_phi, cfg, state.step + 1)
     refs = update_reference_points(iface, u_n1, u_t1, dt)
     return _finish(state, cfg, s_new, phi_new, refs, fluid1)
 
 
 def step_stable_steady(state, phys, grid, cfg):
-    stencils = coupling.delta_stencils(state.curve, grid)
-
-    def response(force):
-        fl = steady_stokes_grid_solve(coupling.spread(stencils, force, grid), phys.mu, grid)
-        return coupling.interpolate(stencils, _grid_uv(fl), grid)
-
-    return _step_stable(state, phys, cfg, response, 0.0, lambda force: (response(force), None))
+    return _step_stable(state, phys, grid, cfg,
+                        lambda f_grid: steady_stokes_grid_solve(f_grid, phys.mu, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -604,24 +668,11 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
 
 
 def step_stable_unsteady(state, phys, grid, cfg):
-    stencils = coupling.delta_stencils(state.curve, grid)
+    def advance(fluid, f_grid):
+        return unsteady_stokes_step(fluid, f_grid, phys.rho, phys.mu, cfg.dt, grid)
 
-    def advance(fluid, force):
-        return unsteady_stokes_step(fluid, coupling.spread(stencils, force, grid),
-                                    phys.rho, phys.mu, cfg.dt, grid)
-
-    def response(force):
-        """Velocity response to a force from a fluid at rest (linear part)."""
-        return coupling.interpolate(stencils, _grid_uv(advance(None, force)), grid)
-
-    def full_solve(force):
-        fluid1 = advance(state.fluid, force)
-        return coupling.interpolate(stencils, _grid_uv(fluid1), grid), fluid1
-
-    fluid_hom = unsteady_stokes_step(state.fluid, np.zeros((grid.n, grid.n, 2)),
-                                     phys.rho, phys.mu, cfg.dt, grid)
-    uv_hom = coupling.interpolate(stencils, _grid_uv(fluid_hom), grid)
-    return _step_stable(state, phys, cfg, response, uv_hom, full_solve)
+    return _step_stable(state, phys, grid, cfg, lambda f_grid: advance(None, f_grid),
+                        lambda f_grid: advance(state.fluid, f_grid))
 
 
 def step_second_order_unsteady(state, phys, grid, cfg):

@@ -6,9 +6,15 @@ The grid solves are velocity-only: the force is Leray-projected mode by mode
 the pressure itself is never formed) and the viscous operator acts as a
 Fourier multiplier on the rfft2 half spectrum.  The steady and unsteady
 solves share one spectral core and differ only in their multipliers.
+
+The per-grid operators (wavenumbers, Leray mask and denominator, and the
+steady and unsteady multipliers keyed on their scalars) are built once and
+cached as read-only arrays, so a solve is four or six FFTs plus pointwise
+arithmetic.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,11 +45,18 @@ class FluidState:
         return float(np.sqrt(np.max(self.u**2 + self.v**2)))
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=8)
 def grid_wavenumbers(n, length):
     """Wavenumbers (KX, KY) on the rfft2 half spectrum, with the Nyquist mode
     zeroed on both axes (odd-symmetry operators), and the full |k|^2 for even
-    symbols.  KX and KY are read-only (N, N/2 + 1) broadcast views of one
-    axis vector each; only |k|^2 is a full array."""
+    symbols.  KX and KY are (N, N/2 + 1) broadcast views of one axis vector
+    each; only |k|^2 is a full array.  Cached per grid; all three are
+    read-only."""
     k = spectral.wavenumbers(n, length)
     kd = np.where(spectral.integer_modes(n) == -(n // 2), 0.0, k)
     # the half axis holds modes 0..N/2; numpy's full layout stores N/2 as
@@ -52,15 +65,48 @@ def grid_wavenumbers(n, length):
     kx = np.broadcast_to(kd[:, None], (n, half))
     ky = np.broadcast_to(kd[None, :half], (n, half))
     k2_full = (k**2)[:, None] + (k[:half] ** 2)[None, :]
-    return kx, ky, k2_full
+    return kx, ky, _read_only(k2_full)
+
+
+def _leray_masks(kx, ky):
+    k2 = kx**2 + ky**2
+    mask = k2 > 0
+    return mask, np.where(mask, k2, 1.0)
+
+
+@lru_cache(maxsize=8)
+def _leray_operators(n, length):
+    """(KX, KY, mask |k| > 0, denominator) of the projection on one grid,
+    read-only."""
+    kx, ky, _ = grid_wavenumbers(n, length)
+    mask, denom = _leray_masks(kx, ky)
+    return kx, ky, _read_only(mask), _read_only(denom)
+
+
+def _project(fu_hat, fv_hat, kx, ky, mask, denom):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dot = np.where(mask, (kx * fu_hat + ky * fv_hat) / denom, 0.0)
+    return fu_hat - kx * dot, fv_hat - ky * dot
 
 
 def leray_project(fu_hat, fv_hat, kx, ky):
     """Remove the gradient part mode by mode; the k = 0 mode passes through."""
-    k2 = kx**2 + ky**2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dot = np.where(k2 > 0, (kx * fu_hat + ky * fv_hat) / np.where(k2 > 0, k2, 1.0), 0.0)
-    return fu_hat - kx * dot, fv_hat - ky * dot
+    return _project(fu_hat, fv_hat, kx, ky, *_leray_masks(kx, ky))
+
+
+@lru_cache(maxsize=16)
+def _unsteady_multipliers(n, length, a, mu, theta):
+    """(keep, gain) of the theta-scheme with a = rho/dt, read-only."""
+    _, _, k2 = grid_wavenumbers(n, length)
+    denom = a + theta * mu * k2
+    return _read_only((a - (1.0 - theta) * mu * k2) / denom), _read_only(1.0 / denom)
+
+
+@lru_cache(maxsize=8)
+def _steady_gain(n, length, mu):
+    """1/(mu |k|^2), zero at k = 0, read-only."""
+    _, _, k2 = grid_wavenumbers(n, length)
+    return _read_only(np.divide(1.0, mu * k2, out=np.zeros_like(k2), where=k2 > 0))
 
 
 def divergence_inf_norm(fluid, length=1.0):
@@ -71,22 +117,21 @@ def divergence_inf_norm(fluid, length=1.0):
 
 
 def _spectral_solve(fluid, force, grid, keep, gain):
-    """Per rfft2 mode, u_hat_new = keep(|k|^2) u_hat + gain(|k|^2) P f_hat,
-    with P the Leray projection.  ``fluid`` None is a fluid at rest: its
-    transform and ``keep`` are skipped."""
+    """Per rfft2 mode, u_hat_new = keep u_hat + gain P f_hat, with P the
+    Leray projection and ``keep``, ``gain`` arrays on the half spectrum.
+    ``fluid`` None is a fluid at rest: its transform and ``keep`` are
+    skipped."""
     n = grid.n
     if force.shape != (n, n, 2) or (fluid is not None and fluid.u.shape != (n, n)):
         raise InvalidGridError("field shapes inconsistent with grid")
     counters["fluid_solves"] += 1
-    kx, ky, k2 = grid_wavenumbers(n, grid.length)
     spectral.counters["fft"] += 4 if fluid is None else 6
-    pu, pv = leray_project(np.fft.rfft2(force[..., 0]), np.fft.rfft2(force[..., 1]), kx, ky)
-    g = gain(k2)
-    un, vn = g * pu, g * pv
+    pu, pv = _project(np.fft.rfft2(force[..., 0]), np.fft.rfft2(force[..., 1]),
+                      *_leray_operators(n, grid.length))
+    un, vn = gain * pu, gain * pv
     if fluid is not None:
-        c = keep(k2)
-        un += c * np.fft.rfft2(fluid.u)
-        vn += c * np.fft.rfft2(fluid.v)
+        un += keep * np.fft.rfft2(fluid.u)
+        vn += keep * np.fft.rfft2(fluid.v)
     return FluidState(np.fft.irfft2(un, s=(n, n)), np.fft.irfft2(vn, s=(n, n)))
 
 
@@ -105,10 +150,8 @@ def unsteady_stokes_step(fluid, force, rho, mu, dt, grid, theta=1.0):
     """
     if dt <= 0:
         raise ParameterError(f"dt must be positive, got {dt}")
-    a = rho / dt
-    return _spectral_solve(fluid, force, grid,
-                           keep=lambda k2: (a - (1.0 - theta) * mu * k2) / (a + theta * mu * k2),
-                           gain=lambda k2: 1.0 / (a + theta * mu * k2))
+    keep, gain = _unsteady_multipliers(grid.n, grid.length, rho / dt, mu, theta)
+    return _spectral_solve(fluid, force, grid, keep, gain)
 
 
 def steady_stokes_grid_solve(force, mu, grid):
@@ -118,9 +161,7 @@ def steady_stokes_grid_solve(force, mu, grid):
     (inside the implicit operators the probe forces carry an aliasing-level
     mean), so the velocity has zero mean.
     """
-    return _spectral_solve(None, force, grid, keep=None,
-                           gain=lambda k2: np.divide(1.0, mu * k2, out=np.zeros_like(k2),
-                                                     where=k2 > 0))
+    return _spectral_solve(None, force, grid, None, _steady_gain(grid.n, grid.length, mu))
 
 
 def _log_kernel_multiplier(n, interface_length):

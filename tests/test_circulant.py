@@ -69,3 +69,12 @@ def test_scaled_multiplier_is_scaled_circulant():
     assert gamma > 0
     circ = schemes._circulant_from_multiplier
     assert _rel(circ(-xi), -gamma * circ(eta)) <= 1e-14
+
+
+def test_derivative_matrix_is_cached_read_only():
+    dmat = schemes._derivative_matrix(16, 2.0 * np.pi)
+    assert schemes._derivative_matrix(16, 2.0 * np.pi) is dmat
+    with pytest.raises(ValueError):
+        dmat[0, 0] = 1.0
+    f = np.sin(np.arange(16) * 2.0 * np.pi / 16)
+    assert _rel(dmat @ f, spectral.derivative_1d(f, 1)) <= 1e-13

@@ -260,15 +260,20 @@ def test_explicit_vs_ssd1_fluid_solve_counts():
     assert abs(count("explicit_unsteady") - count("ssd1_unsteady")) <= 1.0
 
 
-def test_stable_scheme_fluid_solves_exceed_boundary_count():
+@pytest.mark.parametrize("scheme, extra", [("stable_steady", 3), ("stable_unsteady", 4)],
+                         ids=["stable_steady", "stable_unsteady"])
+def test_stable_scheme_fluid_solves_per_step(scheme, extra):
+    # one solve per column of the mobility M, plus the right-hand sides, the
+    # Step-1 velocity and (unsteady) the unforced velocity; two dense solves
     from ibstokes import stokes
-    config = RunConfig(scheme="stable_unsteady", n=32, dt=0.05, t_end=0.05)
+    config = RunConfig(scheme=scheme, n=32, dt=0.05, t_end=0.05)
     phys, grid = config.phys(), config.grid()
     cfg = config.scheme_config()
     state = schemes.initial_state(phys, grid)
     stokes.reset_counters()
     schemes.step(state, phys, grid, cfg)
-    assert stokes.counters["fluid_solves"] >= grid.n_boundary  # dense probing
+    assert stokes.counters["fluid_solves"] == 2 * grid.n_boundary + extra
+    assert stokes.counters["dense_solves"] == 2
 
 
 @pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)

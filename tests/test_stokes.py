@@ -161,6 +161,45 @@ class TestSteadyGridSolve:
         assert stokes.divergence_inf_norm(out) <= 1e-10 * out.max_speed()
 
 
+class TestCachedOperators:
+    CACHED = (stokes.grid_wavenumbers, stokes._leray_operators,
+              stokes._unsteady_multipliers, stokes._steady_gain)
+
+    def test_cached_arrays_are_read_only(self):
+        arrays = list(stokes.grid_wavenumbers(16, 1.0)) \
+            + list(stokes._leray_operators(16, 1.0)) \
+            + list(stokes._unsteady_multipliers(16, 1.0, 20.0, 0.01, 1.0)) \
+            + [stokes._steady_gain(16, 1.0, 1.0)]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def solves(self, grid, mu, dt, seed):
+        """A steady and an unsteady solve, plus a trapezoidal one from the
+        latter's output, of one grid's random force."""
+        rng = np.random.default_rng(seed)
+        force = random_force(rng, grid.n)
+        steady = stokes.steady_stokes_grid_solve(force, mu, grid)
+        fluid = stokes.unsteady_stokes_step(None, force, 1.0, mu, dt, grid)
+        trap = stokes.unsteady_stokes_step(fluid, force, 1.0, mu, dt, grid, theta=0.5)
+        return [steady.u, steady.v, fluid.u, fluid.v, trap.u, trap.v]
+
+    def test_interleaved_grids_match_each_grid_alone(self):
+        cases = [(GridSpec.make(16, length=1.0), 1.0, 0.1, 0),
+                 (GridSpec.make(32, length=2.0), 0.01, 0.05, 1)]
+        alone = []
+        for case in cases:
+            for fn in self.CACHED:
+                fn.cache_clear()
+            alone.append(self.solves(*case))
+        for fn in self.CACHED:
+            fn.cache_clear()
+        for _ in range(2):
+            for case, want in zip(cases, alone):
+                for got, ref in zip(self.solves(*case), want):
+                    assert np.array_equal(got, ref)
+
+
 def fine_velocity_oracle(targets, nb_fine=4096, mu=1.0):
     """Refined-quadrature velocities of the standard ellipse at selected
     coarse nodes, using the same log subtraction at nb_fine resolution."""
