@@ -22,7 +22,7 @@ def mobility_case(scheme, n=32):
             return stokes.steady_stokes_grid_solve(f_grid, phys.mu, grid)
     else:
         def solve(f_grid):
-            return stokes.unsteady_stokes_step(None, f_grid, phys.rho, phys.mu, 0.05, grid)
+            return stokes.unsteady_stokes_step(None, f_grid, phys.rho, phys.mu, config.dt, grid)
     return grid, stencils, solve, schemes._interface_mobility(stencils, solve, grid)
 
 

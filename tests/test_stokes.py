@@ -185,8 +185,10 @@ class TestCachedOperators:
         return [steady.u, steady.v, fluid.u, fluid.v, trap.u, trap.v]
 
     def test_interleaved_grids_match_each_grid_alone(self):
+        # the third case shares the first one's grid, not its mu and dt
         cases = [(GridSpec.make(16, length=1.0), 1.0, 0.1, 0),
-                 (GridSpec.make(32, length=2.0), 0.01, 0.05, 1)]
+                 (GridSpec.make(32, length=2.0), 0.01, 0.05, 1),
+                 (GridSpec.make(16, length=1.0), 0.5, 0.2, 2)]
         alone = []
         for case in cases:
             for fn in self.CACHED:
