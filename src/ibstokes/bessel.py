@@ -1,37 +1,12 @@
-"""Modified Bessel functions K0/K1/K2, the unsteady fundamental-solution
-tensor, and the Fourier symbols of the implicit leading-order operators."""
+"""Fourier symbols of the implicit leading-order operators: the K0
+convolution multiplier of the second-kind unsteady scheme and the
+small-scale-decomposition symbols of the unsteady SSD schemes."""
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .errors import DomainError, SingularPointError
-
-# beyond this argument K_n underflows in double precision
-_UNDERFLOW_X = 700.0
-
-
-def bessel_k(order, x):
-    """K_order(x) for order 0, 1 or 2 and x > 0.
-
-    Relative error <= 1e-10 on [1e-6, 700]; underflows to 0 beyond.
-    """
-    if order not in (0, 1, 2):
-        raise DomainError(f"order must be 0, 1 or 2, got {order}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("K_n diverges at 0 and is not defined for x <= 0")
-    if order == 0:
-        out = special.k0(x)
-    elif order == 1:
-        out = special.k1(x)
-    else:
-        # upward recurrence K2 = K0 + 2 K1 / x
-        out = special.k0(x) + 2.0 * special.k1(x) / x
-    out = np.where(x > _UNDERFLOW_X, 0.0, out)
-    return float(out) if out.ndim == 0 else out
-
+from .errors import DomainError
 
 def k0_convolution_symbol(beta, k):
     """Fourier multiplier 1/sqrt(beta^2 + k^2) of f -> (1/pi) int K0(beta|a-a'|) f da'."""
@@ -40,35 +15,6 @@ def k0_convolution_symbol(beta, k):
     k = np.asarray(k, dtype=float)
     out = 1.0 / np.sqrt(beta * beta + k * k)
     return float(out) if out.ndim == 0 else out
-
-
-def unsteady_kernel_g(r, lam):
-    """2x2 tensor of the time-discrete unsteady Stokes fundamental solution.
-
-    G_ij = d_ij/|r|^2 - 2 r_i r_j/|r|^4
-           + (lam^2/2)(K0 + K2)(lam|r|) r_i r_j/|r|^2
-           - lam K1(lam|r|) (d_ij/|r| - r_i r_j/|r|^3)
-
-    For lam|r| > 700 the Bessel terms have underflowed and only the
-    Stokeslet-like part remains.
-    """
-    r = np.asarray(r, dtype=float)
-    rr = float(np.hypot(r[0], r[1]))
-    if rr == 0.0:
-        raise SingularPointError("kernel evaluated at zero separation")
-    if lam <= 0:
-        raise DomainError(f"lam must be positive, got {lam}")
-    eye = np.eye(2)
-    outer = np.outer(r, r)
-    g = eye / rr**2 - 2.0 * outer / rr**4
-    x = lam * rr
-    if x <= _UNDERFLOW_X:
-        k0 = bessel_k(0, x)
-        k1 = bessel_k(1, x)
-        k2 = bessel_k(2, x)
-        g += 0.5 * lam**2 * (k0 + k2) * outer / rr**2
-        g -= lam * k1 * (eye / rr - outer / rr**3)
-    return g
 
 
 @dataclass

@@ -25,10 +25,6 @@ class DegenerateParameterizationError(IBStokesError, ValueError):
     """Arclength derivative is non-positive somewhere."""
 
 
-class SingularPointError(IBStokesError, ValueError):
-    """Kernel evaluated at zero separation."""
-
-
 class ParameterError(IBStokesError, ValueError):
     """Invalid physical or numerical parameter (e.g. dt <= 0)."""
 

@@ -50,10 +50,6 @@ class InterfaceState:
     def theta(self):
         return TWO_PI * self.alpha / self.length + self.phi
 
-    def copy(self):
-        return InterfaceState(self.s_alpha.copy(), self.phi.copy(),
-                              self.ref_points.copy(), self.length)
-
 
 @dataclass
 class CurveSamples:
@@ -86,18 +82,9 @@ def init_ellipse(a, b, center, n_nodes, rest_radius=1.0):
         raise InvalidGeometryError(f"degenerate ellipse axes a={a}, b={b}")
     if n_nodes % 2 != 0 or n_nodes <= 0:
         raise InvalidGeometryError(f"n_nodes must be even and positive, got {n_nodes}")
-    length = TWO_PI * rest_radius
     ang = TWO_PI * np.arange(n_nodes) / n_nodes
-    x = center[0] + a * np.cos(ang)
-    y = center[1] + b * np.sin(ang)
-    x_a = spectral.derivative_1d(x, 1, period=length)
-    y_a = spectral.derivative_1d(y, 1, period=length)
-    s_alpha = np.hypot(x_a, y_a)
-    theta = np.unwrap(np.arctan2(y_a, x_a))
-    phi = theta - ang
-    refs = np.array([[x[0], y[0]], [x[n_nodes // 2], y[n_nodes // 2]]])
-    state = InterfaceState(s_alpha, phi, refs, length)
-    return state, CurveSamples(x, y)
+    curve = CurveSamples(center[0] + a * np.cos(ang), center[1] + b * np.sin(ang))
+    return state_from_curve(curve, TWO_PI * rest_radius), curve
 
 
 def tangent_normal(state):

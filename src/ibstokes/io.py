@@ -17,7 +17,7 @@ from .errors import ParameterError
 from .geometry import CurveSamples, InterfaceState, reconstruct_curve
 from .grids import GridSpec
 from .params import PhysParams
-from .schemes import ALL_SCHEMES, SchemeConfig, StepState, initial_state
+from .schemes import SchemeConfig, StepState, initial_state
 from .stokes import FluidState
 
 # format 2 adds the SSD rescaling coefficients c_v / c_u; format 1 still loads
@@ -44,8 +44,6 @@ class RunConfig:
     center_x: float = 0.5
     center_y: float = 0.5
     rest_radius: float = 0.2
-    rescale: bool = True
-    tol: float = 1e-10
     steady_velocity: str = "grid"
     snapshot_every: int = 0         # 0: final snapshot only
     output_dir: str = "out"
@@ -57,27 +55,27 @@ class RunConfig:
         self.validate()
 
     def validate(self):
-        if self.scheme not in ALL_SCHEMES:
-            raise ParameterError(f"scheme: unknown scheme {self.scheme!r}")
+        """Check the run's values; SchemeConfig checks scheme, dt and steady_velocity."""
         for name in ("n", "n_boundary"):
             v = getattr(self, name)
             if not isinstance(v, int) or v <= 0 or v % 2 != 0:
                 raise ParameterError(f"{name}: must be a positive even integer, got {v}")
-        for name in ("dt", "rho", "mu", "elastic", "domain_length",
-                     "ellipse_a", "ellipse_b", "rest_radius", "tol"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name}: must be positive")
-        if self.t_end < 0:
-            raise ParameterError("t_end: must be nonnegative")
-        if self.steady_velocity not in ("grid", "integral"):
-            raise ParameterError("steady_velocity: must be 'grid' or 'integral'")
+        for name in ("rho", "mu", "elastic", "domain_length",
+                     "ellipse_a", "ellipse_b", "rest_radius"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ParameterError(f"{name}: must be positive and finite, got {v}")
+        if not (np.isfinite(self.t_end) and self.t_end >= 0):
+            raise ParameterError(f"t_end: must be nonnegative and finite, got {self.t_end}")
+        if not (np.isfinite(self.center_x) and np.isfinite(self.center_y)):
+            raise ParameterError("center_x, center_y: must be finite")
+        self.scheme_config()
 
     def interface_length(self):
         return TWO_PI * self.rest_radius
 
     def phys(self):
         return PhysParams(rho=self.rho, mu=self.mu, elastic=self.elastic,
-                          domain_length=self.domain_length,
                           interface_length=self.interface_length())
 
     def grid(self):
@@ -86,8 +84,7 @@ class RunConfig:
                         dalpha=self.interface_length() / self.n_boundary)
 
     def scheme_config(self):
-        return SchemeConfig(scheme=self.scheme, dt=self.dt, tol=self.tol,
-                            rescale=self.rescale,
+        return SchemeConfig(scheme=self.scheme, dt=self.dt,
                             steady_velocity=self.steady_velocity)
 
     def initial_state(self):

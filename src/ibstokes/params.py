@@ -19,10 +19,10 @@ class PhysParams:
     rho: float = 1.0
     mu: float = 1.0
     elastic: float = 1.0          # boundary elastic coefficient S_b
-    domain_length: float = 1.0
     interface_length: float = TWO_PI
 
     def __post_init__(self):
-        for name in ("rho", "mu", "elastic", "domain_length", "interface_length"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
+        for name in ("rho", "mu", "elastic", "interface_length"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ParameterError(f"{name} must be positive and finite, got {v}")

@@ -9,14 +9,16 @@ The semi-implicit updates add the implicit leading-order term and subtract
 its explicit counterpart, so every scheme is consistent with the same
 dynamics; only the stability properties differ.  Implicit leading operators
 are diagonal in Fourier space except for the second-kind and two-step
-schemes, which solve dense N_b x N_b systems.  The second-kind circulants
-are gathered from their first columns, and a circulant product from the
-multipliers' product: O(N_b^2) assembly.  The two-step stable schemes form
-the interface mobility M (force -> interface velocity of the frozen curve,
-one fluid solve per unit force) once per step, and both of their implicit
-systems are dense algebra on it; steady and unsteady flow differ only in
-the fluid solve behind M and the unforced velocity.  Above DENSE_MAX nodes
-they are solved matrix-free by GMRES instead.
+schemes, which solve dense N_b x N_b systems; every diagonal update,
+backward Euler or Crank-Nicolson, goes through ``_semi_implicit``.  The
+second-kind circulants are gathered from their first columns, and a
+circulant product from the multipliers' product: O(N_b^2) assembly.  The
+two-step stable schemes form the interface mobility M (force -> interface
+velocity of the frozen curve, one fluid solve per unit force) once per step,
+and both of their implicit systems are dense algebra on it; steady and
+unsteady flow differ only in the fluid solve behind M and the unforced
+velocity.  Above DENSE_MAX nodes they are solved matrix-free by GMRES
+instead, both to the relative residual LINEAR_TOL.
 """
 
 import warnings
@@ -45,6 +47,7 @@ UNSTEADY_SCHEMES = ("explicit_unsteady", "ssd1_unsteady", "ssd2_unsteady",
 ALL_SCHEMES = STEADY_SCHEMES + UNSTEADY_SCHEMES
 
 DENSE_MAX = 256       # dense stable-scheme systems up to this N_b, GMRES above
+LINEAR_TOL = 1e-10    # relative residual of the stable schemes' implicit solves
 BLOWUP_FACTOR = 1e6   # velocity growth over the first step's speed that counts as blowup
 DRIFT_TOL = 1e-2      # reconstruction anchor-mismatch warning level
 
@@ -53,19 +56,15 @@ DRIFT_TOL = 1e-2      # reconstruction anchor-mismatch warning level
 class SchemeConfig:
     scheme: str
     dt: float
-    tol: float = 1e-10            # linear-solve tolerance
-    rescale: bool = True          # first-step rescaling of the SSD leading terms
     steady_velocity: str = "grid"  # "grid" (spread/solve/interpolate) or "integral"
 
     def __post_init__(self):
         if self.scheme not in ALL_SCHEMES:
-            raise ParameterError(f"unknown scheme {self.scheme!r}")
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive")
-        if not (0 < self.tol <= 1e-4):
-            raise ParameterError("tol must lie in (0, 1e-4]")
+            raise ParameterError(f"scheme: unknown scheme {self.scheme!r}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ParameterError(f"dt: must be positive and finite, got {self.dt}")
         if self.steady_velocity not in ("grid", "integral"):
-            raise ParameterError("steady_velocity must be 'grid' or 'integral'")
+            raise ParameterError("steady_velocity: must be 'grid' or 'integral'")
 
 
 @dataclass
@@ -76,8 +75,8 @@ class StepState:
     t: float = 0.0
     step: int = 0
     speed_ref: float = None       # blowup-detection reference scale
-    c_v: float = None             # SSD rescaling coefficients, fixed by the first SSD step
-    c_u: float = None
+    c_v: float = None             # SSD rescaling coefficients, fixed by the first SSD step;
+    c_u: float = None             # a start state with c_v = c_u = 1 runs unrescaled
 
 
 def _symbol_wavenumbers(iface):
@@ -157,12 +156,16 @@ def _finish(state, cfg, s_new, phi_new, refs, fluid=None):
                      state.c_v, state.c_u)
 
 
-def _semi_implicit(x, rhs, lead, dt):
-    """First-order small-scale-decomposition update of x' = rhs + lead * x
-    with the Fourier-diagonal leading term implicit and its explicit
-    counterpart subtracted: (x^/dt + r^ - lead x^) / (1/dt - lead)."""
+def _semi_implicit(x, rhs, lead, dt, ref=None, theta=1.0):
+    """Small-scale-decomposition update of x' = rhs + lead * x: the
+    Fourier-diagonal leading term is taken theta-implicit (1 backward Euler,
+    1/2 Crank-Nicolson) and its explicit counterpart lead * ref, with ref = x
+    unless given, is subtracted:
+    (x^/dt + (1 - theta) lead x^ + r^ - lead ref^) / (1/dt - theta lead)."""
     x_hat = _fft(x)
-    return _ifft_real((x_hat / dt + _fft(rhs) - lead * x_hat) / (1.0 / dt - lead))
+    ref_hat = x_hat if ref is None else _fft(ref)
+    return _ifft_real((x_hat / dt + (1.0 - theta) * lead * x_hat + _fft(rhs) - lead * ref_hat)
+                      / (1.0 / dt - theta * lead))
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +378,16 @@ def step_ssd2_steady(state, phys, grid, cfg):
     return _finish(state, cfg, s_new, phi_new, refs)
 
 
-def _solve_linear(lin, b, cfg, step_index):
-    """Solve the implicit system A x = b, with ``lin`` either the assembled
-    matrix A (dense solve) or the linear map x -> A x (GMRES)."""
+def _solve_linear(lin, b, step_index):
+    """Solve the implicit system A x = b to LINEAR_TOL, with ``lin`` either
+    the assembled matrix A (dense solve) or the linear map x -> A x (GMRES)."""
     if isinstance(lin, np.ndarray):
-        return _dense_solve(lin, b, step_index, rtol=max(cfg.tol, 1e-12))
+        return _dense_solve(lin, b, step_index, rtol=LINEAR_TOL)
     nb = len(b)
     op = LinearOperator((nb, nb), matvec=lin)
     restart = min(50, nb)
     maxiter = max(1, (10 * nb) // restart)
-    x, info = gmres(op, b, rtol=cfg.tol, atol=0.0, restart=restart, maxiter=maxiter)
+    x, info = gmres(op, b, rtol=LINEAR_TOL, atol=0.0, restart=restart, maxiter=maxiter)
     if info != 0:
         raise SolverStallError(f"GMRES stalled (info={info}) at step {step_index}")
     return x
@@ -478,7 +481,7 @@ def _step_stable(state, phys, grid, cfg, solve, advance=None):
                                              - dth[:, None] * (k_nt @ dmat + k_nn * dth))
     f_const = -elastic * dth[:, None] * nrm
     b = iface.s_alpha + dt * s_rate(uv_hom + response(f_const))
-    s_new = _solve_linear(lin_s, b, cfg, state.step + 1)
+    s_new = _solve_linear(lin_s, b, state.step + 1)
 
     # recover the Step-1 velocities at the solution for the reference points
     force_full = _force_linear_part(s_new, tau, nrm, dth, elastic, iface.length) + f_const
@@ -506,7 +509,7 @@ def _step_stable(state, phys, grid, cfg, solve, advance=None):
     force0 = elastic * (ds_new[:, None] * tau
                         + ((s_new - 1.0) * (TWO_PI / iface.length))[:, None] * nrm)
     b_phi = iface.phi + scale * theta_rate(uv_hom + response(force0))
-    phi_new = _solve_linear(lin_phi, b_phi, cfg, state.step + 1)
+    phi_new = _solve_linear(lin_phi, b_phi, state.step + 1)
     refs = update_reference_points(iface, u_n1, u_t1, dt)
     return _finish(state, cfg, s_new, phi_new, refs, fluid1)
 
@@ -539,14 +542,12 @@ def step_explicit_unsteady(state, phys, grid, cfg):
                    refs, fluid1)
 
 
-def _rescaling_coefficient(stored, rescale, observed, leading, label):
-    """SSD rescaling coefficient C_V or C_U: the stored value, 1 with rescaling
-    off, else the first-step ratio max|observed| / max|leading()|, or 1 with a
-    warning when the leading term vanishes."""
+def _rescaling_coefficient(stored, observed, leading, label):
+    """SSD rescaling coefficient C_V or C_U: the stored value, else the
+    first-step ratio max|observed| / max|leading()|, or 1 with a warning when
+    the leading term vanishes."""
     if stored is not None:
         return stored
-    if not rescale:
-        return 1.0
     denom = float(np.max(np.abs(leading())))
     if denom < 1e-14 * max(1.0, float(np.max(np.abs(observed)))) or denom == 0.0:
         warnings.warn(f"rescaling disabled for {label}: leading term is zero",
@@ -594,7 +595,7 @@ def _ssd_update_solve(state, stencils, phys, grid, cfg, s_new, tau, nrm, dth, u_
     fluid1 = unsteady_stokes_step(state.fluid, coupling.spread(stencils, force1, grid),
                                   phys.rho, phys.mu, cfg.dt, grid)
     u_n1, u_t1 = _interp_split(stencils, fluid1, grid, tau, nrm)
-    c_u = _rescaling_coefficient(state.c_u, cfg.rescale, u_n1, u_lead, "C_U")
+    c_u = _rescaling_coefficient(state.c_u, u_n1, u_lead, "C_U")
     return fluid1, u_n1, u_t1, c_u
 
 
@@ -608,7 +609,7 @@ def step_ssd1_unsteady(state, phys, grid, cfg):
     dth = theta_derivative(iface)
     dv_star = spectral.derivative_1d(u_t_star, 1, period=iface.length)
     rhs_s = dv_star - dth * u_n_star
-    c_v = _rescaling_coefficient(state.c_v, cfg.rescale, dv_star,
+    c_v = _rescaling_coefficient(state.c_v, dv_star,
                                  lambda: _ifft_real(t_hat * _fft(iface.s_alpha)), "C_V")
     s_new = _semi_implicit(iface.s_alpha, rhs_s, c_v * t_hat, dt)
 
@@ -650,7 +651,7 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
 
     t2_lin = t_mat + pref * (coef[:, None] * kd2 * dth[None, :])
     dv_star = spectral.derivative_1d(u_t_star, 1, period=iface.length)
-    c_v = _rescaling_coefficient(state.c_v, cfg.rescale, dv_star,
+    c_v = _rescaling_coefficient(state.c_v, dv_star,
                                  lambda: t2_lead(iface.s_alpha), "C_V")
     rhs_s = dv_star - dth * u_n_star
     a_s = np.eye(nb) / dt - c_v * t2_lin
@@ -709,10 +710,7 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     u_n_star, u_t_star = _project_velocity(uvs, tau_h, nrm_h)
 
     rhs_s = spectral.derivative_1d(u_t_star, 1, period=iface.length) - dth_h * u_n_star
-    s_hat = _fft(iface.s_alpha)
-    sh_hat = _fft(iface_h.s_alpha)
-    s_new = _ifft_real((s_hat * (1.0 / dt + 0.5 * t2_hat) + _fft(rhs_s) - t2_hat * sh_hat)
-                       / (1.0 / dt - 0.5 * t2_hat))
+    s_new = _semi_implicit(iface.s_alpha, rhs_s, t2_hat, dt, ref=iface_h.s_alpha, theta=0.5)
 
     s_bar = 0.5 * (s_new + iface.s_alpha)
     force_bar = _force_linear_part(s_bar, tau_h, nrm_h, dth_h, phys.elastic, iface.length) \
@@ -726,14 +724,10 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     # the angle leading operator carries 1/min(s) on both the implicit
     # midpoint term and its explicit counterpart so the pair cancels to
     # O(dt^3); a pointwise 1/s on one side only would degrade the order
-    s_min_h = float(np.min(iface_h.s_alpha))
-    lead = s2_hat / s_min_h
-    s_lead_h = _ifft_real(lead * _fft(iface_h.phi))
     rhs_phi = (spectral.derivative_1d(u_n_bar, 1, period=iface.length)
-               + u_t_bar * dth_h) / iface_h.s_alpha - s_lead_h
-    p_hat = _fft(iface.phi)
-    phi_new = _ifft_real((p_hat * (1.0 / dt + 0.5 * lead) + _fft(rhs_phi))
-                         / (1.0 / dt - 0.5 * lead))
+               + u_t_bar * dth_h) / iface_h.s_alpha
+    phi_new = _semi_implicit(iface.phi, rhs_phi, s2_hat / float(np.min(iface_h.s_alpha)), dt,
+                             ref=iface_h.phi, theta=0.5)
 
     # midpoint predictor for the anchors, velocities from the centered field
     refs = update_reference_points(iface_h, u_n_bar, u_t_bar, dt)

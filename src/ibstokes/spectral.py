@@ -1,9 +1,11 @@
-"""Periodic spectral operators for interface data and 2D grid fields.
+"""Periodic spectral operators for interface data and 2D grid fields:
+derivatives, the antiderivative and diagonal Fourier multipliers.
 
 Conventions follow the discrete Fourier transform with wavenumbers
 k in {-N/2+1, ..., N/2}.  numpy's FFT stores the unpaired Nyquist mode at
-index N/2 with the opposite sign convention; all odd-symmetry multipliers (ik, -i sgn k, 1/ik) zero that mode so results stay
-real and skew-symmetry is preserved.  Even multipliers keep it.
+index N/2 with the opposite sign convention; the odd-symmetry multipliers
+(ik, 1/ik) zero that mode so results stay real and skew-symmetry is
+preserved.  Even multipliers keep it.
 """
 
 import numpy as np
@@ -63,42 +65,26 @@ def derivative_1d(f, order=1, period=TWO_PI):
     return np.real(np.fft.ifft(fh))
 
 
-def hilbert_transform(f, period=TWO_PI):
-    """Periodic Hilbert transform: multiplier -i*sgn(k), zero mean mode."""
-    f = _check_1d(f)
-    n = f.size
-    m = integer_modes(n)
-    counters["fft"] += 2
-    fh = np.fft.fft(f)
-    fh *= -1j * np.sign(m)
-    fh[n // 2] = 0.0
-    return np.real(np.fft.ifft(fh))
+def apply_symbol_1d(f, symbol):
+    """Apply a diagonal Fourier multiplier, a precomputed FFT-ordered array.
 
-
-def apply_symbol_1d(f, symbol, period=TWO_PI, real_output=True):
-    """Apply a diagonal Fourier multiplier k -> symbol(k).
-
-    ``symbol`` is either a callable evaluated on the physical wavenumber array
-    or a precomputed FFT-ordered array.  With ``real_output`` the symbol must
-    satisfy symbol(-k) = conj(symbol(k)) and be real at k=0 and Nyquist.
+    The symbol must satisfy symbol(-k) = conj(symbol(k)) and be real at k=0
+    and Nyquist, so that the output is real.
     """
     f = _check_1d(f)
     n = f.size
-    k = wavenumbers(n, period)
-    sig = symbol(k) if callable(symbol) else np.asarray(symbol)
+    sig = np.asarray(symbol)
     if sig.shape != (n,):
         raise InvalidGridError(f"symbol array has shape {sig.shape}, expected ({n},)")
     sig = sig.astype(complex)
-    if real_output:
-        paired = np.arange(1, n // 2)
-        mismatch = np.max(np.abs(sig[-paired] - np.conj(sig[paired]))) if paired.size else 0.0
-        scale = max(np.max(np.abs(sig)), 1e-300)
-        if mismatch > 1e-12 * scale or abs(sig[0].imag) > 1e-12 * scale \
-                or abs(sig[n // 2].imag) > 1e-12 * scale:
-            raise SymmetryError("symbol is not conjugate-symmetric; real output impossible")
+    paired = np.arange(1, n // 2)
+    mismatch = np.max(np.abs(sig[-paired] - np.conj(sig[paired]))) if paired.size else 0.0
+    scale = max(np.max(np.abs(sig)), 1e-300)
+    if mismatch > 1e-12 * scale or abs(sig[0].imag) > 1e-12 * scale \
+            or abs(sig[n // 2].imag) > 1e-12 * scale:
+        raise SymmetryError("symbol is not conjugate-symmetric; real output impossible")
     counters["fft"] += 2
-    out = np.fft.ifft(np.fft.fft(f) * sig)
-    return np.real(out) if real_output else out
+    return np.real(np.fft.ifft(np.fft.fft(f) * sig))
 
 
 def antiderivative(f, value_at_zero=0.0, period=TWO_PI):

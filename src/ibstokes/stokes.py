@@ -68,30 +68,21 @@ def grid_wavenumbers(n, length):
     return kx, ky, _read_only(k2_full)
 
 
-def _leray_masks(kx, ky):
-    k2 = kx**2 + ky**2
-    mask = k2 > 0
-    return mask, np.where(mask, k2, 1.0)
-
-
 @lru_cache(maxsize=8)
 def _leray_operators(n, length):
     """(KX, KY, mask |k| > 0, denominator) of the projection on one grid,
     read-only."""
     kx, ky, _ = grid_wavenumbers(n, length)
-    mask, denom = _leray_masks(kx, ky)
-    return kx, ky, _read_only(mask), _read_only(denom)
+    k2 = kx**2 + ky**2
+    mask = k2 > 0
+    return kx, ky, _read_only(mask), _read_only(np.where(mask, k2, 1.0))
 
 
 def _project(fu_hat, fv_hat, kx, ky, mask, denom):
+    """Remove the gradient part mode by mode; the k = 0 mode passes through."""
     with np.errstate(invalid="ignore", divide="ignore"):
         dot = np.where(mask, (kx * fu_hat + ky * fv_hat) / denom, 0.0)
     return fu_hat - kx * dot, fv_hat - ky * dot
-
-
-def leray_project(fu_hat, fv_hat, kx, ky):
-    """Remove the gradient part mode by mode; the k = 0 mode passes through."""
-    return _project(fu_hat, fv_hat, kx, ky, *_leray_masks(kx, ky))
 
 
 @lru_cache(maxsize=16)
@@ -218,8 +209,8 @@ def steady_velocity_on_interface(curve, force, mu, s_alpha, theta,
     np.fill_diagonal(w22, tau2 * tau2)
     dalpha = interface_length / nb
     mult = _log_kernel_multiplier(nb, interface_length)
-    log_f1 = spectral.apply_symbol_1d(f1, mult, period=interface_length)
-    log_f2 = spectral.apply_symbol_1d(f2, mult, period=interface_length)
+    log_f1 = spectral.apply_symbol_1d(f1, mult)
+    log_f2 = spectral.apply_symbol_1d(f2, mult)
     u = (smooth @ f1 + w11 @ f1 + w12 @ f2) * dalpha + log_f1
     v = (smooth @ f2 + w12 @ f1 + w22 @ f2) * dalpha + log_f2
     return u / (4.0 * np.pi * mu), v / (4.0 * np.pi * mu)

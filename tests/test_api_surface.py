@@ -1,0 +1,62 @@
+"""Every public module-level function or class of the package must have a
+user besides the tests: package code that refers to it, or a mention in the
+benchmark (`bench/`), a demo (`demos/`) or a tool (`tools/`).  A name that
+only its own tests call is dead weight; delete it with its tests, or list it
+below with the reason it stays."""
+
+import ast
+import os
+import re
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PACKAGE = os.path.join(ROOT, "src", "ibstokes")
+USERS = ("bench", "demos", "tools")
+
+ALLOWED = {
+    "geometry.radius_variation": "the measurement behind acceptance criterion 4",
+}
+
+
+def _sources(directory):
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name)) as fh:
+                yield name[:-3], fh.read()
+
+
+TREES = {module: ast.parse(text) for module, text in _sources(PACKAGE)}
+OUTSIDE = [text for d in USERS for _, text in _sources(os.path.join(ROOT, d))]
+
+
+def _public_names():
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                yield module, node.name
+
+
+def _referenced_in_package():
+    """Identifiers that package code loads, by name or as an attribute
+    (docstrings and comments do not count)."""
+    seen = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+    return seen
+
+
+def test_allowlist_names_exist():
+    public = {f"{module}.{name}" for module, name in _public_names()}
+    assert set(ALLOWED) <= public
+
+
+def test_every_public_name_has_a_user_besides_tests():
+    referenced = _referenced_in_package()
+    unused = [f"{module}.{name}" for module, name in _public_names()
+              if f"{module}.{name}" not in ALLOWED and name not in referenced
+              and not any(re.search(rf"\b{name}\b", text) for text in OUTSIDE)]
+    assert not unused, f"called only by tests: {unused}"

@@ -1,60 +1,11 @@
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from ibstokes import bessel
 from ibstokes.bessel import SsdSymbolParams
-from ibstokes.errors import DomainError, SingularPointError
-
-
-def bessel_k_quadrature(order, x):
-    """Independent oracle: K_n(x) = int_0^inf exp(-x cosh t) cosh(n t) dt."""
-    val, _ = quad(lambda t: np.exp(-x * np.cosh(t)) * np.cosh(order * t),
-                  0.0, np.arccosh(700.0 / x) if x < 700 else 1.0, limit=200)
-    return val
-
-
-class TestBesselK:
-    def test_k0_at_1_against_cosine_integral(self):
-        # K0(x) = int_0^inf cos(t x)/sqrt(1+t^2) dt, evaluated as an
-        # oscillatory integral
-        oracle, _ = quad(lambda t: 1.0 / np.sqrt(1.0 + t * t), 0.0, np.inf,
-                         weight="cos", wvar=1.0, limit=400)
-        assert abs(oracle - 0.4210244382407083) <= 1e-9
-        assert abs(bessel.bessel_k(0, 1.0) - oracle) <= 1e-9
-
-    def test_k2_recurrence_value(self):
-        # K2(1) = K0(1) + 2 K1(1)
-        k0 = bessel_k_quadrature(0, 1.0)
-        k1 = bessel_k_quadrature(1, 1.0)
-        expect = k0 + 2.0 * k1
-        assert abs(expect - 1.6248388986351774) <= 1e-9
-        assert abs(bessel.bessel_k(2, 1.0) - expect) <= 1e-9
-
-    def test_large_x_asymptotic(self):
-        x = 50.0
-        lead = np.sqrt(np.pi / (2 * x)) * np.exp(-x)
-        assert abs(bessel.bessel_k(0, x) / lead - 1.0) <= 0.01
-
-    def test_quadrature_oracle_sweep(self):
-        for order in (0, 1, 2):
-            for x in (0.03, 0.5, 2.0, 10.0):
-                assert abs(bessel.bessel_k(order, x) - bessel_k_quadrature(order, x)) \
-                    <= 1e-10 * bessel_k_quadrature(order, x)
-
-    def test_underflow_and_domain(self):
-        assert bessel.bessel_k(0, 800.0) == 0.0
-        with pytest.raises(DomainError):
-            bessel.bessel_k(0, 0.0)
-        with pytest.raises(DomainError):
-            bessel.bessel_k(0, -1.0)
-        with pytest.raises(DomainError):
-            bessel.bessel_k(3, 1.0)
-
-    def test_wronskian_free_recurrence(self):
-        x = np.logspace(-2, 2, 41)
-        resid = bessel.bessel_k(2, x) - bessel.bessel_k(0, x) - 2 * bessel.bessel_k(1, x) / x
-        assert np.max(np.abs(resid) / bessel.bessel_k(2, x)) <= 1e-9
+from ibstokes.errors import DomainError
 
 
 class TestK0ConvolutionSymbol:
@@ -77,48 +28,11 @@ class TestK0ConvolutionSymbol:
         beta, k = 2.0, 2
         for a in (0.0, 0.7):
             tail = 40.0 / beta
-            val, _ = quad(lambda u: bessel.bessel_k(0, beta * abs(u)) * np.cos(k * (a - u)),
+            val, _ = quad(lambda u: special.k0(beta * abs(u)) * np.cos(k * (a - u)),
                           -tail, tail, points=[0.0], limit=400)
             val /= np.pi
             expect = np.cos(k * a) * bessel.k0_convolution_symbol(beta, k)
             assert abs(val - expect) <= 1e-6
-
-
-class TestUnsteadyKernel:
-    def test_off_diagonal_vanishes_on_axis(self):
-        g = bessel.unsteady_kernel_g(np.array([1.0, 0.0]), 50.0)
-        assert g[0, 1] == pytest.approx(0.0, abs=1e-14)
-        assert g[1, 0] == pytest.approx(0.0, abs=1e-14)
-
-    def test_even_in_r(self):
-        r = np.array([0.3, 0.4])
-        g1 = bessel.unsteady_kernel_g(r, 2.0)
-        g2 = bessel.unsteady_kernel_g(-r, 2.0)
-        assert np.max(np.abs(g1 - g2)) <= 1e-14
-
-    def test_symmetric(self):
-        g = bessel.unsteady_kernel_g(np.array([0.2, -0.5]), 3.0)
-        assert abs(g[0, 1] - g[1, 0]) <= 1e-14
-
-    def test_value_against_quadrature_bessel(self):
-        r = np.array([0.5, 0.0])
-        lam = 2.0
-        rr = 0.5
-        x = lam * rr
-        k0 = bessel_k_quadrature(0, x)
-        k1 = bessel_k_quadrature(1, x)
-        k2 = bessel_k_quadrature(2, x)
-        eye = np.eye(2)
-        outer = np.outer(r, r)
-        expect = (eye / rr**2 - 2 * outer / rr**4
-                  + 0.5 * lam**2 * (k0 + k2) * outer / rr**2
-                  - lam * k1 * (eye / rr - outer / rr**3))
-        g = bessel.unsteady_kernel_g(r, lam)
-        assert np.max(np.abs(g - expect)) <= 1e-9
-
-    def test_singular_point(self):
-        with pytest.raises(SingularPointError):
-            bessel.unsteady_kernel_g(np.zeros(2), 1.0)
 
 
 def params(mu, dt=0.1, elastic=1.0, rho=1.0, s_min=1.0, s_exc=0.0, gamma=0.0):

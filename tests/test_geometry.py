@@ -199,10 +199,11 @@ class TestReconstruct:
             geometry.reconstruct_curve(state)
 
     def test_state_curve_state_roundtrip(self):
-        state, curve = ellipse(256, rest_radius=0.2)
-        back = geometry.state_from_curve(curve, length=state.length)
+        state, _ = ellipse(256, rest_radius=0.2)
+        back = geometry.state_from_curve(geometry.reconstruct_curve(state), length=state.length)
         assert np.max(np.abs(back.s_alpha - state.s_alpha)) <= 1e-8
         assert np.max(np.abs(back.phi - state.phi)) <= 1e-8
+        assert np.max(np.abs(back.ref_points - state.ref_points)) <= 1e-8
 
 
 class TestArea:

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,17 @@ class TestCli:
         assert lines[0].startswith("step,t,K,P,E,area")
         assert len(lines) == 2  # header + initial row only
 
+    @pytest.mark.parametrize("key, value", [("dt", "nan"), ("t_end", "inf"), ("mu", "nan"),
+                                            ("rescale", "false"), ("tol", "1e-8")])
+    def test_bad_value_or_removed_key_is_usage_error(self, key, value, tmp_path, capsys):
+        # non-finite values are refused before the run starts, and the
+        # removed options are unknown keys; either way the message names the key
+        code = self.run_cli("run", "--set", "scheme=ssd1_unsteady", "--set", "n=32",
+                            "--set", f"{key}={value}", "--out", str(tmp_path))
+        assert code == 64
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_instability_exit_code(self, tmp_path):
         code = self.run_cli("run", "--set", "scheme=explicit_steady", "--set", "n=64",
                             "--set", "dt=1.0", "--set", "t_end=50",
@@ -250,8 +262,8 @@ def test_explicit_vs_ssd1_fluid_solve_counts():
     phys, grid = config.phys(), config.grid()
 
     def count(scheme):
-        cfg = schemes.SchemeConfig(scheme=scheme, dt=0.01, rescale=False)
-        state = schemes.initial_state(phys, grid)
+        cfg = schemes.SchemeConfig(scheme=scheme, dt=0.01)
+        state = replace(schemes.initial_state(phys, grid), c_v=1.0, c_u=1.0)
         stokes.reset_counters()
         for s in schemes.simulate(state, phys, grid, cfg, 5):
             pass

@@ -22,8 +22,8 @@ def test_steady_time_rescaling_equivalence():
     p2 = PhysParams(rho=1, mu=2, elastic=4, interface_length=2 * np.pi * 0.2)
     grid = GridSpec.make(64, **grid_kw)
     dt1 = 0.05
-    t0_1 = p1.mu * p1.domain_length / p1.elastic
-    t0_2 = p2.mu * p2.domain_length / p2.elastic
+    t0_1 = p1.mu * grid.length / p1.elastic
+    t0_2 = p2.mu * grid.length / p2.elastic
     dt2 = dt1 * (t0_2 / t0_1)   # equal dimensionless step
 
     def run(phys, dt):

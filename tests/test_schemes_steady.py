@@ -41,7 +41,7 @@ def test_equilibrium_fixed_point(scheme):
     phys = PhysParams(rho=1.0, mu=1.0, elastic=1.0)  # interface length 2 pi
     grid = GridSpec.make(32, interface_length=phys.interface_length)
     state = equilibrium_state(grid.n_boundary)
-    cfg = SchemeConfig(scheme=scheme, dt=0.5, rescale=False)
+    cfg = SchemeConfig(scheme=scheme, dt=0.5)
     new = schemes.step(state, phys, grid, cfg)
     assert np.max(np.abs(new.interface.s_alpha - 1.0)) <= 1e-10
     assert np.max(np.abs(new.interface.phi - np.pi / 2)) <= 1e-10
@@ -100,8 +100,7 @@ class TestSsd1Steady:
                                np.array([[1.5, 0.5], [-0.5, 0.5]]))
         state = StepState(iface, reconstruct_curve(iface), None, 0.0, 0, None)
         dt = 0.1
-        cfg = SchemeConfig(scheme="ssd1_steady", dt=dt, steady_velocity="integral",
-                           rescale=False)
+        cfg = SchemeConfig(scheme="ssd1_steady", dt=dt, steady_velocity="integral")
         new = schemes.step(state, phys, grid, cfg)
         m32 = np.abs(np.fft.fft(new.interface.s_alpha))[32] / nb
         expect = (eps / 2) / (1.0 + dt * 0.25 * 32)
@@ -111,7 +110,7 @@ class TestSsd1Steady:
         phys, grid = model(32)
         dt = 1e-3
         a = march(phys, grid, SchemeConfig(scheme="explicit_steady", dt=dt), 10)
-        b = march(phys, grid, SchemeConfig(scheme="ssd1_steady", dt=dt, rescale=False), 10)
+        b = march(phys, grid, SchemeConfig(scheme="ssd1_steady", dt=dt), 10)
         assert np.max(np.abs(a.interface.s_alpha - b.interface.s_alpha)) <= 1e-5
         assert np.max(np.abs(a.interface.phi - b.interface.phi)) <= 1e-5
 
@@ -141,8 +140,8 @@ class TestSsd2Steady:
     def test_matches_ssd1_at_small_dt(self):
         phys, grid = model(32)
         dt = 1e-3
-        a = march(phys, grid, SchemeConfig(scheme="ssd1_steady", dt=dt, rescale=False), 10)
-        b = march(phys, grid, SchemeConfig(scheme="ssd2_steady", dt=dt, rescale=False), 10)
+        a = march(phys, grid, SchemeConfig(scheme="ssd1_steady", dt=dt), 10)
+        b = march(phys, grid, SchemeConfig(scheme="ssd2_steady", dt=dt), 10)
         # both reduce to the explicit limit; differences are O(dt^2) per step
         assert np.max(np.abs(a.interface.s_alpha - b.interface.s_alpha)) <= 1e-5
         assert np.max(np.abs(a.interface.phi - b.interface.phi)) <= 1e-5
@@ -244,7 +243,7 @@ def test_all_steady_schemes_agree_with_explicit_after_10_tiny_steps():
     ref = march(phys, grid, SchemeConfig(scheme="explicit_steady", dt=dt), 10)
     w = phys.interface_length / grid.n_boundary
     for scheme in STEADY[1:]:
-        got = march(phys, grid, SchemeConfig(scheme=scheme, dt=dt, rescale=False), 10)
+        got = march(phys, grid, SchemeConfig(scheme=scheme, dt=dt), 10)
         dx = got.curve.as_array() - ref.curve.as_array()
         err = np.sqrt(np.sum(dx**2) * w)
         assert err <= 1e-5, f"{scheme} drifted {err:.2e} from the explicit reference"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,17 @@ def model(n=64, mu=0.01, rest_radius=0.2):
     return phys, grid
 
 
-def march(phys, grid, cfg, n_steps):
-    state = schemes.initial_state(phys, grid)
+def march(phys, grid, cfg, n_steps, state=None):
+    if state is None:
+        state = schemes.initial_state(phys, grid)
     for s in schemes.simulate(state, phys, grid, cfg, n_steps):
         state = s
     return state
+
+
+def unrescaled(phys, grid):
+    """Initial state whose SSD rescaling coefficients are fixed at 1."""
+    return replace(schemes.initial_state(phys, grid), c_v=1.0, c_u=1.0)
 
 
 @pytest.mark.parametrize("scheme", UNSTEADY)
@@ -34,8 +42,9 @@ def test_equilibrium_fixed_point(scheme):
     nb = grid.n_boundary
     iface = InterfaceState(np.ones(nb), np.full(nb, np.pi / 2),
                            np.array([[1.5, 0.5], [-0.5, 0.5]]))
-    state = StepState(iface, reconstruct_curve(iface), FluidState.rest(32), 0.0, 0, None)
-    cfg = SchemeConfig(scheme=scheme, dt=0.1, rescale=False)
+    state = StepState(iface, reconstruct_curve(iface), FluidState.rest(32), 0.0, 0, None,
+                      c_v=1.0, c_u=1.0)
+    cfg = SchemeConfig(scheme=scheme, dt=0.1)
     new = schemes.step(state, phys, grid, cfg)
     assert np.max(np.abs(new.interface.s_alpha - 1.0)) <= 1e-10
     assert np.max(np.abs(new.interface.phi - np.pi / 2)) <= 1e-10
@@ -104,7 +113,8 @@ class TestSsd1Unsteady:
         phys, grid = model(32)
         dt = 1e-4
         a = march(phys, grid, SchemeConfig(scheme="explicit_unsteady", dt=dt), 10)
-        b = march(phys, grid, SchemeConfig(scheme="ssd1_unsteady", dt=dt, rescale=False), 10)
+        b = march(phys, grid, SchemeConfig(scheme="ssd1_unsteady", dt=dt), 10,
+                  unrescaled(phys, grid))
         dx = a.curve.as_array() - b.curve.as_array()
         err = np.sqrt(np.sum(dx**2) * a.interface.dalpha)
         assert err <= 1e-6
@@ -133,8 +143,10 @@ class TestSsd2Unsteady:
     def test_consistency_with_ssd1(self):
         phys, grid = model(32)
         dt = 1e-3
-        a = march(phys, grid, SchemeConfig(scheme="ssd1_unsteady", dt=dt, rescale=False), 10)
-        b = march(phys, grid, SchemeConfig(scheme="ssd2_unsteady", dt=dt, rescale=False), 10)
+        a = march(phys, grid, SchemeConfig(scheme="ssd1_unsteady", dt=dt), 10,
+                  unrescaled(phys, grid))
+        b = march(phys, grid, SchemeConfig(scheme="ssd2_unsteady", dt=dt), 10,
+                  unrescaled(phys, grid))
         assert np.max(np.abs(a.interface.s_alpha - b.interface.s_alpha)) <= 1e-5
         assert np.max(np.abs(a.interface.phi - b.interface.phi)) <= 1e-5
 
@@ -179,15 +191,15 @@ class TestRescaling:
     def test_equilibrium_start_disables_rescaling(self):
         zero = np.zeros(8)
         with pytest.warns(RuntimeWarning):
-            c = _rescaling_coefficient(None, True, zero, lambda: zero, "C_V")
+            c = _rescaling_coefficient(None, zero, lambda: zero, "C_V")
         assert c == 1.0
 
     def test_self_ratio_is_one(self):
         x = np.sin(np.arange(8))
-        assert _rescaling_coefficient(None, True, x, lambda: x, "C_V") == 1.0
-        # a stored coefficient wins, and rescaling off gives 1
-        assert _rescaling_coefficient(0.5, True, x, lambda: 2 * x, "C_V") == 0.5
-        assert _rescaling_coefficient(None, False, x, lambda: 2 * x, "C_V") == 1.0
+        assert _rescaling_coefficient(None, x, lambda: x, "C_V") == 1.0
+        # a stored coefficient wins, so a stored 1 runs unrescaled
+        assert _rescaling_coefficient(0.5, x, lambda: 2 * x, "C_V") == 0.5
+        assert _rescaling_coefficient(1.0, x, lambda: 2 * x, "C_V") == 1.0
 
     def test_coefficients_frozen_after_first_step(self):
         phys, grid = model(32, mu=0.01)
@@ -208,7 +220,7 @@ def test_all_unsteady_schemes_agree_with_explicit_after_10_tiny_steps():
     ref = march(phys, grid, SchemeConfig(scheme="explicit_unsteady", dt=dt), 10)
     w = phys.interface_length / grid.n_boundary
     for scheme in UNSTEADY[1:]:
-        got = march(phys, grid, SchemeConfig(scheme=scheme, dt=dt, rescale=False), 10)
+        got = march(phys, grid, SchemeConfig(scheme=scheme, dt=dt), 10, unrescaled(phys, grid))
         dx = got.curve.as_array() - ref.curve.as_array()
         err = np.sqrt(np.sum(dx**2) * w)
         assert err <= 1e-5, f"{scheme} drifted {err:.2e} from the explicit reference"
