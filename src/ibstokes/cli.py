@@ -17,7 +17,7 @@ import numpy as np
 
 from . import diagnostics, schemes, spectral, stokes
 from .errors import BlowupError, IBStokesError, ParameterError, SolverStallError
-from .io import (RunConfig, load_run_config, output_dir, save_snapshot,
+from .io import (RunConfig, _parse_value, load_run_config, output_dir, save_snapshot,
                  write_diagnostics_csv)
 from .presets import PRESETS
 
@@ -34,11 +34,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_number(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+def _number(text):
+    """A decimal or a fraction such as 1/16."""
+    num, _, den = text.partition("/")
+    return float(num) / float(den or 1)
+
+
+def _list_of(item):
+    """argparse type: comma-separated ``item`` values ('' is the empty list)."""
+    def parse(text):
+        try:
+            return [item(x) for x in text.split(",")] if text else []
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return parse
+
+
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _parse_assignments(pairs):
@@ -47,7 +62,6 @@ def _parse_assignments(pairs):
         if "=" not in item:
             raise ParameterError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        from .io import _parse_value
         out[key.strip()] = _parse_value(value)
     return out
 
@@ -110,7 +124,6 @@ def cmd_run(args):
 
 def cmd_convergence(args):
     overrides = _parse_assignments(args.set)
-    dts = [_parse_number(x) for x in args.dts.split(",")]
     base = load_run_config(args.config, overrides)
     phys = base.phys()
     grid = base.grid()
@@ -126,7 +139,7 @@ def cmd_convergence(args):
         return out
 
     try:
-        study = diagnostics.run_convergence_study(run_fn, dts)
+        study = diagnostics.run_convergence_study(run_fn, args.dts)
     except BlowupError:
         print("convergence study aborted: a run blew up", file=sys.stderr)
         return EXIT_UNSTABLE
@@ -150,8 +163,7 @@ def cmd_convergence(args):
 def cmd_sweep(args):
     overrides = _parse_assignments(args.set)
     base = load_run_config(args.config, overrides)
-    ns = [int(x) for x in args.n_list.split(",")]
-    dts = [_parse_number(x) for x in args.dt_list.split(",")] if args.dt_list else []
+    ns, dts = args.n_list, args.dt_list
     out = _ensure_dir(args.out or output_dir(base))
     path = os.path.join(out, f"sweep-{base.scheme}.csv")
     verdicts = {}
@@ -181,8 +193,7 @@ def cmd_sweep(args):
 def cmd_cost(args):
     overrides = _parse_assignments(args.set)
     base = load_run_config(args.config, overrides)
-    names = args.schemes.split(",")
-    ns = [int(x) for x in args.n_list.split(",")]
+    names, ns = args.schemes.split(","), args.n_list
     rows = []
     for scheme in names:
         times = []
@@ -209,17 +220,15 @@ def cmd_cost(args):
         if len(ns) >= 2:
             slope = np.polyfit(np.log(ns), np.log(times), 1)[0]
             print(f"{scheme}: wall-time exponent in N = {slope:.2f}")
-            rows.append({"scheme": scheme, "n": "exponent", "seconds_per_step": slope,
-                         "fft_per_step": "", "fluid_solves_per_step": "",
-                         "dense_solves_per_step": ""})
+            rows.append({"scheme": scheme, "n": "exponent", "seconds_per_step": slope})
     out = _ensure_dir(args.out or output_dir(base))
     path = os.path.join(out, "cost.csv")
+    fields = ("scheme", "n", "seconds_per_step", "fft_per_step", "fluid_solves_per_step",
+              "dense_solves_per_step")
     with open(path, "w") as fh:
-        fh.write("scheme,n,seconds_per_step,fft_per_step,fluid_solves_per_step,dense_solves_per_step\n")
+        fh.write(",".join(fields) + "\n")
         for r in rows:
-            fh.write(",".join(str(r[k]) for k in
-                              ("scheme", "n", "seconds_per_step", "fft_per_step",
-                               "fluid_solves_per_step", "dense_solves_per_step")) + "\n")
+            fh.write(",".join(str(r.get(k, "")) for k in fields) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -247,7 +256,7 @@ def build_parser():
 
     conv = sub.add_parser("convergence", help="temporal convergence study")
     conv.add_argument("--config", help="base config file")
-    conv.add_argument("--dts", required=True,
+    conv.add_argument("--dts", required=True, type=_list_of(_number),
                       help="comma-separated halving chain, e.g. 1/16,1/32,1/64")
     conv.add_argument("--set", action="append", metavar="KEY=VALUE")
     conv.add_argument("--out")
@@ -255,8 +264,10 @@ def build_parser():
 
     sweep = sub.add_parser("sweep", help="stability verdict matrix")
     sweep.add_argument("--config", help="base config file")
-    sweep.add_argument("--n-list", required=True, help="comma-separated grid sizes")
-    sweep.add_argument("--dt-list", default="", help="comma-separated timesteps")
+    sweep.add_argument("--n-list", required=True, type=_list_of(int),
+                       help="comma-separated grid sizes")
+    sweep.add_argument("--dt-list", default="", type=_list_of(_number),
+                       help="comma-separated timesteps")
     sweep.add_argument("--set", action="append", metavar="KEY=VALUE")
     sweep.add_argument("--out")
     sweep.set_defaults(func=cmd_sweep)
@@ -264,8 +275,8 @@ def build_parser():
     cost = sub.add_parser("cost", help="per-step cost scaling report")
     cost.add_argument("--config", help="base config file")
     cost.add_argument("--schemes", required=True, help="comma-separated scheme names")
-    cost.add_argument("--n-list", required=True)
-    cost.add_argument("--steps", type=int, default=3)
+    cost.add_argument("--n-list", required=True, type=_list_of(int))
+    cost.add_argument("--steps", type=_positive_int, default=3)
     cost.add_argument("--set", action="append", metavar="KEY=VALUE")
     cost.add_argument("--out")
     cost.set_defaults(func=cmd_cost)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import inner_product_gamma, inner_product_omega
-from .errors import BlowupError, SolverStallError
+from .errors import BlowupError, ParameterError, SolverStallError
 from .geometry import enclosed_area
 from .schemes import step
 
@@ -114,7 +114,7 @@ def run_convergence_study(run_fn, dt_list):
     dt_list = list(dt_list)
     for a, b in zip(dt_list[:-1], dt_list[1:]):
         if abs(a / b - 2.0) > 1e-12:
-            raise ValueError("dt list must halve at each entry")
+            raise ParameterError(f"dt list must halve at each entry, got {a:g} then {b:g}")
     all_dts = dt_list + [dt_list[-1] / 2.0]
     solutions = [run_fn(dt) for dt in all_dts]
     names = solutions[0].keys()

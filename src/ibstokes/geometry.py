@@ -123,15 +123,18 @@ def evolve_salpha_theta_rhs(state, u_normal, u_tangent):
     return ds_dt, dtheta_dt
 
 
+def anchor_velocity(state, u_normal, u_tangent):
+    """(x, y) velocity rows of the two anchors, a (2, 2) array, from per-node
+    normal and tangential velocities U, V."""
+    j = [0, state.n_nodes // 2]
+    cos, sin = np.cos(state.theta[j]), np.sin(state.theta[j])
+    return np.column_stack([u_tangent[j] * cos - u_normal[j] * sin,
+                            u_tangent[j] * sin + u_normal[j] * cos])
+
+
 def update_reference_points(state, u_normal, u_tangent, dt):
     """Forward-Euler update of the two anchors from per-node U, V arrays."""
-    n = state.n_nodes
-    th = state.theta
-    refs = state.ref_points.copy()
-    for row, j in enumerate((0, n // 2)):
-        refs[row, 0] += dt * (u_tangent[j] * np.cos(th[j]) - u_normal[j] * np.sin(th[j]))
-        refs[row, 1] += dt * (u_tangent[j] * np.sin(th[j]) + u_normal[j] * np.cos(th[j]))
-    return refs
+    return state.ref_points + dt * anchor_velocity(state, u_normal, u_tangent)
 
 
 def reconstruct_curve(state, drift_tol=1e-6):

@@ -65,6 +65,9 @@ class RunConfig:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ParameterError(f"{name}: must be positive and finite, got {v}")
+        if not (type(self.snapshot_every) is int and self.snapshot_every >= 0):  # not bool
+            raise ParameterError("snapshot_every: must be a nonnegative integer, "
+                                 f"got {self.snapshot_every}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
             raise ParameterError(f"t_end: must be nonnegative and finite, got {self.t_end}")
         if not (np.isfinite(self.center_x) and np.isfinite(self.center_y)):

@@ -5,6 +5,11 @@ integrating-factor RK4, and the provably energy-non-increasing two-step
 scheme.  Unsteady flow: explicit, semi-implicit first/second kind, the
 two-step stable scheme, and a midpoint/trapezoidal second-order scheme.
 
+Every scheme couples to the fluid through one per-step map on the frozen
+curve, force -> (U, V, fluid) (``_velocity_map``); steady and unsteady flow
+differ only in the fluid solve behind it and in the leading-order symbols,
+so the explicit and the stable schemes are one stepper each for both flows.
+
 The semi-implicit updates add the implicit leading-order term and subtract
 its explicit counterpart, so every scheme is consistent with the same
 dynamics; only the stability properties differ.  Implicit leading operators
@@ -15,12 +20,10 @@ second-kind circulants are gathered from their first columns, and a
 circulant product from the multipliers' product: O(N_b^2) assembly.  The
 two-step stable schemes form the interface mobility M (force -> interface
 velocity of the frozen curve, one fluid solve per unit force) once per step,
-and both of their implicit systems are dense algebra on it; steady and
-unsteady flow differ only in the fluid solve behind M and the unforced
-velocity.  Above DENSE_MAX nodes they are solved matrix-free by GMRES
-instead, both to the relative residual LINEAR_TOL.
+and both of their implicit systems are dense algebra on it.  Above DENSE_MAX
+nodes they are solved matrix-free by GMRES instead, both to the relative
+residual LINEAR_TOL.
 """
-
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -32,9 +35,9 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from . import bessel, coupling, spectral, stokes
 from .bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_second_order, ssd_symbol_t
 from .errors import BlowupError, ParameterError, SolverStallError
-from .geometry import (InterfaceState, elastic_force, enclosed_area, evolve_salpha_theta_rhs,
-                       init_ellipse, reconstruct_curve, tangent_normal, theta_derivative,
-                       update_reference_points)
+from .geometry import (InterfaceState, anchor_velocity, elastic_force, enclosed_area,
+                       evolve_salpha_theta_rhs, init_ellipse, reconstruct_curve, tangent_normal,
+                       theta_derivative, update_reference_points)
 from .stokes import FluidState, steady_stokes_grid_solve, steady_velocity_on_interface, \
     unsteady_stokes_step
 
@@ -79,12 +82,6 @@ class StepState:
     c_u: float = None             # a start state with c_v = c_u = 1 runs unrescaled
 
 
-def _symbol_wavenumbers(iface):
-    """Physical wavenumbers 2*pi*m/L_b at which the leading-order symbols
-    are evaluated (the convolution analysis lives on the parameter line)."""
-    return spectral.wavenumbers(iface.n_nodes, iface.length)
-
-
 def _fft(x):
     spectral.counters["fft"] += 1
     return np.fft.fft(x)
@@ -93,20 +90,6 @@ def _fft(x):
 def _ifft_real(xh):
     spectral.counters["fft"] += 1
     return np.real(np.fft.ifft(xh))
-
-
-def _check_state(step_index, iface, fluid=None, speed_ref=None):
-    if not (np.all(np.isfinite(iface.s_alpha)) and np.all(np.isfinite(iface.phi))
-            and np.all(np.isfinite(iface.ref_points))):
-        raise BlowupError(step_index, f"non-finite interface state at step {step_index}")
-    if np.any(iface.s_alpha <= 0):
-        raise BlowupError(step_index, f"arclength derivative collapsed at step {step_index}")
-    if fluid is not None:
-        if not (np.all(np.isfinite(fluid.u)) and np.all(np.isfinite(fluid.v))):
-            raise BlowupError(step_index, f"non-finite velocity field at step {step_index}")
-        speed = fluid.max_speed()
-        if speed_ref is not None and speed > BLOWUP_FACTOR * speed_ref:
-            raise BlowupError(step_index, f"velocity grew {BLOWUP_FACTOR:g}x at step {step_index}")
 
 
 def _grid_uv(fluid):
@@ -120,40 +103,55 @@ def _project_velocity(uv, tau, nrm):
     return u_n, u_t
 
 
-def steady_interface_velocity(iface, curve, stencils, phys, grid, cfg, force=None):
-    """(U, V) = normal/tangential interface velocity of the steady flow.
+def _fluid_solve(fluid, phys, grid, cfg):
+    """The scheme's fluid solve f_grid -> fluid: steady Stokes from rest, or
+    one unsteady step from ``fluid`` (None: from rest)."""
+    if cfg.scheme in STEADY_SCHEMES:
+        return lambda f_grid: steady_stokes_grid_solve(f_grid, phys.mu, grid)
+    return lambda f_grid: unsteady_stokes_step(fluid, f_grid, phys.rho, phys.mu, cfg.dt, grid)
 
-    Backend "grid": spread the force through the curve's ``stencils``, solve
-    steady Stokes spectrally, interpolate back (this is what reproduces the
-    reported stability behavior).  Backend "integral": the free-space
-    single-layer formula on ``curve``.
-    """
-    if force is None:
-        force = elastic_force(iface, phys.elastic)
-    tau, nrm = tangent_normal(iface)
-    if cfg.steady_velocity == "integral":
-        u, v = steady_velocity_on_interface(curve, force, phys.mu, iface.s_alpha,
-                                            iface.theta, iface.length)
-        uv = np.column_stack([u, v])
-    else:
-        f_grid = coupling.spread(stencils, force, grid)
-        fluid = steady_stokes_grid_solve(f_grid, phys.mu, grid)
+
+def _velocity_map(state, tau, nrm, phys, grid, cfg):
+    """The step's map force -> (U, V, fluid) on the frozen ``state.curve``,
+    U and V in the node frames ``nrm``, ``tau``.  Unsteady flow advances
+    ``state.fluid`` one step.  Steady flow keeps no fluid (None): backend
+    "grid" spreads, solves from rest and interpolates (this reproduces the
+    reported stability behavior), "integral" uses the single-layer formula."""
+    iface, curve = state.interface, state.curve
+    steady = cfg.scheme in STEADY_SCHEMES
+    if steady and cfg.steady_velocity == "integral":
+        def velocity(force):
+            u, v = steady_velocity_on_interface(curve, force, phys.mu, iface.s_alpha,
+                                                iface.theta, iface.length)
+            return (*_project_velocity(np.column_stack([u, v]), tau, nrm), None)
+        return velocity
+    stencils = coupling.delta_stencils(curve, grid)
+    solve = _fluid_solve(state.fluid, phys, grid, cfg)
+
+    def velocity(force):
+        fluid = solve(coupling.spread(stencils, force, grid))
         uv = coupling.interpolate(stencils, _grid_uv(fluid), grid)
-    return _project_velocity(uv, tau, nrm)
+        return (*_project_velocity(uv, tau, nrm), None if steady else fluid)
+    return velocity
 
 
 def _finish(state, cfg, s_new, phi_new, refs, fluid=None):
-    if np.any(~np.isfinite(s_new)) or np.any(s_new <= 0):
-        raise BlowupError(state.step + 1,
-                          f"arclength derivative lost positivity at step {state.step + 1}")
-    iface = InterfaceState(s_new, phi_new, refs, state.interface.length)
-    _check_state(state.step + 1, iface, fluid, state.speed_ref)
-    curve = reconstruct_curve(iface, drift_tol=DRIFT_TOL)
+    k = state.step + 1
+    if not (np.all(np.isfinite(s_new) & (s_new > 0)) and np.all(np.isfinite(phi_new))
+            and np.all(np.isfinite(refs))):
+        raise BlowupError(k, f"non-finite interface or collapsed arclength at step {k}")
     speed_ref = state.speed_ref
-    if fluid is not None and speed_ref is None:
-        speed_ref = max(fluid.max_speed(), 1e-12)
-    return StepState(iface, curve, fluid, state.t + cfg.dt, state.step + 1, speed_ref,
-                     state.c_v, state.c_u)
+    if fluid is not None:
+        speed = fluid.max_speed()
+        if not np.isfinite(speed):
+            raise BlowupError(k, f"non-finite velocity field at step {k}")
+        if speed_ref is None:
+            speed_ref = max(speed, 1e-12)
+        elif speed > BLOWUP_FACTOR * speed_ref:
+            raise BlowupError(k, f"velocity grew {BLOWUP_FACTOR:g}x at step {k}")
+    iface = InterfaceState(s_new, phi_new, refs, state.interface.length)
+    curve = reconstruct_curve(iface, drift_tol=DRIFT_TOL)
+    return StepState(iface, curve, fluid, state.t + cfg.dt, k, speed_ref, state.c_v, state.c_u)
 
 
 def _semi_implicit(x, rhs, lead, dt, ref=None, theta=1.0):
@@ -168,23 +166,34 @@ def _semi_implicit(x, rhs, lead, dt, ref=None, theta=1.0):
                       / (1.0 / dt - theta * lead))
 
 
-# ---------------------------------------------------------------------------
-# steady schemes
-# ---------------------------------------------------------------------------
+def _force_linear_part(s, tau, nrm, dth_n, elastic, length):
+    """Elastic force as a function of s_alpha with the angle frozen."""
+    ds = spectral.derivative_1d(s, 1, period=length)
+    return elastic * (ds[:, None] * tau + (s * dth_n)[:, None] * nrm)
 
-def step_explicit_steady(state, phys, grid, cfg):
+
+def _frozen_angle_force(s, tau, nrm, dth_n, elastic, length):
+    """Elastic force F(s, theta^n) of the stretch s on the frozen angle."""
+    return _force_linear_part(s, tau, nrm, dth_n, elastic, length) \
+        - elastic * dth_n[:, None] * nrm
+
+
+def step_explicit(state, phys, grid, cfg):
+    """Forward Euler, in steady or unsteady flow."""
     iface = state.interface
-    stencils = coupling.delta_stencils(state.curve, grid)
-    u_n, u_t = steady_interface_velocity(iface, state.curve, stencils, phys, grid, cfg)
+    tau, nrm = tangent_normal(iface)
+    u_n, u_t, fluid1 = _velocity_map(state, tau, nrm, phys, grid, cfg)(
+        elastic_force(iface, phys.elastic))
     ds, dth = evolve_salpha_theta_rhs(iface, u_n, u_t)
     refs = update_reference_points(iface, u_n, u_t, cfg.dt)
-    return _finish(state, cfg, iface.s_alpha + cfg.dt * ds, iface.phi + cfg.dt * dth, refs)
+    return _finish(state, cfg, iface.s_alpha + cfg.dt * ds, iface.phi + cfg.dt * dth,
+                   refs, fluid1)
 
 
 def _steady_rates(iface, phys):
     """Hilbert-transform decay rates of the steady leading terms:
     eta = (S_b/4mu)|kappa| for s_alpha and xi = gamma * eta for the angle."""
-    kappa = _symbol_wavenumbers(iface)
+    kappa = spectral.wavenumbers(iface.n_nodes, iface.length)
     eta = phys.elastic / (4.0 * phys.mu) * np.abs(kappa)
     gamma = float(np.max(1.0 - 1.0 / iface.s_alpha))
     return eta, gamma * eta, gamma
@@ -210,7 +219,7 @@ def step_ssd1_steady(state, phys, grid, cfg):
     Hilbert-transform leading terms (``_steady_rates``), as in
     Hou-Lowengrub-Shelley, with two choices beyond that:
 
-    (a) Like the stable building block (``step_stable_steady``, Step 2) and
+    (a) Like the stable building block (``_step_stable``, Step 2) and
         the unsteady twin (``step_ssd1_unsteady``), the angle and anchor
         updates take the velocity of F(s^{n+1}, theta^n), which costs a
         second grid solve per step.
@@ -227,18 +236,16 @@ def step_ssd1_steady(state, phys, grid, cfg):
     """
     iface = state.interface
     dt = cfg.dt
-    stencils = coupling.delta_stencils(state.curve, grid)
-    u_n, u_t = steady_interface_velocity(iface, state.curve, stencils, phys, grid, cfg)
-    eta, xi, _ = _steady_rates(iface, phys)
     tau, nrm = tangent_normal(iface)
+    velocity = _velocity_map(state, tau, nrm, phys, grid, cfg)
+    u_n, u_t, _ = velocity(elastic_force(iface, phys.elastic))
+    eta, xi, _ = _steady_rates(iface, phys)
     dth = theta_derivative(iface)
     rhs_s = spectral.derivative_1d(u_t, 1, period=iface.length) - dth * u_n
     s_new = _semi_implicit(iface.s_alpha, rhs_s, -eta, dt)
 
-    force1 = _force_linear_part(s_new, tau, nrm, dth, phys.elastic, iface.length) \
-        - phys.elastic * dth[:, None] * nrm
-    u_n1, u_t1 = steady_interface_velocity(iface, state.curve, stencils, phys, grid, cfg,
-                                           force=force1)
+    u_n1, u_t1, _ = velocity(_frozen_angle_force(s_new, tau, nrm, dth, phys.elastic,
+                                                 iface.length))
     # the angle update divides the explicit terms by the new s_alpha
     rhs_phi = (spectral.derivative_1d(u_n1, 1, period=iface.length) + u_t1 * dth) / s_new
     phi_new = _semi_implicit(iface.phi, rhs_phi, -xi, dt)
@@ -281,18 +288,13 @@ def step_ifrk4_steady(state, phys, grid, cfg):
         if np.any(s <= 0) or not np.all(np.isfinite(s)):
             raise BlowupError(state.step + 1, "stage state degenerate inside RK4")
         stage_if = InterfaceState(s, phi, iface.ref_points, iface.length)
-        stage_curve = reconstruct_curve(stage_if, drift_tol=np.inf)
-        u_n, u_t = steady_interface_velocity(stage_if, stage_curve,
-                                             coupling.delta_stencils(stage_curve, grid),
-                                             phys, grid, cfg)
+        stage = replace(state, interface=stage_if,
+                        curve=reconstruct_curve(stage_if, drift_tol=np.inf))
+        tau, nrm = tangent_normal(stage_if)
+        u_n, u_t, _ = _velocity_map(stage, tau, nrm, phys, grid, cfg)(
+            elastic_force(stage_if, phys.elastic))
         ds, dth = evolve_salpha_theta_rhs(stage_if, u_n, u_t)
-        # anchor velocities (x, y) at the two reference nodes for this stage
-        th = stage_if.theta
-        vel = np.empty((2, 2))
-        for row, j in enumerate((0, nb // 2)):
-            vel[row, 0] = u_t[j] * np.cos(th[j]) - u_n[j] * np.sin(th[j])
-            vel[row, 1] = u_t[j] * np.sin(th[j]) + u_n[j] * np.cos(th[j])
-        stage_vel.append(vel)
+        stage_vel.append(anchor_velocity(stage_if, u_n, u_t))
         return np.concatenate([_fft(ds) + eta * y[:nb], _fft(dth) + xi * y[nb:]])
 
     y0 = np.concatenate([_fft(iface.s_alpha), _fft(iface.phi)])
@@ -351,8 +353,9 @@ def step_ssd2_steady(state, phys, grid, cfg):
     iface = state.interface
     dt = cfg.dt
     nb = iface.n_nodes
-    stencils = coupling.delta_stencils(state.curve, grid)
-    u_n, u_t = steady_interface_velocity(iface, state.curve, stencils, phys, grid, cfg)
+    tau, nrm = tangent_normal(iface)
+    u_n, u_t, _ = _velocity_map(state, tau, nrm, phys, grid, cfg)(
+        elastic_force(iface, phys.elastic))
     dth = theta_derivative(iface)
     eta, _, gamma = _steady_rates(iface, phys)
     lam_abs = _circulant_from_multiplier(eta)         # (S_b/4mu)|kappa|
@@ -361,14 +364,12 @@ def step_ssd2_steady(state, phys, grid, cfg):
     c = phys.elastic / (4.0 * np.pi * phys.mu)
 
     # s system: ds/dt = -(S_b/4mu) H D s - theta_a * U_lead(s) + explicit pair
-    # with U_lead(s) = -c * int ln|a-a'| (s-1) theta_a da'
-    def t_lead(s):
-        return -(lam_abs @ s) + c * dth * (log_mat @ ((s - 1.0) * dth))
-
+    # with U_lead(s) = -c * int ln|a-a'| (s-1) theta_a da'; the constant parts
+    # of the implicit and explicit leading terms cancel, leaving t_lin s
     t_lin = -lam_abs + c * (dth[:, None] * log_mat * dth[None, :])
     rhs_expl = spectral.derivative_1d(u_t, 1, period=iface.length) - dth * u_n
     a_s = np.eye(nb) / dt - t_lin
-    b_s = iface.s_alpha / dt + rhs_expl - t_lead(iface.s_alpha) + (t_lead(np.zeros(nb)))
+    b_s = iface.s_alpha / dt + rhs_expl - t_lin @ iface.s_alpha
     s_new = _dense_solve(a_s, b_s, state.step + 1)
 
     # angle system: implicit -gamma|kappa| leading term plus implicit transport
@@ -391,12 +392,6 @@ def _solve_linear(lin, b, step_index):
     if info != 0:
         raise SolverStallError(f"GMRES stalled (info={info}) at step {step_index}")
     return x
-
-
-def _force_linear_part(s, tau, nrm, dth_n, elastic, length):
-    """Elastic force as a function of s_alpha with the angle frozen."""
-    ds = spectral.derivative_1d(s, 1, period=length)
-    return elastic * (ds[:, None] * tau + (s * dth_n)[:, None] * nrm)
 
 
 def _interface_mobility(stencils, solve, grid):
@@ -514,32 +509,11 @@ def _step_stable(state, phys, grid, cfg, solve, advance=None):
     return _finish(state, cfg, s_new, phi_new, refs, fluid1)
 
 
-def step_stable_steady(state, phys, grid, cfg):
-    return _step_stable(state, phys, grid, cfg,
-                        lambda f_grid: steady_stokes_grid_solve(f_grid, phys.mu, grid))
-
-
-# ---------------------------------------------------------------------------
-# unsteady schemes
-# ---------------------------------------------------------------------------
-
-def _interp_split(stencils, fluid, grid, tau, nrm):
-    uv = coupling.interpolate(stencils, _grid_uv(fluid), grid)
-    return _project_velocity(uv, tau, nrm)
-
-
-def step_explicit_unsteady(state, phys, grid, cfg):
-    iface = state.interface
-    tau, nrm = tangent_normal(iface)
-    force = elastic_force(iface, phys.elastic)
-    stencils = coupling.delta_stencils(state.curve, grid)
-    f_grid = coupling.spread(stencils, force, grid)
-    fluid1 = unsteady_stokes_step(state.fluid, f_grid, phys.rho, phys.mu, cfg.dt, grid)
-    u_n, u_t = _interp_split(stencils, fluid1, grid, tau, nrm)
-    ds, dth = evolve_salpha_theta_rhs(iface, u_n, u_t)
-    refs = update_reference_points(iface, u_n, u_t, cfg.dt)
-    return _finish(state, cfg, iface.s_alpha + cfg.dt * ds, iface.phi + cfg.dt * dth,
-                   refs, fluid1)
+def step_stable(state, phys, grid, cfg):
+    """Two-step stable scheme; unsteady flow also advances the current fluid."""
+    steady = cfg.scheme in STEADY_SCHEMES
+    advance = None if steady else _fluid_solve(state.fluid, phys, grid, cfg)
+    return _step_stable(state, phys, grid, cfg, _fluid_solve(None, phys, grid, cfg), advance)
 
 
 def _rescaling_coefficient(stored, observed, leading, label):
@@ -551,7 +525,7 @@ def _rescaling_coefficient(stored, observed, leading, label):
     denom = float(np.max(np.abs(leading())))
     if denom < 1e-14 * max(1.0, float(np.max(np.abs(observed)))) or denom == 0.0:
         warnings.warn(f"rescaling disabled for {label}: leading term is zero",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=2)
         return 1.0
     return float(np.max(np.abs(observed))) / denom
 
@@ -571,39 +545,15 @@ def _velocity_level_lead(symbol, kappa, phi, s_min):
     return _ifft_real(out)
 
 
-def _ssd_star_solve(state, stencils, phys, grid, cfg):
-    """Shared first stage of the unsteady SSD schemes: the explicit-force
-    fluid solve, its interface velocities, and the symbol parameters."""
-    iface = state.interface
-    tau, nrm = tangent_normal(iface)
-    force = elastic_force(iface, phys.elastic)
-    f_grid = coupling.spread(stencils, force, grid)
-    fluid_star = unsteady_stokes_step(state.fluid, f_grid, phys.rho, phys.mu, cfg.dt, grid)
-    u_n_star, u_t_star = _interp_split(stencils, fluid_star, grid, tau, nrm)
-    p = SsdSymbolParams.from_state(iface.s_alpha, phys.elastic, phys.mu, phys.rho, cfg.dt)
-    kappa = _symbol_wavenumbers(iface)
-    return tau, nrm, u_n_star, u_t_star, p, kappa
-
-
-def _ssd_update_solve(state, stencils, phys, grid, cfg, s_new, tau, nrm, dth, u_lead):
-    """Shared second stage of the unsteady SSD schemes: the fluid solve with
-    the force F(s^{n+1}, theta^n), its interface velocities (U, V), and C_U
-    against the leading-order normal velocity ``u_lead()``."""
-    iface = state.interface
-    force1 = _force_linear_part(s_new, tau, nrm, dth, phys.elastic, iface.length) \
-        - phys.elastic * dth[:, None] * nrm
-    fluid1 = unsteady_stokes_step(state.fluid, coupling.spread(stencils, force1, grid),
-                                  phys.rho, phys.mu, cfg.dt, grid)
-    u_n1, u_t1 = _interp_split(stencils, fluid1, grid, tau, nrm)
-    c_u = _rescaling_coefficient(state.c_u, u_n1, u_lead, "C_U")
-    return fluid1, u_n1, u_t1, c_u
-
-
 def step_ssd1_unsteady(state, phys, grid, cfg):
+    """First-kind SSD step: s_alpha through F^n, the angle through F(s^{n+1}, theta^n)."""
     iface = state.interface
     dt = cfg.dt
-    stencils = coupling.delta_stencils(state.curve, grid)
-    tau, nrm, u_n_star, u_t_star, p, kappa = _ssd_star_solve(state, stencils, phys, grid, cfg)
+    tau, nrm = tangent_normal(iface)
+    velocity = _velocity_map(state, tau, nrm, phys, grid, cfg)
+    u_n_star, u_t_star, _ = velocity(elastic_force(iface, phys.elastic))
+    p = SsdSymbolParams.from_state(iface.s_alpha, phys.elastic, phys.mu, phys.rho, dt)
+    kappa = spectral.wavenumbers(iface.n_nodes, iface.length)
     t_hat = ssd_symbol_t(kappa, p)
     s_hat_sym = ssd_symbol_s(kappa, p)
     dth = theta_derivative(iface)
@@ -613,9 +563,10 @@ def step_ssd1_unsteady(state, phys, grid, cfg):
                                  lambda: _ifft_real(t_hat * _fft(iface.s_alpha)), "C_V")
     s_new = _semi_implicit(iface.s_alpha, rhs_s, c_v * t_hat, dt)
 
-    fluid1, u_n1, u_t1, c_u = _ssd_update_solve(
-        state, stencils, phys, grid, cfg, s_new, tau, nrm, dth,
-        lambda: _velocity_level_lead(s_hat_sym, kappa, iface.phi, p.s_min))
+    u_n1, u_t1, fluid1 = velocity(_frozen_angle_force(s_new, tau, nrm, dth, phys.elastic,
+                                                      iface.length))
+    c_u = _rescaling_coefficient(state.c_u, u_n1, lambda: _velocity_level_lead(
+        s_hat_sym, kappa, iface.phi, p.s_min), "C_U")
     rhs_phi = (spectral.derivative_1d(u_n1, 1, period=iface.length) + u_t1 * dth) / s_new
     # the leading angle operator is S/min(s); the explicit counterpart must
     # carry the same factor or the homogeneous high-k multiplier becomes
@@ -629,8 +580,11 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
     iface = state.interface
     dt = cfg.dt
     nb = iface.n_nodes
-    stencils = coupling.delta_stencils(state.curve, grid)
-    tau, nrm, u_n_star, u_t_star, p, kappa = _ssd_star_solve(state, stencils, phys, grid, cfg)
+    tau, nrm = tangent_normal(iface)
+    velocity = _velocity_map(state, tau, nrm, phys, grid, cfg)
+    u_n_star, u_t_star, _ = velocity(elastic_force(iface, phys.elastic))
+    p = SsdSymbolParams.from_state(iface.s_alpha, phys.elastic, phys.mu, phys.rho, dt)
+    kappa = spectral.wavenumbers(iface.n_nodes, iface.length)
     t_hat = ssd_symbol_t(kappa, p)
     s_hat_sym = ssd_symbol_s(kappa, p)
     dth = theta_derivative(iface)
@@ -645,35 +599,28 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
     t_mat = _circulant_from_multiplier(t_hat)
     pref = -(phys.elastic * dt) / (2.0 * np.pi)
     coef = dth / iface.s_alpha**2
+    s0 = iface.s_alpha
 
-    def t2_lead(s):
-        return t_mat @ s + pref * coef * (kd2 @ ((s - 1.0) * dth))
-
+    # the leading term t_mat s + pref coef kd2 ((s - 1) theta_a) is affine in s;
+    # its constant part cancels between the implicit and explicit sides
     t2_lin = t_mat + pref * (coef[:, None] * kd2 * dth[None, :])
     dv_star = spectral.derivative_1d(u_t_star, 1, period=iface.length)
-    c_v = _rescaling_coefficient(state.c_v, dv_star,
-                                 lambda: t2_lead(iface.s_alpha), "C_V")
+    c_v = _rescaling_coefficient(
+        state.c_v, dv_star, lambda: t_mat @ s0 + pref * coef * (kd2 @ ((s0 - 1.0) * dth)), "C_V")
     rhs_s = dv_star - dth * u_n_star
     a_s = np.eye(nb) / dt - c_v * t2_lin
-    b_s = iface.s_alpha / dt + rhs_s - c_v * (t2_lead(iface.s_alpha) - t2_lead(np.zeros(nb)))
+    b_s = s0 / dt + rhs_s - c_v * (t2_lin @ s0)
     s_new = _dense_solve(a_s, b_s, state.step + 1)
 
-    fluid1, u_n1, u_t1, c_u = _ssd_update_solve(
-        state, stencils, phys, grid, cfg, s_new, tau, nrm, dth,
-        lambda: _velocity_level_lead(s_hat_sym, kappa, iface.phi, p.s_min))
+    u_n1, u_t1, fluid1 = velocity(_frozen_angle_force(s_new, tau, nrm, dth, phys.elastic,
+                                                      iface.length))
+    c_u = _rescaling_coefficient(state.c_u, u_n1, lambda: _velocity_level_lead(
+        s_hat_sym, kappa, iface.phi, p.s_min), "C_U")
     # angle system: diagonal leading term plus implicit transport (V/s) D theta
     s_mat = _circulant_from_multiplier(c_u * s_hat_sym / float(np.min(s_new)))
     phi_new = _angle_transport_solve(iface, s_mat, u_n1, u_t1, s_new, dt, state.step + 1)
     refs = update_reference_points(iface, u_n1, u_t1, dt)
     return _finish(replace(state, c_v=c_v, c_u=c_u), cfg, s_new, phi_new, refs, fluid1)
-
-
-def step_stable_unsteady(state, phys, grid, cfg):
-    def advance(fluid, f_grid):
-        return unsteady_stokes_step(fluid, f_grid, phys.rho, phys.mu, cfg.dt, grid)
-
-    return _step_stable(state, phys, grid, cfg, lambda f_grid: advance(None, f_grid),
-                        lambda f_grid: advance(state.fluid, f_grid))
 
 
 def step_second_order_unsteady(state, phys, grid, cfg):
@@ -693,33 +640,26 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     tau_h, nrm_h = tangent_normal(iface_h)
     dth_h = theta_derivative(iface_h)
 
-    lam_bar = np.sqrt(2.0 * phys.rho / (phys.mu * dt))
-    p2 = SsdSymbolParams(elastic=phys.elastic, mu=phys.mu, rho=phys.rho, dt=dt,
-                         lam=lam_bar, s_min=float(np.min(iface_h.s_alpha)),
-                         s_max_excess=float(np.max(iface_h.s_alpha - 1.0)),
-                         gamma=float(np.max(1.0 - 1.0 / iface_h.s_alpha)))
-    kappa = _symbol_wavenumbers(iface)
+    p2 = replace(SsdSymbolParams.from_state(iface_h.s_alpha, phys.elastic, phys.mu, phys.rho, dt),
+                 lam=np.sqrt(2.0 * phys.rho / (phys.mu * dt)))
+    kappa = spectral.wavenumbers(iface.n_nodes, iface.length)
     t2_hat, s2_hat = ssd_symbol_second_order(kappa, p2)
 
-    # trapezoidal explicit-force solve anchored at the midpoint curve
-    force_h = elastic_force(iface_h, phys.elastic)
-    fluid_star = unsteady_stokes_step(state.fluid, coupling.spread(stencils_h, force_h, grid),
-                                      phys.rho, phys.mu, dt, grid, theta=0.5)
-    uv_bar_star = 0.5 * (_grid_uv(fluid_star) + _grid_uv(state.fluid))
-    uvs = coupling.interpolate(stencils_h, uv_bar_star, grid)
-    u_n_star, u_t_star = _project_velocity(uvs, tau_h, nrm_h)
+    def centered_velocity(force):
+        # trapezoidal solve on the midpoint curve, (U, V) of (u^n + u^{n+1})/2
+        fluid = unsteady_stokes_step(state.fluid, coupling.spread(stencils_h, force, grid),
+                                     phys.rho, phys.mu, dt, grid, theta=0.5)
+        uv = coupling.interpolate(stencils_h, 0.5 * (_grid_uv(fluid) + _grid_uv(state.fluid)),
+                                  grid)
+        return (*_project_velocity(uv, tau_h, nrm_h), fluid)
 
+    u_n_star, u_t_star, _ = centered_velocity(elastic_force(iface_h, phys.elastic))
     rhs_s = spectral.derivative_1d(u_t_star, 1, period=iface.length) - dth_h * u_n_star
     s_new = _semi_implicit(iface.s_alpha, rhs_s, t2_hat, dt, ref=iface_h.s_alpha, theta=0.5)
 
     s_bar = 0.5 * (s_new + iface.s_alpha)
-    force_bar = _force_linear_part(s_bar, tau_h, nrm_h, dth_h, phys.elastic, iface.length) \
-        - phys.elastic * dth_h[:, None] * nrm_h
-    fluid1 = unsteady_stokes_step(state.fluid, coupling.spread(stencils_h, force_bar, grid),
-                                  phys.rho, phys.mu, dt, grid, theta=0.5)
-    uv_bar = 0.5 * (_grid_uv(fluid1) + _grid_uv(state.fluid))
-    uvb = coupling.interpolate(stencils_h, uv_bar, grid)
-    u_n_bar, u_t_bar = _project_velocity(uvb, tau_h, nrm_h)
+    u_n_bar, u_t_bar, fluid1 = centered_velocity(
+        _frozen_angle_force(s_bar, tau_h, nrm_h, dth_h, phys.elastic, iface.length))
 
     # the angle leading operator carries 1/min(s) on both the implicit
     # midpoint term and its explicit counterpart so the pair cancels to
@@ -736,15 +676,15 @@ def step_second_order_unsteady(state, phys, grid, cfg):
 
 
 _STEPPERS = {
-    "explicit_steady": step_explicit_steady,
+    "explicit_steady": step_explicit,
     "ssd1_steady": step_ssd1_steady,
     "ssd2_steady": step_ssd2_steady,
     "ifrk4_steady": step_ifrk4_steady,
-    "stable_steady": step_stable_steady,
-    "explicit_unsteady": step_explicit_unsteady,
+    "stable_steady": step_stable,
+    "explicit_unsteady": step_explicit,
     "ssd1_unsteady": step_ssd1_unsteady,
     "ssd2_unsteady": step_ssd2_unsteady,
-    "stable_unsteady": step_stable_unsteady,
+    "stable_unsteady": step_stable,
     "second_order_unsteady": step_second_order_unsteady,
 }
 

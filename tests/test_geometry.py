@@ -164,6 +164,21 @@ class TestReferencePoints:
         assert refs[0, 0] == pytest.approx(-0.05)
         assert refs[0, 1] == pytest.approx(0.0, abs=1e-15)
 
+    def test_anchor_velocity_matches_node_loop(self):
+        # the vectorised rows equal the per-anchor scalar formula bitwise, so
+        # anchor updates built on them keep their arithmetic
+        rng = np.random.default_rng(3)
+        for n in (16, 64, 320):
+            state = InterfaceState(1.0 + 0.1 * rng.random(n), rng.normal(size=n),
+                                   rng.random((2, 2)), 2 * np.pi * 0.2)
+            u_n, u_t = rng.normal(size=n), rng.normal(size=n)
+            th = state.theta
+            want = np.empty((2, 2))
+            for row, j in enumerate((0, n // 2)):
+                want[row] = (u_t[j] * np.cos(th[j]) - u_n[j] * np.sin(th[j]),
+                             u_t[j] * np.sin(th[j]) + u_n[j] * np.cos(th[j]))
+            assert np.array_equal(geometry.anchor_velocity(state, u_n, u_t), want)
+
 
 class TestReconstruct:
     def test_circle_exact(self):

@@ -1,6 +1,5 @@
 import json
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,7 +164,10 @@ class TestCli:
         assert len(lines) == 2  # header + initial row only
 
     @pytest.mark.parametrize("key, value", [("dt", "nan"), ("t_end", "inf"), ("mu", "nan"),
-                                            ("rescale", "false"), ("tol", "1e-8")])
+                                            ("rescale", "false"), ("tol", "1e-8"),
+                                            ("snapshot_every", "-1"),
+                                            ("snapshot_every", "2.5"),
+                                            ("snapshot_every", "true")])
     def test_bad_value_or_removed_key_is_usage_error(self, key, value, tmp_path, capsys):
         # non-finite values are refused before the run starts, and the
         # removed options are unknown keys; either way the message names the key
@@ -173,6 +175,21 @@ class TestCli:
                             "--set", f"{key}={value}", "--out", str(tmp_path))
         assert code == 64
         assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, named", [
+        (("convergence", "--dts", "1/0"), "--dts"),
+        (("convergence", "--dts", "abc"), "--dts"),
+        (("convergence", "--dts", "1/4,1/6"), "halve"),
+        (("sweep", "--n-list", "16,x"), "--n-list"),
+        (("sweep", "--n-list", "16", "--dt-list", "1/8,x"), "--dt-list"),
+        (("cost", "--schemes", "ssd1_unsteady", "--n-list", "16", "--steps", "0"), "--steps"),
+    ], ids=["dts-zero-denominator", "dts-not-a-number", "dts-not-halving", "n-list-not-an-int",
+            "dt-list-not-a-number", "steps-zero"])
+    def test_malformed_list_is_usage_error(self, argv, named, tmp_path, capsys):
+        # refused before any run, with a message that names the flag
+        assert self.run_cli(*argv, "--out", str(tmp_path)) == 64
+        assert named in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_instability_exit_code(self, tmp_path):
@@ -255,37 +272,32 @@ class TestCli:
         assert len(rows) >= 4  # two sizes + exponent row
 
 
-def test_explicit_vs_ssd1_fluid_solve_counts():
-    # instrumented counters: ssd1 does one extra fluid solve per step
+# solves per step: (fluid solves per boundary node, other fluid solves, dense
+# solves).  The stable schemes solve once per column of the mobility M
+# (2 per node), plus the right-hand sides, the Step-1 velocity and, in
+# unsteady flow, the unforced velocity.
+SOLVES_PER_STEP = {
+    "explicit_steady": (0, 1, 0), "ssd1_steady": (0, 2, 0), "ssd2_steady": (0, 1, 2),
+    "ifrk4_steady": (0, 4, 0), "stable_steady": (2, 3, 2),
+    "explicit_unsteady": (0, 1, 0), "ssd1_unsteady": (0, 2, 0), "ssd2_unsteady": (0, 2, 2),
+    "stable_unsteady": (2, 4, 2), "second_order_unsteady": (0, 4, 0),
+}
+
+
+@pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)
+def test_stable_scheme_fluid_solves_per_step(scheme):
+    # counted over the second step, after the first has fixed C_V and C_U
     from ibstokes import stokes
-    config = RunConfig(scheme="explicit_unsteady", n=32, dt=0.01, t_end=0.05)
-    phys, grid = config.phys(), config.grid()
-
-    def count(scheme):
-        cfg = schemes.SchemeConfig(scheme=scheme, dt=0.01)
-        state = replace(schemes.initial_state(phys, grid), c_v=1.0, c_u=1.0)
-        stokes.reset_counters()
-        for s in schemes.simulate(state, phys, grid, cfg, 5):
-            pass
-        return stokes.counters["fluid_solves"] / 5
-
-    assert abs(count("explicit_unsteady") - count("ssd1_unsteady")) <= 1.0
-
-
-@pytest.mark.parametrize("scheme, extra", [("stable_steady", 3), ("stable_unsteady", 4)],
-                         ids=["stable_steady", "stable_unsteady"])
-def test_stable_scheme_fluid_solves_per_step(scheme, extra):
-    # one solve per column of the mobility M, plus the right-hand sides, the
-    # Step-1 velocity and (unsteady) the unforced velocity; two dense solves
-    from ibstokes import stokes
-    config = RunConfig(scheme=scheme, n=32, dt=0.05, t_end=0.05)
-    phys, grid = config.phys(), config.grid()
-    cfg = config.scheme_config()
-    state = schemes.initial_state(phys, grid)
+    steady = scheme in schemes.STEADY_SCHEMES
+    config = RunConfig(scheme=scheme, n=32, dt=0.1 if steady else 0.01,
+                       mu=1.0 if steady else 0.01)
+    phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
+    state = schemes.step(config.initial_state(), phys, grid, cfg)
     stokes.reset_counters()
     schemes.step(state, phys, grid, cfg)
-    assert stokes.counters["fluid_solves"] == 2 * grid.n_boundary + extra
-    assert stokes.counters["dense_solves"] == 2
+    per_node, other, dense = SOLVES_PER_STEP[scheme]
+    assert stokes.counters["fluid_solves"] == per_node * grid.n_boundary + other
+    assert stokes.counters["dense_solves"] == dense
 
 
 @pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)
