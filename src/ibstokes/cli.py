@@ -17,8 +17,7 @@ import numpy as np
 
 from . import diagnostics, schemes, spectral, stokes
 from .errors import BlowupError, IBStokesError, ParameterError, SolverStallError
-from .io import (RunConfig, _parse_value, load_run_config, output_dir, save_snapshot,
-                 write_diagnostics_csv)
+from .io import _parse_value, load_run_config, output_dir, save_snapshot, write_diagnostics_csv
 from .presets import PRESETS
 
 EXIT_OK = 0
@@ -92,9 +91,7 @@ def execute_run(config, out_dir):
                 save_snapshot(os.path.join(out_dir, f"{name}-step{k + 1}.json"),
                               state, config)
     except (BlowupError, SolverStallError) as exc:
-        records.append(diagnostics.DiagnosticsRecord(
-            records[-1].step + 1, np.nan, np.nan, np.nan, np.nan, np.nan,
-            np.nan, np.nan, np.nan, stable=False))
+        records.append(diagnostics.DiagnosticsRecord.failure(records[-1].step + 1))
         code = EXIT_UNSTABLE if isinstance(exc, BlowupError) else EXIT_SOLVER
     else:
         save_snapshot(os.path.join(out_dir, f"{name}-final.json"), state, config)

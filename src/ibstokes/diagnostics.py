@@ -40,6 +40,11 @@ class DiagnosticsRecord:
 
     CSV_HEADER = "step,t,K,P,E,area,max_u,min_salpha,max_salpha,stable"
 
+    @classmethod
+    def failure(cls, step):
+        """The row of a step that failed: every value NaN, flagged unstable."""
+        return cls(step, *[np.nan] * 8, stable=False)
+
     def csv_row(self):
         nums = (self.t, self.kinetic, self.potential, self.total, self.area,
                 self.max_u, self.min_salpha, self.max_salpha)
@@ -79,9 +84,7 @@ def stability_probe(state, phys, grid, cfg, n_steps):
         try:
             state = step(state, phys, grid, cfg)
         except (BlowupError, SolverStallError):
-            records.append(DiagnosticsRecord(records[-1].step + 1, np.nan, np.nan,
-                                             np.nan, np.nan, np.nan, np.nan,
-                                             np.nan, np.nan, stable=False))
+            records.append(DiagnosticsRecord.failure(records[-1].step + 1))
             return "unstable", records, None
         rec = record_state(state, phys, grid)
         if (not np.isfinite(rec.total)) or rec.total > 10.0 * e0 \

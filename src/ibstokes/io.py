@@ -9,12 +9,12 @@ exactly, so save/load is lossless.
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import CurveSamples, InterfaceState, reconstruct_curve
+from .geometry import InterfaceState, reconstruct_curve
 from .grids import GridSpec
 from .params import PhysParams
 from .schemes import SchemeConfig, StepState, initial_state
@@ -44,7 +44,6 @@ class RunConfig:
     center_x: float = 0.5
     center_y: float = 0.5
     rest_radius: float = 0.2
-    steady_velocity: str = "grid"
     snapshot_every: int = 0         # 0: final snapshot only
     output_dir: str = "out"
     label: str = ""
@@ -55,7 +54,7 @@ class RunConfig:
         self.validate()
 
     def validate(self):
-        """Check the run's values; SchemeConfig checks scheme, dt and steady_velocity."""
+        """Check the run's values; SchemeConfig checks scheme and dt."""
         for name in ("n", "n_boundary"):
             v = getattr(self, name)
             if not isinstance(v, int) or v <= 0 or v % 2 != 0:
@@ -87,8 +86,7 @@ class RunConfig:
                         dalpha=self.interface_length() / self.n_boundary)
 
     def scheme_config(self):
-        return SchemeConfig(scheme=self.scheme, dt=self.dt,
-                            steady_velocity=self.steady_velocity)
+        return SchemeConfig(scheme=self.scheme, dt=self.dt)
 
     def initial_state(self):
         return initial_state(self.phys(), self.grid(), a=self.ellipse_a, b=self.ellipse_b,

@@ -6,23 +6,27 @@ scheme.  Unsteady flow: explicit, semi-implicit first/second kind, the
 two-step stable scheme, and a midpoint/trapezoidal second-order scheme.
 
 Every scheme couples to the fluid through one per-step map on the frozen
-curve, force -> (U, V, fluid) (``_velocity_map``); steady and unsteady flow
-differ only in the fluid solve behind it and in the leading-order symbols,
-so the explicit and the stable schemes are one stepper each for both flows.
+curve, force -> (U, V, fluid) (``_velocity_map``: spread, solve on the grid,
+interpolate); steady and unsteady flow differ only in the fluid solve behind
+it and in the leading-order symbols, so the explicit and the stable schemes
+are one stepper each for both flows.
 
 The semi-implicit updates add the implicit leading-order term and subtract
 its explicit counterpart, so every scheme is consistent with the same
-dynamics; only the stability properties differ.  Implicit leading operators
-are diagonal in Fourier space except for the second-kind and two-step
-schemes, which solve dense N_b x N_b systems; every diagonal update,
-backward Euler or Crank-Nicolson, goes through ``_semi_implicit``.  The
-second-kind circulants are gathered from their first columns, and a
-circulant product from the multipliers' product: O(N_b^2) assembly.  The
-two-step stable schemes form the interface mobility M (force -> interface
-velocity of the frozen curve, one fluid solve per unit force) once per step,
-and both of their implicit systems are dense algebra on it.  Above DENSE_MAX
-nodes they are solved matrix-free by GMRES instead, both to the relative
-residual LINEAR_TOL.
+dynamics; only the stability properties differ.  The integrating-factor
+scheme takes the continuum Hilbert rates as its factor: it is fourth order in
+time while the interface is no finer than the grid (N_b <= N/2), and loses
+that order at the default N_b = 2N, whose highest modes the 4-point delta
+cannot see.  Implicit leading operators are diagonal in Fourier space except
+for the second-kind and two-step schemes, which solve dense N_b x N_b
+systems; every diagonal update, backward Euler or Crank-Nicolson, goes
+through ``_semi_implicit``.  The second-kind circulants are gathered from
+their first columns, and a circulant product from the multipliers' product:
+O(N_b^2) assembly.  The two-step stable schemes form the interface mobility M
+(force -> interface velocity of the frozen curve, one fluid solve per unit
+force) once per step, and both of their implicit systems are dense algebra on
+it.  Above DENSE_MAX nodes they are solved matrix-free by GMRES instead, both
+to the relative residual LINEAR_TOL.
 """
 import warnings
 from dataclasses import dataclass, replace
@@ -38,8 +42,7 @@ from .errors import BlowupError, ParameterError, SolverStallError
 from .geometry import (InterfaceState, anchor_velocity, elastic_force, enclosed_area,
                        evolve_salpha_theta_rhs, init_ellipse, reconstruct_curve, tangent_normal,
                        theta_derivative, update_reference_points)
-from .stokes import FluidState, steady_stokes_grid_solve, steady_velocity_on_interface, \
-    unsteady_stokes_step
+from .stokes import FluidState, steady_stokes_grid_solve, unsteady_stokes_step
 
 TWO_PI = 2.0 * np.pi
 
@@ -59,15 +62,12 @@ DRIFT_TOL = 1e-2      # reconstruction anchor-mismatch warning level
 class SchemeConfig:
     scheme: str
     dt: float
-    steady_velocity: str = "grid"  # "grid" (spread/solve/interpolate) or "integral"
 
     def __post_init__(self):
         if self.scheme not in ALL_SCHEMES:
             raise ParameterError(f"scheme: unknown scheme {self.scheme!r}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ParameterError(f"dt: must be positive and finite, got {self.dt}")
-        if self.steady_velocity not in ("grid", "integral"):
-            raise ParameterError("steady_velocity: must be 'grid' or 'integral'")
 
 
 @dataclass
@@ -113,19 +113,11 @@ def _fluid_solve(fluid, phys, grid, cfg):
 
 def _velocity_map(state, tau, nrm, phys, grid, cfg):
     """The step's map force -> (U, V, fluid) on the frozen ``state.curve``,
-    U and V in the node frames ``nrm``, ``tau``.  Unsteady flow advances
-    ``state.fluid`` one step.  Steady flow keeps no fluid (None): backend
-    "grid" spreads, solves from rest and interpolates (this reproduces the
-    reported stability behavior), "integral" uses the single-layer formula."""
-    iface, curve = state.interface, state.curve
+    U and V in the node frames ``nrm``, ``tau``: the force is spread, solved
+    for and interpolated back.  Unsteady flow advances ``state.fluid`` one
+    step; steady flow solves from rest and keeps no fluid (None)."""
     steady = cfg.scheme in STEADY_SCHEMES
-    if steady and cfg.steady_velocity == "integral":
-        def velocity(force):
-            u, v = steady_velocity_on_interface(curve, force, phys.mu, iface.s_alpha,
-                                                iface.theta, iface.length)
-            return (*_project_velocity(np.column_stack([u, v]), tau, nrm), None)
-        return velocity
-    stencils = coupling.delta_stencils(curve, grid)
+    stencils = coupling.delta_stencils(state.curve, grid)
     solve = _fluid_solve(state.fluid, phys, grid, cfg)
 
     def velocity(force):
@@ -219,7 +211,7 @@ def step_ssd1_steady(state, phys, grid, cfg):
     Hilbert-transform leading terms (``_steady_rates``), as in
     Hou-Lowengrub-Shelley, with two choices beyond that:
 
-    (a) Like the stable building block (``_step_stable``, Step 2) and
+    (a) Like the stable scheme (``step_stable``, Step 2) and
         the unsteady twin (``step_ssd1_unsteady``), the angle and anchor
         updates take the velocity of F(s^{n+1}, theta^n), which costs a
         second grid solve per step.
@@ -421,12 +413,12 @@ def _frame_blocks(mob, tau, nrm):
     return [np.einsum("id,idke,ke->ik", a, m4, b) for a in (tau, nrm) for b in (tau, nrm)]
 
 
-def _step_stable(state, phys, grid, cfg, solve, advance=None):
+def step_stable(state, phys, grid, cfg):
     """Two-step stable scheme (after Newren, Fogelson, Guy & Kirby) on a
-    frozen curve.  The fluid enters as ``solve(f_grid)``, the fluid driven
-    from rest by a grid force, and in unsteady flow ``advance(f_grid)``, the
-    solve from the current fluid (None in steady flow, which keeps no fluid
-    and has no unforced velocity).
+    frozen curve, in steady or unsteady flow.  The fluid enters as
+    ``solve(f_grid)``, the fluid driven from rest by a grid force, and in
+    unsteady flow ``advance(f_grid)``, the solve from the current fluid (None
+    in steady flow, which keeps no fluid and has no unforced velocity).
 
     Up to DENSE_MAX nodes both implicit systems are dense algebra on the
     interface mobility M (``_interface_mobility``), built once per step:
@@ -438,6 +430,8 @@ def _step_stable(state, phys, grid, cfg, solve, advance=None):
     dt = cfg.dt
     nb = iface.n_nodes
     elastic = phys.elastic
+    solve = _fluid_solve(None, phys, grid, cfg)
+    advance = None if cfg.scheme in STEADY_SCHEMES else _fluid_solve(state.fluid, phys, grid, cfg)
     stencils = coupling.delta_stencils(state.curve, grid)
     tau, nrm = tangent_normal(iface)
     dth = theta_derivative(iface)
@@ -509,13 +503,6 @@ def _step_stable(state, phys, grid, cfg, solve, advance=None):
     return _finish(state, cfg, s_new, phi_new, refs, fluid1)
 
 
-def step_stable(state, phys, grid, cfg):
-    """Two-step stable scheme; unsteady flow also advances the current fluid."""
-    steady = cfg.scheme in STEADY_SCHEMES
-    advance = None if steady else _fluid_solve(state.fluid, phys, grid, cfg)
-    return _step_stable(state, phys, grid, cfg, _fluid_solve(None, phys, grid, cfg), advance)
-
-
 def _rescaling_coefficient(stored, observed, leading, label):
     """SSD rescaling coefficient C_V or C_U: the stored value, else the
     first-step ratio max|observed| / max|leading()|, or 1 with a warning when
@@ -560,7 +547,7 @@ def step_ssd1_unsteady(state, phys, grid, cfg):
     dv_star = spectral.derivative_1d(u_t_star, 1, period=iface.length)
     rhs_s = dv_star - dth * u_n_star
     c_v = _rescaling_coefficient(state.c_v, dv_star,
-                                 lambda: _ifft_real(t_hat * _fft(iface.s_alpha)), "C_V")
+                                 lambda: spectral.apply_symbol_1d(iface.s_alpha, t_hat), "C_V")
     s_new = _semi_implicit(iface.s_alpha, rhs_s, c_v * t_hat, dt)
 
     u_n1, u_t1, fluid1 = velocity(_frozen_angle_force(s_new, tau, nrm, dth, phys.elastic,

@@ -1,7 +1,6 @@
-"""Fluid solves on the periodic grid and the single-layer boundary-integral
-velocity for steady Stokes flow.
+"""Fluid solves on the periodic grid, steady and unsteady Stokes flow.
 
-The grid solves are velocity-only: the force is Leray-projected mode by mode
+The solves are velocity-only: the force is Leray-projected mode by mode
 (the projection removes exactly the part a pressure gradient balances, so
 the pressure itself is never formed) and the viscous operator acts as a
 Fourier multiplier on the rfft2 half spectrum.  The steady and unsteady
@@ -10,7 +9,9 @@ solves share one spectral core and differ only in their multipliers.
 The per-grid operators (wavenumbers, Leray mask and denominator, and the
 steady and unsteady multipliers keyed on their scalars) are built once and
 cached as read-only arrays, so a solve is four or six FFTs plus pointwise
-arithmetic.
+arithmetic.  The module also holds the Fourier multiplier of the periodized
+log kernel on the interface, which the second-kind schemes' leading terms
+use.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spectral
-from .errors import InvalidGeometryError, InvalidGridError, ParameterError
+from .errors import InvalidGridError, ParameterError
 
 # instrumentation for the cost-scaling report
 counters = {"fluid_solves": 0, "dense_solves": 0}
@@ -167,50 +168,3 @@ def _log_kernel_multiplier(n, interface_length):
     mult[nz] = np.pi / np.abs(kappa[nz])
     mult[0] = -interface_length * np.log(interface_length / (2.0 * np.pi))
     return mult
-
-
-def steady_velocity_on_interface(curve, force, mu, s_alpha, theta,
-                                 interface_length=2.0 * np.pi):
-    """Single-layer Stokes velocity on the curve itself.
-
-    u_i(X(a)) = 1/(4 pi mu) oint [ -ln r d_ij + r_i r_j / r^2 ] F_j da'.
-
-    The log factor is split as -ln(r/sigma) - ln(sigma) with sigma the
-    periodized |a - a'|: the first factor is smooth (trapezoid rule, diagonal
-    value -ln s_alpha), the second is applied spectrally through its exact
-    Fourier coefficients.  The r_i r_j / r^2 terms take the limit tau_i tau_j
-    on the diagonal.  Returns per-node (u, v) arrays.
-    """
-    nb = curve.n_nodes
-    x, y = curve.x, curve.y
-    f1, f2 = force[:, 0], force[:, 1]
-    dal = interface_length * np.arange(nb) / nb
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    r2 = dx**2 + dy**2
-    off = ~np.eye(nb, dtype=bool)
-    if np.min(r2[off]) <= 0.0:
-        raise InvalidGeometryError("coincident distinct interface nodes")
-    # periodized parameter distance, ~|a - a'| near the diagonal
-    dparam = dal[:, None] - dal[None, :]
-    sigma = (interface_length / np.pi) * np.abs(np.sin(np.pi * dparam / interface_length))
-    smooth = np.zeros((nb, nb))
-    smooth[off] = -0.5 * np.log(r2[off] / sigma[off] ** 2)
-    np.fill_diagonal(smooth, -np.log(s_alpha))
-    tau1, tau2 = np.cos(theta), np.sin(theta)
-    w11 = np.zeros((nb, nb))
-    w12 = np.zeros((nb, nb))
-    w22 = np.zeros((nb, nb))
-    w11[off] = dx[off] ** 2 / r2[off]
-    w12[off] = dx[off] * dy[off] / r2[off]
-    w22[off] = dy[off] ** 2 / r2[off]
-    np.fill_diagonal(w11, tau1 * tau1)
-    np.fill_diagonal(w12, tau1 * tau2)
-    np.fill_diagonal(w22, tau2 * tau2)
-    dalpha = interface_length / nb
-    mult = _log_kernel_multiplier(nb, interface_length)
-    log_f1 = spectral.apply_symbol_1d(f1, mult)
-    log_f2 = spectral.apply_symbol_1d(f2, mult)
-    u = (smooth @ f1 + w11 @ f1 + w12 @ f2) * dalpha + log_f1
-    v = (smooth @ f2 + w12 @ f1 + w22 @ f2) * dalpha + log_f2
-    return u / (4.0 * np.pi * mu), v / (4.0 * np.pi * mu)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ibstokes import geometry, spectral, stokes
-from ibstokes.errors import InvalidGeometryError, ParameterError
-from ibstokes.geometry import CurveSamples
+from ibstokes import spectral, stokes
+from ibstokes.errors import ParameterError
 from ibstokes.grids import GridSpec
 from ibstokes.stokes import FluidState
 
@@ -203,95 +202,3 @@ class TestCachedOperators:
                 for got, ref in zip(self.solves(*case), want):
                     assert np.array_equal(got, ref)
 
-
-def fine_velocity_oracle(targets, nb_fine=4096, mu=1.0):
-    """Refined-quadrature velocities of the standard ellipse at selected
-    coarse nodes, using the same log subtraction at nb_fine resolution."""
-    state, curve = geometry.init_ellipse(0.32, 0.24, (0.5, 0.5), nb_fine)
-    force = geometry.elastic_force(state, 1.0)
-    lb = state.length
-    dal = lb * np.arange(nb_fine) / nb_fine
-    dalpha = lb / nb_fine
-    mult = np.zeros(nb_fine)
-    kappa = spectral.wavenumbers(nb_fine, lb)
-    mult[kappa != 0] = np.pi / np.abs(kappa[kappa != 0])
-    log1 = spectral.apply_symbol_1d(force[:, 0], mult)
-    log2 = spectral.apply_symbol_1d(force[:, 1], mult)
-    th = state.theta
-    out = np.empty((len(targets), 2))
-    for row, i in enumerate(targets):
-        dx = curve.x[i] - curve.x
-        dy = curve.y[i] - curve.y
-        r2 = dx**2 + dy**2
-        sigma = (lb / np.pi) * np.abs(np.sin(np.pi * (dal[i] - dal) / lb))
-        smooth = np.zeros(nb_fine)
-        mask = np.arange(nb_fine) != i
-        smooth[mask] = -0.5 * np.log(r2[mask] / sigma[mask] ** 2)
-        smooth[i] = -np.log(state.s_alpha[i])
-        w11 = np.where(mask, dx**2 / np.where(mask, r2, 1.0), np.cos(th[i]) ** 2)
-        w12 = np.where(mask, dx * dy / np.where(mask, r2, 1.0), np.cos(th[i]) * np.sin(th[i]))
-        w22 = np.where(mask, dy**2 / np.where(mask, r2, 1.0), np.sin(th[i]) ** 2)
-        u = np.sum((smooth + w11) * force[:, 0] + w12 * force[:, 1]) * dalpha + log1[i]
-        v = np.sum((smooth + w22) * force[:, 1] + w12 * force[:, 0]) * dalpha + log2[i]
-        out[row] = u / (4 * np.pi * mu), v / (4 * np.pi * mu)
-    return out
-
-
-class TestBoundaryIntegralVelocity:
-    def test_zero_force(self):
-        state, curve = geometry.init_ellipse(0.3, 0.2, (0.5, 0.5), 64)
-        u, v = stokes.steady_velocity_on_interface(curve, np.zeros((64, 2)), 1.0,
-                                                   state.s_alpha, state.theta)
-        assert np.max(np.abs(u)) == 0.0 and np.max(np.abs(v)) == 0.0
-
-    def test_circle_uniform_normal_force_no_tangential_flow(self):
-        nb = 128
-        state, curve = geometry.init_ellipse(0.3, 0.3, (0.5, 0.5), nb)
-        tau, nrm = geometry.tangent_normal(state)
-        force = 2.0 * nrm
-        u, v = stokes.steady_velocity_on_interface(curve, force, 1.0,
-                                                   state.s_alpha, state.theta)
-        v_t = u * tau[:, 0] + v * tau[:, 1]
-        assert np.max(np.abs(v_t)) <= 1e-8
-
-    def test_matches_refined_quadrature(self):
-        nb = 256
-        state, curve = geometry.init_ellipse(0.32, 0.24, (0.5, 0.5), nb)
-        force = geometry.elastic_force(state, 1.0)
-        u, v = stokes.steady_velocity_on_interface(curve, force, 1.0,
-                                                   state.s_alpha, state.theta)
-        targets_coarse = [0, 32, 100, 191]
-        refine = 4096 // nb
-        oracle = fine_velocity_oracle([i * refine for i in targets_coarse])
-        got = np.column_stack([u[targets_coarse], v[targets_coarse]])
-        assert np.max(np.abs(got - oracle)) <= 1e-6
-
-    def test_linearity(self):
-        nb = 64
-        state, curve = geometry.init_ellipse(0.32, 0.24, (0.5, 0.5), nb)
-        rng = np.random.default_rng(3)
-        fa, fb = rng.standard_normal((nb, 2)), rng.standard_normal((nb, 2))
-        args = (1.3, state.s_alpha, state.theta)
-        ua, va = stokes.steady_velocity_on_interface(curve, fa, *args)
-        ub, vb = stokes.steady_velocity_on_interface(curve, fb, *args)
-        uc, vc = stokes.steady_velocity_on_interface(curve, 2.0 * fa - 0.5 * fb, *args)
-        assert np.max(np.abs(uc - (2 * ua - 0.5 * ub))) <= 1e-12 * max(1, np.max(np.abs(uc)))
-        assert np.max(np.abs(vc - (2 * va - 0.5 * vb))) <= 1e-12 * max(1, np.max(np.abs(vc)))
-
-    def test_translation_equivariance(self):
-        nb = 64
-        state, curve = geometry.init_ellipse(0.32, 0.24, (0.5, 0.5), nb)
-        rng = np.random.default_rng(4)
-        f = rng.standard_normal((nb, 2))
-        args = (1.0, state.s_alpha, state.theta)
-        u0, v0 = stokes.steady_velocity_on_interface(curve, f, *args)
-        shifted = CurveSamples(curve.x + 0.37, curve.y - 1.2)
-        u1, v1 = stokes.steady_velocity_on_interface(shifted, f, *args)
-        assert np.max(np.abs(u1 - u0)) <= 1e-12
-        assert np.max(np.abs(v1 - v0)) <= 1e-12
-
-    def test_coincident_nodes_rejected(self):
-        curve = CurveSamples(np.array([0.1, 0.1, 0.3, 0.4]), np.array([0.2, 0.2, 0.3, 0.4]))
-        with pytest.raises(InvalidGeometryError):
-            stokes.steady_velocity_on_interface(curve, np.zeros((4, 2)), 1.0,
-                                                np.ones(4), np.zeros(4))
