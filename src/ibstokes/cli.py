@@ -108,7 +108,7 @@ def cmd_run(args):
                    for c in PRESETS[args.preset]]
     else:
         configs = [load_run_config(args.config, overrides)]
-    out = _ensure_dir(args.out or output_dir(configs[0]))
+    out = _ensure_dir(args.out or output_dir())
     worst = EXIT_OK
     for config in configs:
         code, records = execute_run(config, out)
@@ -140,7 +140,7 @@ def cmd_convergence(args):
     except BlowupError:
         print("convergence study aborted: a run blew up", file=sys.stderr)
         return EXIT_UNSTABLE
-    out = _ensure_dir(args.out or output_dir(base))
+    out = _ensure_dir(args.out or output_dir())
     stem = os.path.join(out, f"convergence-{base.run_name()}")
     with open(stem + ".csv", "w") as fh:
         fh.write("observable,dt,error\n")
@@ -161,7 +161,7 @@ def cmd_sweep(args):
     overrides = _parse_assignments(args.set)
     base = load_run_config(args.config, overrides)
     ns, dts = args.n_list, args.dt_list
-    out = _ensure_dir(args.out or output_dir(base))
+    out = _ensure_dir(args.out or output_dir())
     path = os.path.join(out, f"sweep-{base.scheme}.csv")
     verdicts = {}
     for n in ns:
@@ -218,7 +218,7 @@ def cmd_cost(args):
             slope = np.polyfit(np.log(ns), np.log(times), 1)[0]
             print(f"{scheme}: wall-time exponent in N = {slope:.2f}")
             rows.append({"scheme": scheme, "n": "exponent", "seconds_per_step": slope})
-    out = _ensure_dir(args.out or output_dir(base))
+    out = _ensure_dir(args.out or output_dir())
     path = os.path.join(out, "cost.csv")
     fields = ("scheme", "n", "seconds_per_step", "fft_per_step", "fluid_solves_per_step",
               "dense_solves_per_step")

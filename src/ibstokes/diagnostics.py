@@ -52,7 +52,7 @@ class DiagnosticsRecord:
             + f",{int(self.stable)}"
 
 
-def record_state(state, phys, grid, stable=True):
+def record_state(state, phys, grid):
     k = kinetic_energy(state.fluid, phys.rho, grid.h)
     p = potential_energy(state.interface.s_alpha, phys.elastic, state.interface.dalpha)
     max_u = state.fluid.max_speed() if state.fluid is not None else 0.0
@@ -60,8 +60,7 @@ def record_state(state, phys, grid, stable=True):
         step=state.step, t=state.t, kinetic=k, potential=p, total=k + p,
         area=enclosed_area(state.curve), max_u=max_u,
         min_salpha=float(np.min(state.interface.s_alpha)),
-        max_salpha=float(np.max(state.interface.s_alpha)),
-        stable=stable)
+        max_salpha=float(np.max(state.interface.s_alpha)))
 
 
 def _curve_in_box(curve, length):

@@ -45,7 +45,6 @@ class RunConfig:
     center_y: float = 0.5
     rest_radius: float = 0.2
     snapshot_every: int = 0         # 0: final snapshot only
-    output_dir: str = "out"
     label: str = ""
 
     def __post_init__(self):
@@ -199,6 +198,6 @@ def write_diagnostics_csv(path, records):
             fh.write(rec.csv_row() + "\n")
 
 
-def output_dir(config):
-    """Output directory, overridable through IBSTOKES_OUTDIR."""
-    return os.environ.get("IBSTOKES_OUTDIR", config.output_dir)
+def output_dir():
+    """Output directory when ``--out`` is not given: $IBSTOKES_OUTDIR, else "out"."""
+    return os.environ.get("IBSTOKES_OUTDIR", "out")

@@ -22,15 +22,16 @@ for the second-kind and two-step schemes, which solve dense N_b x N_b
 systems; every diagonal update, backward Euler or Crank-Nicolson, goes
 through ``_semi_implicit``.  The second-kind circulants are gathered from
 their first columns, and a circulant product from the multipliers' product:
-O(N_b^2) assembly.  The two-step stable schemes form the interface mobility M
-(force -> interface velocity of the frozen curve, one fluid solve per unit
-force) once per step, and both of their implicit systems are dense algebra on
-it.  Above DENSE_MAX nodes they are solved matrix-free by GMRES instead, both
-to the relative residual LINEAR_TOL.
+O(N_b^2) assembly.  Both implicit systems of the two-step stable schemes
+read A = I - diag(scale) R K F, with the force map F and the rate map R
+written once and K the interface mobility in the node frames (force ->
+interface velocity of the frozen curve): formed once per step, one fluid
+solve per unit force, up to DENSE_MAX nodes, else applied by GMRES as one
+grid solve per product, both to the relative residual LINEAR_TOL.
 """
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import circulant
@@ -158,15 +159,10 @@ def _semi_implicit(x, rhs, lead, dt, ref=None, theta=1.0):
                       / (1.0 / dt - theta * lead))
 
 
-def _force_linear_part(s, tau, nrm, dth_n, elastic, length):
-    """Elastic force as a function of s_alpha with the angle frozen."""
-    ds = spectral.derivative_1d(s, 1, period=length)
-    return elastic * (ds[:, None] * tau + (s * dth_n)[:, None] * nrm)
-
-
 def _frozen_angle_force(s, tau, nrm, dth_n, elastic, length):
     """Elastic force F(s, theta^n) of the stretch s on the frozen angle."""
-    return _force_linear_part(s, tau, nrm, dth_n, elastic, length) \
+    ds = spectral.derivative_1d(s, 1, period=length)
+    return elastic * (ds[:, None] * tau + (s * dth_n)[:, None] * nrm) \
         - elastic * dth_n[:, None] * nrm
 
 
@@ -386,13 +382,19 @@ def _solve_linear(lin, b, step_index):
     return x
 
 
-def _interface_mobility(stencils, solve, grid):
-    """Interface mobility M = J L S of a frozen curve (the IB mobility of
-    Balboa Usabiaga et al. 2016): the (2 N_b, 2 N_b) node-major matrix whose
-    column 2j + c is the interface velocity of the unit force on node j in
-    direction c.  Each node is spread once through its own stencils; each
-    column then costs one fluid solve ``solve(f_grid)`` and an interpolation.
-    Spreading and interpolation are adjoint, so M is symmetric."""
+def _rows(v, x):
+    """diag(v) x for a vector x or the columns of a matrix x (v may be a scalar)."""
+    return (v * x.T).T
+
+
+def _interface_mobility(stencils, solve, grid, tau, nrm):
+    """Interface mobility of a frozen curve in the node frames: M = J L S (the
+    IB mobility of Balboa Usabiaga et al. 2016), column 2j + c the interface
+    velocity of the unit force on node j in direction c, rotated into K,
+    K[a N_b + i, b N_b + k] the a-velocity at node i of a unit b-force at
+    node k, a and b in (normal, tangential).  Each node is spread once through
+    its own stencils, and each column costs one fluid solve ``solve(f_grid)``.
+    Spreading and interpolation are adjoint, so K is symmetric."""
     nb = len(stencils.w)
     mob = np.empty((2 * nb, 2 * nb))
     unit = np.eye(2)[None]
@@ -401,16 +403,9 @@ def _interface_mobility(stencils, solve, grid):
         for c in range(2):
             uv = coupling.interpolate(stencils, _grid_uv(solve(fields[..., c])), grid)
             mob[:, 2 * j + c] = uv.ravel()
-    return mob
-
-
-def _frame_blocks(mob, tau, nrm):
-    """M in the nodes' (tangent, normal) frames: K_ab[i, k] is the
-    a-velocity at node i of a unit b-force at node k.  Returns K_tt, K_tn,
-    K_nt, K_nn."""
-    nb = len(tau)
-    m4 = mob.reshape(nb, 2, nb, 2)
-    return [np.einsum("id,idke,ke->ik", a, m4, b) for a in (tau, nrm) for b in (tau, nrm)]
+    frames = np.stack([nrm, tau])
+    return np.einsum("aid,idke,bke->aibk", frames, mob.reshape(nb, 2, nb, 2),
+                     frames).reshape(2 * nb, 2 * nb)
 
 
 def step_stable(state, phys, grid, cfg):
@@ -420,12 +415,13 @@ def step_stable(state, phys, grid, cfg):
     unsteady flow ``advance(f_grid)``, the solve from the current fluid (None
     in steady flow, which keeps no fluid and has no unforced velocity).
 
-    Up to DENSE_MAX nodes both implicit systems are dense algebra on the
-    interface mobility M (``_interface_mobility``), built once per step:
-    A_s = I - dt R_s M F_s and A_phi = I - diag(dt/s^{n+1}) R_phi M F_phi,
-    with F the force map of the unknown and R the rate map of the velocity,
-    both written through the derivative matrix.  Above it GMRES applies the
-    same maps matrix-free, one grid solve per product."""
+    Both implicit systems read A = I - diag(scale) R K F, scale dt for s_alpha
+    and dt/s^{n+1} for the angle: F maps the unknown to the (normal,
+    tangential) force, K that force to the interface velocity in the same
+    frames, and R the velocity to the unknown's rate.  F and R are written
+    once.  Up to DENSE_MAX nodes K is assembled once per step
+    (``_interface_mobility``) and A formed with the derivative matrix; above
+    it GMRES applies A, K as one from-rest grid solve, D as the FFT derivative."""
     iface = state.interface
     dt = cfg.dt
     nb = iface.n_nodes
@@ -443,37 +439,42 @@ def step_stable(state, phys, grid, cfg):
         """Linear interface velocity of a force (fluid from rest)."""
         return velocity(solve(coupling.spread(stencils, force, grid)))
 
-    def s_rate(uv):
-        u_nc, u_tc = _project_velocity(uv, tau, nrm)
-        return spectral.derivative_1d(u_tc, 1, period=iface.length) - dth * u_nc
+    def frame(uv):
+        return np.concatenate(_project_velocity(uv, tau, nrm))
 
-    def theta_rate(uv):
-        u_nc, u_tc = _project_velocity(uv, tau, nrm)
-        return spectral.derivative_1d(u_nc, 1, period=iface.length) + dth * u_tc
-
-    uv_hom = 0.0 if advance is None else velocity(advance(np.zeros((grid.n, grid.n, 2))))
+    fft_derivative = partial(spectral.derivative_1d, period=iface.length)
     dense = nb <= DENSE_MAX
     if dense:
-        dmat = _derivative_matrix(nb, iface.length)
-        k_tt, k_tn, k_nt, k_nn = _frame_blocks(_interface_mobility(stencils, solve, grid),
-                                               tau, nrm)
+        derivative = _derivative_matrix(nb, iface.length).__matmul__
+        mobility = _interface_mobility(stencils, solve, grid, tau, nrm).__matmul__
+    else:
+        derivative = fft_derivative
 
-    # Step 1: implicit s_alpha through F(s^{n+1}, theta^n), whose tangential
-    # and normal parts are S_b D s and S_b theta_a s
-    def apply_lin_s(s):
-        force = _force_linear_part(s, tau, nrm, dth, elastic, iface.length)
-        return s - dt * s_rate(response(force))
+        def mobility(f):  # one from-rest grid solve
+            return frame(response(f[:nb, None] * nrm + f[nb:, None] * tau))
 
-    lin_s = apply_lin_s
-    if dense:
-        lin_s = np.eye(nb) - dt * elastic * (dmat @ (k_tt @ dmat + k_tn * dth)
-                                             - dth[:, None] * (k_nt @ dmat + k_nn * dth))
-    f_const = -elastic * dth[:, None] * nrm
-    b = iface.s_alpha + dt * s_rate(uv_hom + response(f_const))
-    s_new = _solve_linear(lin_s, b, state.step + 1)
+    def system(scale, force, rate):
+        """A = I - diag(scale) R K F: assembled, or the map x -> A x for GMRES."""
+        def apply(x):
+            return x - _rows(scale, rate(mobility(force(x, derivative)), derivative))
+        return apply(np.eye(nb)) if dense else apply
+
+    # Step 1: implicit s_alpha through F(s^{n+1}, theta^n), whose normal and
+    # tangential parts are S_b theta_a s and S_b D s; the stretch rate is
+    # D V - theta_a U
+    def force_s(s, d):
+        return elastic * np.concatenate([_rows(dth, s), d(s)])
+
+    def rate_s(u, d):
+        return d(u[nb:]) - _rows(dth, u[:nb])
+
+    uv_hom = 0.0 if advance is None else velocity(advance(np.zeros((grid.n, grid.n, 2))))
+    b = iface.s_alpha + dt * rate_s(frame(uv_hom + response(-elastic * dth[:, None] * nrm)),
+                                    fft_derivative)
+    s_new = _solve_linear(system(dt, force_s, rate_s), b, state.step + 1)
 
     # recover the Step-1 velocities at the solution for the reference points
-    force_full = _force_linear_part(s_new, tau, nrm, dth, elastic, iface.length) + f_const
+    force_full = _frozen_angle_force(s_new, tau, nrm, dth, elastic, iface.length)
     if advance is None:
         fluid1, uv1 = None, response(force_full)
     else:
@@ -482,23 +483,20 @@ def step_stable(state, phys, grid, cfg):
     u_n1, u_t1 = _project_velocity(uv1, tau, nrm)
 
     # Step 2: implicit angle through F(s^{n+1}, theta^{n+1}), whose normal
-    # part is S_b (s^{n+1} - 1) D phi
+    # part is S_b (s^{n+1} - 1) D phi; the angle rate is D U + theta_a V
+    def force_phi(phi, d):
+        f_n = elastic * _rows(s_new - 1.0, d(phi))
+        return np.concatenate([f_n, np.zeros_like(f_n)])
+
+    def rate_phi(u, d):
+        return d(u[:nb]) + _rows(dth, u[nb:])
+
     scale = dt / s_new
-
-    def apply_lin_phi(phi):
-        dphi = spectral.derivative_1d(phi, 1, period=iface.length)
-        force = elastic * ((s_new - 1.0) * dphi)[:, None] * nrm
-        return phi - scale * theta_rate(response(force))
-
-    lin_phi = apply_lin_phi
-    if dense:
-        lin_phi = np.eye(nb) - scale[:, None] * ((dmat @ k_nn + dth[:, None] * k_tn)
-                                                 @ (elastic * (s_new - 1.0)[:, None] * dmat))
-    ds_new = spectral.derivative_1d(s_new, 1, period=iface.length)
+    ds_new = fft_derivative(s_new)
     force0 = elastic * (ds_new[:, None] * tau
                         + ((s_new - 1.0) * (TWO_PI / iface.length))[:, None] * nrm)
-    b_phi = iface.phi + scale * theta_rate(uv_hom + response(force0))
-    phi_new = _solve_linear(lin_phi, b_phi, state.step + 1)
+    b_phi = iface.phi + scale * rate_phi(frame(uv_hom + response(force0)), fft_derivative)
+    phi_new = _solve_linear(system(scale, force_phi, rate_phi), b_phi, state.step + 1)
     refs = update_reference_points(iface, u_n1, u_t1, dt)
     return _finish(state, cfg, s_new, phi_new, refs, fluid1)
 

@@ -4,6 +4,10 @@ Criterion 9a (first-kind steady scheme, dt = 4, area loss <= 5%) holds
 because ssd1_steady sets its mean stretch mode from the discrete area
 balance; see the step_ssd1_steady docstring.
 
+Beside them: criterion 3's energy bound on the stable schemes' GMRES path,
+and a strict xfail that pins stable_steady's area loss at criterion 9a's
+setting (ROADMAP item 6).
+
 Set IBSTOKES_ACCEPT_FULL=1 to include the long N=512 convergence leg.
 """
 
@@ -108,6 +112,16 @@ def test_criterion_3_unconditional_stability():
     all_ok = all(ok for _, ok, _ in results)
     detail = "; ".join(f"{lbl}: max rise {rise:.1e}*E0" for lbl, ok, rise in results)
     report(3, all_ok, detail)
+
+
+@pytest.mark.parametrize("scheme, dt, mu", [("stable_steady", 10.0, 1.0),
+                                            ("stable_unsteady", 1.0, 0.01)])
+def test_stable_energy_monotone_through_gmres(scheme, dt, mu, monkeypatch):
+    # criterion 3 runs the dense path (N_b = 128); N_b = 32 > DENSE_MAX = 16
+    # sends both implicit systems through GMRES
+    monkeypatch.setattr(schemes, "DENSE_MAX", 16)
+    ok, rise = _energy_monotone(scheme, dt, mu, 16, 20)
+    assert ok, f"{scheme} dt={dt} through GMRES: max rise {rise:.1e}*E0"
 
 
 def test_criterion_4_steady_stability_dichotomy():
@@ -239,6 +253,13 @@ def test_criterion_9a_area_steady():
     # it from the discrete area balance
     loss = _area_loss("ssd1_steady", 64, 4.0, 5, 1.0)
     report("9a", abs(loss) <= 0.05, f"ssd1_steady dt=4 T=20 area loss {100 * loss:.1f}%")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: stable_steady loses 5.6% of its area at criterion 9a's setting"))
+def test_stable_steady_area_at_criterion_9a_setting():
+    loss = _area_loss("stable_steady", 64, 4.0, 5, 1.0)
+    assert abs(loss) <= 0.05, f"stable_steady dt=4 T=20 area loss {100 * loss:.2f}%"
 
 
 def test_criterion_9b_area_unsteady():

@@ -166,6 +166,7 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [("dt", "nan"), ("t_end", "inf"), ("mu", "nan"),
                                             ("rescale", "false"), ("tol", "1e-8"),
                                             ("steady_velocity", "integral"),
+                                            ("output_dir", "elsewhere"),
                                             ("snapshot_every", "-1"),
                                             ("snapshot_every", "2.5"),
                                             ("snapshot_every", "true")])

@@ -1,50 +1,60 @@
-"""The interface mobility M = J L S that the stable schemes' dense implicit
-systems are built on."""
+"""The interface mobility K, M = J L S in the node frames, that the stable
+schemes' dense implicit systems are built on."""
 
 import numpy as np
 import pytest
 
 from ibstokes import coupling, schemes, stokes
+from ibstokes.geometry import tangent_normal
 from ibstokes.io import RunConfig
 
 STABLE = ("stable_steady", "stable_unsteady")
 
 
 def mobility_case(scheme, n=32):
-    """Stencils of the model ellipse, the scheme's from-rest grid solve and M."""
+    """Stencils and node frames of the model ellipse, the scheme's from-rest
+    grid solve and K."""
     steady = scheme == "stable_steady"
     config = RunConfig(scheme=scheme, n=n, dt=1.0 if steady else 0.05,
                        mu=1.0 if steady else 0.01)
     phys, grid = config.phys(), config.grid()
-    stencils = coupling.delta_stencils(config.initial_state().curve, grid)
+    state = config.initial_state()
+    stencils = coupling.delta_stencils(state.curve, grid)
+    tau, nrm = tangent_normal(state.interface)
     if steady:
         def solve(f_grid):
             return stokes.steady_stokes_grid_solve(f_grid, phys.mu, grid)
     else:
         def solve(f_grid):
             return stokes.unsteady_stokes_step(None, f_grid, phys.rho, phys.mu, config.dt, grid)
-    return grid, stencils, solve, schemes._interface_mobility(stencils, solve, grid)
+    mob = schemes._interface_mobility(stencils, solve, grid, tau, nrm)
+    return grid, stencils, (tau, nrm), solve, mob
 
 
 @pytest.mark.parametrize("scheme", STABLE)
 def test_mobility_applies_the_grid_response(scheme):
-    grid, stencils, solve, mob = mobility_case(scheme)
-    force = np.random.default_rng(3).standard_normal((grid.n_boundary, 2))
-    fluid = solve(coupling.spread(stencils, force, grid))
+    # K maps (normal, tangential) force blocks to the velocity in the same frames
+    grid, stencils, (tau, nrm), solve, mob = mobility_case(scheme)
+    nb = grid.n_boundary
+    f_n, f_t = np.random.default_rng(3).standard_normal((2, nb))
+    fluid = solve(coupling.spread(stencils, f_n[:, None] * nrm + f_t[:, None] * tau, grid))
     uv = coupling.interpolate(stencils, np.stack([fluid.u, fluid.v], axis=-1), grid)
-    assert mob.shape == (2 * grid.n_boundary, 2 * grid.n_boundary)
-    assert np.linalg.norm(mob @ force.ravel() - uv.ravel()) <= 1e-12 * np.linalg.norm(uv)
+    frame_uv = np.concatenate([np.sum(uv * nrm, axis=1), np.sum(uv * tau, axis=1)])
+    assert mob.shape == (2 * nb, 2 * nb)
+    assert np.linalg.norm(mob @ np.concatenate([f_n, f_t]) - frame_uv) \
+        <= 1e-12 * np.linalg.norm(frame_uv)
 
 
 @pytest.mark.parametrize("scheme", STABLE)
 def test_mobility_is_symmetric(scheme):
-    # M = h^2 dalpha W L W^T with a self-adjoint fluid solve
-    _, _, _, mob = mobility_case(scheme)
+    # M = h^2 dalpha W L W^T with a self-adjoint fluid solve, and K = Q^T M Q
+    # with the orthogonal node-frame rotation Q
+    *_, mob = mobility_case(scheme)
     assert np.max(np.abs(mob - mob.T)) <= 1e-12 * np.max(np.abs(mob))
 
 
 def test_one_node_slice_spreads_like_the_whole_curve():
-    grid, stencils, _, _ = mobility_case("stable_steady")
+    grid, stencils, *_ = mobility_case("stable_steady")
     unit = np.eye(2)[None]
     for j in range(grid.n_boundary):
         fields = coupling.spread(stencils[j:j + 1], unit, grid)
