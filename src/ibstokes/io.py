@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import InterfaceState, reconstruct_curve
 from .grids import GridSpec
-from .params import PhysParams
+from .params import PhysParams, finite_real
 from .schemes import SchemeConfig, StepState, initial_state
 from .stokes import FluidState
 
@@ -61,15 +61,17 @@ class RunConfig:
         for name in ("rho", "mu", "elastic", "domain_length",
                      "ellipse_a", "ellipse_b", "rest_radius"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ParameterError(f"{name}: must be positive and finite, got {v}")
+            if not (finite_real(v) and v > 0):
+                raise ParameterError(f"{name}: must be positive and finite, got {v!r}")
         if not (type(self.snapshot_every) is int and self.snapshot_every >= 0):  # not bool
             raise ParameterError("snapshot_every: must be a nonnegative integer, "
                                  f"got {self.snapshot_every}")
-        if not (np.isfinite(self.t_end) and self.t_end >= 0):
-            raise ParameterError(f"t_end: must be nonnegative and finite, got {self.t_end}")
-        if not (np.isfinite(self.center_x) and np.isfinite(self.center_y)):
-            raise ParameterError("center_x, center_y: must be finite")
+        if not (finite_real(self.t_end) and self.t_end >= 0):
+            raise ParameterError(f"t_end: must be nonnegative and finite, got {self.t_end!r}")
+        for name in ("center_x", "center_y"):
+            v = getattr(self, name)
+            if not finite_real(v):
+                raise ParameterError(f"{name}: must be finite, got {v!r}")
         self.scheme_config()
 
     def interface_length(self):

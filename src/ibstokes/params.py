@@ -14,6 +14,12 @@ from .errors import ParameterError
 TWO_PI = 2.0 * np.pi
 
 
+def finite_real(v):
+    """True for a finite real number; bools and strings are not numbers here."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool) \
+        and bool(np.isfinite(v))
+
+
 @dataclass
 class PhysParams:
     rho: float = 1.0
@@ -24,5 +30,5 @@ class PhysParams:
     def __post_init__(self):
         for name in ("rho", "mu", "elastic", "interface_length"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be positive and finite, got {v}")
+            if not (finite_real(v) and v > 0):
+                raise ParameterError(f"{name} must be positive and finite, got {v!r}")

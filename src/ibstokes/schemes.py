@@ -43,6 +43,7 @@ from .errors import BlowupError, ParameterError, SolverStallError
 from .geometry import (InterfaceState, anchor_velocity, elastic_force, enclosed_area,
                        evolve_salpha_theta_rhs, init_ellipse, reconstruct_curve, tangent_normal,
                        theta_derivative, update_reference_points)
+from .params import finite_real
 from .stokes import FluidState, steady_stokes_grid_solve, unsteady_stokes_step
 
 TWO_PI = 2.0 * np.pi
@@ -67,8 +68,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in ALL_SCHEMES:
             raise ParameterError(f"scheme: unknown scheme {self.scheme!r}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ParameterError(f"dt: must be positive and finite, got {self.dt}")
+        if not (finite_real(self.dt) and self.dt > 0):
+            raise ParameterError(f"dt: must be positive and finite, got {self.dt!r}")
 
 
 @dataclass

@@ -1,17 +1,18 @@
 """Fluid solves on the periodic grid, steady and unsteady Stokes flow.
 
-The solves are velocity-only: the force is Leray-projected mode by mode
-(the projection removes exactly the part a pressure gradient balances, so
-the pressure itself is never formed) and the viscous operator acts as a
-Fourier multiplier on the rfft2 half spectrum.  The steady and unsteady
-solves share one spectral core and differ only in their multipliers.
+The solves are velocity-only: per rfft2 mode the force is multiplied by
+the periodic Stokeslet symbol G(k) = gain(k) (I - k k^T/|k|^2), the viscous
+gain times the Leray projection (which removes exactly the part a pressure
+gradient balances, so the pressure itself is never formed).  The steady
+and unsteady solves share one spectral core and differ only in their
+multipliers.
 
-The per-grid operators (wavenumbers, Leray mask and denominator, and the
-steady and unsteady multipliers keyed on their scalars) are built once and
-cached as read-only arrays, so a solve is four or six FFTs plus pointwise
-arithmetic.  The module also holds the Fourier multiplier of the periodized
-log kernel on the interface, which the second-kind schemes' leading terms
-use.
+The per-grid operators (wavenumbers, and the symbol's three components
+Gxx, Gxy, Gyy with the unsteady keep factor, keyed on the steady or
+unsteady scalars) are built once and cached as read-only arrays, so a
+solve is four or six FFTs plus one 2x2 symbol product per mode.  The
+module also holds the Fourier multiplier of the periodized log kernel on
+the interface, which the second-kind schemes' leading terms use.
 """
 
 from dataclasses import dataclass
@@ -69,36 +70,33 @@ def grid_wavenumbers(n, length):
     return kx, ky, _read_only(k2_full)
 
 
-@lru_cache(maxsize=8)
-def _leray_operators(n, length):
-    """(KX, KY, mask |k| > 0, denominator) of the projection on one grid,
-    read-only."""
+def _stokeslet_symbol(gain, n, length):
+    """(Gxx, Gxy, Gyy) = gain (I - k k^T/|k|^2) per half-spectrum mode,
+    read-only; gain I where the odd-symmetry wavenumbers vanish (k = 0 and
+    the zeroed Nyquist modes)."""
     kx, ky, _ = grid_wavenumbers(n, length)
     k2 = kx**2 + ky**2
-    mask = k2 > 0
-    return kx, ky, _read_only(mask), _read_only(np.where(mask, k2, 1.0))
-
-
-def _project(fu_hat, fv_hat, kx, ky, mask, denom):
-    """Remove the gradient part mode by mode; the k = 0 mode passes through."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dot = np.where(mask, (kx * fu_hat + ky * fv_hat) / denom, 0.0)
-    return fu_hat - kx * dot, fv_hat - ky * dot
+    scaled = np.divide(gain, k2, out=np.zeros_like(k2), where=k2 > 0)
+    return (_read_only(gain - kx * kx * scaled), _read_only(-kx * ky * scaled),
+            _read_only(gain - ky * ky * scaled))
 
 
 @lru_cache(maxsize=16)
 def _unsteady_multipliers(n, length, a, mu, theta):
-    """(keep, gain) of the theta-scheme with a = rho/dt, read-only."""
+    """(keep, Gxx, Gxy, Gyy) of the theta-scheme with a = rho/dt: the
+    symbol's gain is 1/(a + theta mu |k|^2).  Read-only."""
     _, _, k2 = grid_wavenumbers(n, length)
     denom = a + theta * mu * k2
-    return _read_only((a - (1.0 - theta) * mu * k2) / denom), _read_only(1.0 / denom)
+    return (_read_only((a - (1.0 - theta) * mu * k2) / denom),
+            *_stokeslet_symbol(1.0 / denom, n, length))
 
 
 @lru_cache(maxsize=8)
-def _steady_gain(n, length, mu):
-    """1/(mu |k|^2), zero at k = 0, read-only."""
+def _steady_symbol(n, length, mu):
+    """(Gxx, Gxy, Gyy) with gain 1/(mu |k|^2), zero at k = 0.  Read-only."""
     _, _, k2 = grid_wavenumbers(n, length)
-    return _read_only(np.divide(1.0, mu * k2, out=np.zeros_like(k2), where=k2 > 0))
+    gain = np.divide(1.0, mu * k2, out=np.zeros_like(k2), where=k2 > 0)
+    return _stokeslet_symbol(gain, n, length)
 
 
 def divergence_inf_norm(fluid, length=1.0):
@@ -108,19 +106,21 @@ def divergence_inf_norm(fluid, length=1.0):
     return float(np.max(np.abs(div)))
 
 
-def _spectral_solve(fluid, force, grid, keep, gain):
-    """Per rfft2 mode, u_hat_new = keep u_hat + gain P f_hat, with P the
-    Leray projection and ``keep``, ``gain`` arrays on the half spectrum.
-    ``fluid`` None is a fluid at rest: its transform and ``keep`` are
-    skipped."""
+def _spectral_solve(fluid, force, grid, keep, symbol):
+    """Per rfft2 mode, u_hat_new = keep u_hat + G f_hat, with ``keep`` and
+    the symbol G = (Gxx, Gxy, Gyy) arrays on the half spectrum.  ``fluid``
+    None is a fluid at rest: its transform and ``keep`` are skipped."""
     n = grid.n
     if force.shape != (n, n, 2) or (fluid is not None and fluid.u.shape != (n, n)):
         raise InvalidGridError("field shapes inconsistent with grid")
     counters["fluid_solves"] += 1
     spectral.counters["fft"] += 4 if fluid is None else 6
-    pu, pv = _project(np.fft.rfft2(force[..., 0]), np.fft.rfft2(force[..., 1]),
-                      *_leray_operators(n, grid.length))
-    un, vn = gain * pu, gain * pv
+    gxx, gxy, gyy = symbol
+    fu, fv = np.fft.rfft2(force[..., 0]), np.fft.rfft2(force[..., 1])
+    un = gxx * fu
+    un += gxy * fv
+    vn = gxy * fu
+    vn += gyy * fv
     if fluid is not None:
         un += keep * np.fft.rfft2(fluid.u)
         vn += keep * np.fft.rfft2(fluid.v)
@@ -142,8 +142,8 @@ def unsteady_stokes_step(fluid, force, rho, mu, dt, grid, theta=1.0):
     """
     if dt <= 0:
         raise ParameterError(f"dt must be positive, got {dt}")
-    keep, gain = _unsteady_multipliers(grid.n, grid.length, rho / dt, mu, theta)
-    return _spectral_solve(fluid, force, grid, keep, gain)
+    keep, *symbol = _unsteady_multipliers(grid.n, grid.length, rho / dt, mu, theta)
+    return _spectral_solve(fluid, force, grid, keep, symbol)
 
 
 def steady_stokes_grid_solve(force, mu, grid):
@@ -153,7 +153,7 @@ def steady_stokes_grid_solve(force, mu, grid):
     (inside the implicit operators the probe forces carry an aliasing-level
     mean), so the velocity has zero mean.
     """
-    return _spectral_solve(None, force, grid, None, _steady_gain(grid.n, grid.length, mu))
+    return _spectral_solve(None, force, grid, None, _steady_symbol(grid.n, grid.length, mu))
 
 
 def _log_kernel_multiplier(n, interface_length):

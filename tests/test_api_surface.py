@@ -2,7 +2,8 @@
 user besides the tests: package code that refers to it, or a mention in the
 benchmark (`bench/`), a demo (`demos/`) or a tool (`tools/`).  A name that
 only its own tests call is dead weight; delete it with its tests, or list it
-below with the reason it stays."""
+below with the reason it stays.  A private module-level function has no
+such outside user: package code must refer to it."""
 
 import ast
 import os
@@ -36,6 +37,14 @@ def _public_names():
                 yield module, node.name
 
 
+def _private_functions():
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+                    and not node.name.startswith("__"):
+                yield module, node.name
+
+
 def _referenced_in_package():
     """Identifiers that package code loads, by name or as an attribute
     (docstrings and comments do not count)."""
@@ -60,3 +69,10 @@ def test_every_public_name_has_a_user_besides_tests():
               if f"{module}.{name}" not in ALLOWED and name not in referenced
               and not any(re.search(rf"\b{name}\b", text) for text in OUTSIDE)]
     assert not unused, f"called only by tests: {unused}"
+
+
+def test_every_private_function_is_used_by_package_code():
+    referenced = _referenced_in_package()
+    unused = [f"{module}.{name}" for module, name in _private_functions()
+              if name not in referenced]
+    assert not unused, f"private functions no package code refers to: {unused}"

@@ -169,10 +169,13 @@ class TestCli:
                                             ("output_dir", "elsewhere"),
                                             ("snapshot_every", "-1"),
                                             ("snapshot_every", "2.5"),
-                                            ("snapshot_every", "true")])
+                                            ("snapshot_every", "true"),
+                                            ("mu", "abc"), ("mu", "yes"), ("dt", "on"),
+                                            ("center_x", "left")])
     def test_bad_value_or_removed_key_is_usage_error(self, key, value, tmp_path, capsys):
-        # non-finite values are refused before the run starts, and the
-        # removed options are unknown keys; either way the message names the key
+        # non-finite, bool and non-numeric values are refused before the run
+        # starts, and the removed options are unknown keys; either way the
+        # message names the key
         code = self.run_cli("run", "--set", "scheme=ssd1_unsteady", "--set", "n=32",
                             "--set", f"{key}={value}", "--out", str(tmp_path))
         assert code == 64

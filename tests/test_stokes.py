@@ -20,32 +20,86 @@ def random_force(rng, n):
     return f - f.mean(axis=(0, 1))
 
 
+def leray(n, length=1.0):
+    """The projection P = I - k k^T/|k|^2 as (N, N/2 + 1, 2, 2) matrices on the
+    rfft2 half spectrum: the cached unsteady symbol at rho/dt = 1, mu = 0,
+    whose gain is 1."""
+    _, pxx, pxy, pyy = stokes._unsteady_multipliers(n, length, 1.0, 0.0, 1.0)
+    return np.stack([np.stack([pxx, pxy], -1), np.stack([pxy, pyy], -1)], -2)
+
+
+def half_spectrum(n, length):
+    """(KX, KY) with the Nyquist mode zeroed, and the full |k|^2, written out."""
+    m = np.fft.fftfreq(n, 1.0 / n)
+    k = 2 * np.pi / length * m
+    kd = np.where(m == -(n // 2), 0.0, k)
+    half = n // 2 + 1
+    return kd[:, None], kd[None, :half], k[:, None] ** 2 + k[None, :half] ** 2
+
+
+def textbook_solve(force, fluid, keep, gain, n, length):
+    """Project each mode of the force, then apply the gain (and keep)."""
+    kx, ky, _ = half_spectrum(n, length)
+    fu, fv = np.fft.rfft2(force[..., 0]), np.fft.rfft2(force[..., 1])
+    k2 = kx**2 + ky**2
+    dot = (kx * fu + ky * fv) / np.where(k2 > 0, k2, 1.0)
+    un, vn = gain * (fu - kx * dot), gain * (fv - ky * dot)
+    if fluid is not None:
+        un += keep * np.fft.rfft2(fluid.u)
+        vn += keep * np.fft.rfft2(fluid.v)
+    return np.fft.irfft2(un, s=(n, n)), np.fft.irfft2(vn, s=(n, n))
+
+
 class TestLeray:
     def test_divergence_free_unchanged(self):
+        # P^2 = P
+        p = leray(32)
+        assert np.max(np.abs(p @ p - p)) <= 1e-15
+
+    def test_symmetric_and_orthogonal_to_k(self):
         n = 32
-        ops = stokes._leray_operators(n, 1.0)
-        kx, ky = ops[:2]
-        rng = np.random.default_rng(0)
-        fu = np.fft.rfft2(rng.standard_normal((n, n)))
-        fv = np.fft.rfft2(rng.standard_normal((n, n)))
-        pu, pv = stokes._project(fu, fv, *ops)
-        qu, qv = stokes._project(pu, pv, *ops)
-        assert np.max(np.abs(qu - pu)) <= 1e-12 * np.max(np.abs(pu))
-        assert np.max(np.abs(qv - pv)) <= 1e-12 * np.max(np.abs(pv))
-        # result is orthogonal to k
-        assert np.max(np.abs(kx * pu + ky * pv)) <= 1e-9 * np.max(np.abs(pu))
+        p = leray(n, 2.0)
+        assert np.array_equal(p, np.swapaxes(p, -1, -2))
+        kx, ky, _ = stokes.grid_wavenumbers(n, 2.0)
+        k = np.stack(np.broadcast_arrays(kx, ky), -1)[..., None]
+        # k . P = 0 and P k = 0, relative to |k| = 2 pi N/(2 length)
+        assert np.max(np.abs(p @ k)) <= 1e-15 * np.pi * n
 
     def test_gradient_mode_killed(self):
         n = 16
-        ops = stokes._leray_operators(n, 1.0)
-        kx, ky = ops[:2]
+        p = leray(n)
+        kx, ky, _ = stokes.grid_wavenumbers(n, 1.0)
         # f_hat = k on a single mode of the rfft2 half spectrum
-        fu = np.zeros((n, n // 2 + 1), complex)
-        fv = np.zeros((n, n // 2 + 1), complex)
-        fu[2, 3], fv[2, 3] = kx[2, 3], ky[2, 3]
-        pu, pv = stokes._project(fu, fv, *ops)
-        assert np.max(np.abs(pu)) <= 1e-14
-        assert np.max(np.abs(pv)) <= 1e-14
+        f = np.array([kx[2, 3], ky[2, 3]])
+        assert np.max(np.abs(p[2, 3] @ f)) <= 1e-14
+
+    def test_identity_where_the_wavenumbers_vanish(self):
+        # k = 0 and the zeroed Nyquist corner pass through
+        n = 16
+        p = leray(n)
+        for mode in [(0, 0), (n // 2, n // 2)]:
+            assert np.array_equal(p[mode], np.eye(2))
+
+    @pytest.mark.parametrize("n, length", [(16, 1.0), (32, 1.0), (32, 2.0)])
+    def test_solves_match_projection_then_gain(self, n, length):
+        grid = GridSpec.make(n, length=length)
+        rng = np.random.default_rng(n)
+        force = random_force(rng, n)
+        fluid = FluidState(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+        _, _, k2 = half_spectrum(n, length)
+        mu, rho, dt = 0.5, 1.0, 0.05
+        cases = [(stokes.steady_stokes_grid_solve(force, mu, grid),
+                  textbook_solve(force, None, None,
+                                 np.where(k2 > 0, 1.0 / (mu * np.where(k2 > 0, k2, 1.0)), 0.0),
+                                 n, length))]
+        for theta in (1.0, 0.5):
+            denom = rho / dt + theta * mu * k2
+            keep = (rho / dt - (1.0 - theta) * mu * k2) / denom
+            cases.append((stokes.unsteady_stokes_step(fluid, force, rho, mu, dt, grid, theta),
+                          textbook_solve(force, fluid, keep, 1.0 / denom, n, length)))
+        for got, (u, v) in cases:
+            assert np.max(np.abs(got.u - u)) <= 1e-14 * np.max(np.abs(u))
+            assert np.max(np.abs(got.v - v)) <= 1e-14 * np.max(np.abs(v))
 
 
 class TestUnsteadyStep:
@@ -163,14 +217,12 @@ class TestSteadyGridSolve:
 
 
 class TestCachedOperators:
-    CACHED = (stokes.grid_wavenumbers, stokes._leray_operators,
-              stokes._unsteady_multipliers, stokes._steady_gain)
+    CACHED = (stokes.grid_wavenumbers, stokes._unsteady_multipliers, stokes._steady_symbol)
 
     def test_cached_arrays_are_read_only(self):
         arrays = list(stokes.grid_wavenumbers(16, 1.0)) \
-            + list(stokes._leray_operators(16, 1.0)) \
             + list(stokes._unsteady_multipliers(16, 1.0, 20.0, 0.01, 1.0)) \
-            + [stokes._steady_gain(16, 1.0, 1.0)]
+            + list(stokes._steady_symbol(16, 1.0, 1.0))
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
