@@ -13,17 +13,15 @@ def k0_convolution_symbol(beta, k):
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
     k = np.asarray(k, dtype=float)
-    out = 1.0 / np.sqrt(beta * beta + k * k)
-    return float(out) if out.ndim == 0 else out
+    return 1.0 / np.sqrt(beta * beta + k * k)
 
 
 @dataclass
 class SsdSymbolParams:
     """Per-step inputs of the implicit leading-order symbols.
 
-    lam is 1/sqrt(mu*dt/rho); s_min = min_a s_a; s_max_excess = max_a(s_a - 1);
-    gamma = max_a(1 - 1/s_a).  The integrator recomputes these each step from
-    the previous state.
+    lam is 1/sqrt(mu*dt/rho); s_min = min_a s_a; s_max_excess = max_a(s_a - 1).
+    The integrator recomputes these each step from the previous state.
     """
 
     elastic: float
@@ -33,14 +31,11 @@ class SsdSymbolParams:
     lam: float
     s_min: float
     s_max_excess: float
-    gamma: float
 
     def __post_init__(self):
         if not (self.lam > 0 and self.s_min > 0):
             raise DomainError("need lam > 0 and s_min > 0")
-        if not (self.gamma < 1):
-            raise DomainError("gamma = max(1 - 1/s_a) must be < 1")
-        for name in ("elastic", "mu", "rho", "dt", "lam", "s_min", "s_max_excess", "gamma"):
+        for name in ("elastic", "mu", "rho", "dt", "lam", "s_min", "s_max_excess"):
             if not np.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} is not finite")
 
@@ -50,8 +45,7 @@ class SsdSymbolParams:
         s_min = float(np.min(s_alpha))
         return cls(elastic=elastic, mu=mu, rho=rho, dt=dt, lam=lam,
                    s_min=s_min,
-                   s_max_excess=float(np.max(s_alpha - 1.0)),
-                   gamma=float(np.max(1.0 - 1.0 / s_alpha)))
+                   s_max_excess=float(np.max(s_alpha - 1.0)))
 
 
 def _bracket_t(k, beta):
@@ -71,8 +65,7 @@ def ssd_symbol_t(k, p):
     Nonpositive for all k; 0 at k = 0.
     """
     beta = p.lam * p.s_min
-    out = -(p.elastic * p.dt) / (2.0 * p.rho * p.s_min**2) * _bracket_t(k, beta)
-    return float(out) if np.ndim(out) == 0 else out
+    return -(p.elastic * p.dt) / (2.0 * p.rho * p.s_min**2) * _bracket_t(k, beta)
 
 
 def ssd_symbol_s(k, p):
@@ -81,9 +74,8 @@ def ssd_symbol_s(k, p):
     Sign matches -sgn(s_max_excess); 0 at k = 0.
     """
     beta = p.lam * p.s_min
-    out = -(p.elastic * p.dt * p.s_max_excess) / (2.0 * p.rho * p.s_min**2) \
+    return -(p.elastic * p.dt * p.s_max_excess) / (2.0 * p.rho * p.s_min**2) \
         * _bracket_s(k, beta)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def ssd_symbol_second_order(k, p):
@@ -96,6 +88,4 @@ def ssd_symbol_second_order(k, p):
     t = -(p.elastic * p.dt) / (4.0 * p.rho * p.s_min**2) * _bracket_t(k, beta)
     s = -(p.elastic * p.dt * p.s_max_excess) / (4.0 * p.rho * p.s_min**3) \
         * _bracket_s(k, beta)
-    if np.ndim(t) == 0:
-        return float(t), float(s)
     return t, s

@@ -60,8 +60,8 @@ def _parse_assignments(pairs):
     for item in pairs or []:
         if "=" not in item:
             raise ParameterError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        out[key.strip()] = _parse_value(value)
+        key, value = (part.strip() for part in item.split("=", 1))
+        out[key] = _parse_value(key, value)
     return out
 
 

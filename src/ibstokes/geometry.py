@@ -1,6 +1,9 @@
 """Arclength-derivative / tangent-angle representation of the closed elastic
-interface: construction, elastic force, evolution right-hand sides, and curve
-reconstruction from two reference points."""
+interface: construction, the elastic force in the node frames, the anchor
+update, and curve reconstruction from two reference points.
+
+Per-node forces and velocities are block vectors [normal; tangential] in
+the node frames (``tangent_normal``), 2 N_b long."""
 
 import warnings
 from dataclasses import dataclass, field
@@ -100,41 +103,28 @@ def theta_derivative(state):
     return TWO_PI / state.length + spectral.derivative_1d(state.phi, 1, period=state.length)
 
 
-def elastic_force(state, elastic):
-    """Hookean force density S_b (D s_alpha * tau + (s_alpha - 1) D theta * n).
-
-    Returns an (N, 2) array.
-    """
-    tau, nrm = tangent_normal(state)
-    ds = spectral.derivative_1d(state.s_alpha, 1, period=state.length)
-    dth = theta_derivative(state)
-    return elastic * (ds[:, None] * tau + ((state.s_alpha - 1.0) * dth)[:, None] * nrm)
+def elastic_force(s_alpha, dth, elastic, length):
+    """Hookean force density S_b (D s_alpha tau + (s_alpha - 1) D theta n) in
+    the node frames: the block S_b [(s_alpha - 1) D theta; D s_alpha].  ``dth``
+    is D theta, frozen or not (an array, or the scalar 2 pi/length)."""
+    return elastic * np.concatenate([(s_alpha - 1.0) * dth,
+                                     spectral.derivative_1d(s_alpha, 1, period=length)])
 
 
-def evolve_salpha_theta_rhs(state, u_normal, u_tangent):
-    """Right-hand sides (d s_alpha/dt, d theta/dt) for given interface velocities."""
-    if np.any(state.s_alpha <= 0):
-        raise DegenerateParameterizationError("s_alpha must stay positive")
-    dth = theta_derivative(state)
-    dv = spectral.derivative_1d(u_tangent, 1, period=state.length)
-    du = spectral.derivative_1d(u_normal, 1, period=state.length)
-    ds_dt = dv - dth * u_normal
-    dtheta_dt = (du + u_tangent * dth) / state.s_alpha
-    return ds_dt, dtheta_dt
-
-
-def anchor_velocity(state, u_normal, u_tangent):
-    """(x, y) velocity rows of the two anchors, a (2, 2) array, from per-node
-    normal and tangential velocities U, V."""
-    j = [0, state.n_nodes // 2]
+def anchor_velocity(state, u):
+    """(x, y) velocity rows of the two anchors, a (2, 2) array, from the block
+    velocity u = [U; V]."""
+    n = state.n_nodes
+    j = np.array([0, n // 2])
+    u_normal, u_tangent = u[j], u[n + j]
     cos, sin = np.cos(state.theta[j]), np.sin(state.theta[j])
-    return np.column_stack([u_tangent[j] * cos - u_normal[j] * sin,
-                            u_tangent[j] * sin + u_normal[j] * cos])
+    return np.column_stack([u_tangent * cos - u_normal * sin,
+                            u_tangent * sin + u_normal * cos])
 
 
-def update_reference_points(state, u_normal, u_tangent, dt):
-    """Forward-Euler update of the two anchors from per-node U, V arrays."""
-    return state.ref_points + dt * anchor_velocity(state, u_normal, u_tangent)
+def update_reference_points(state, u, dt):
+    """Forward-Euler update of the two anchors from the block velocity u."""
+    return state.ref_points + dt * anchor_velocity(state, u)
 
 
 def reconstruct_curve(state, drift_tol=1e-6):

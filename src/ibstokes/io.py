@@ -1,10 +1,10 @@
 """Run configuration, config-file parsing, snapshots, and CSV output.
 
 The config format is a flat key = value document: one assignment per line,
-'#' starts a comment, values are unquoted ints/floats/booleans/strings.
-Command-line flags override file values.  Snapshots are versioned JSON with
-explicit arrays; floats use the shortest representation that round-trips
-exactly, so save/load is lossless.
+'#' starts a comment, and each unquoted value is read as its key's declared
+type (int, float or str).  Command-line flags override file values.
+Snapshots are versioned JSON with explicit arrays; floats use the shortest
+representation that round-trips exactly, so save/load is lossless.
 """
 
 import json
@@ -102,24 +102,15 @@ class RunConfig:
         return f"{self.scheme}-N{self.n}-dt{self.dt:g}"
 
 
-_BOOL_WORDS = {"true": True, "yes": True, "on": True,
-               "false": False, "no": False, "off": False}
-
-
-def _parse_value(text):
-    text = text.strip()
-    low = text.lower()
-    if low in _BOOL_WORDS:
-        return _BOOL_WORDS[low]
+def _parse_value(key, text):
+    """``text`` read as the declared type (int, float or str) of the RunConfig
+    field ``key``; an unknown key keeps its text, for load_run_config to refuse."""
+    field = RunConfig.__dataclass_fields__.get(key)
+    kind = str if field is None else field.type
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+        raise ParameterError(f"{key}: expected {kind.__name__}, got {text!r}") from None
 
 
 def parse_config_text(text):
@@ -131,8 +122,8 @@ def parse_config_text(text):
             continue
         if "=" not in line:
             raise ParameterError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = _parse_value(value)
+        key, value = (part.strip() for part in line.split("=", 1))
+        out[key] = _parse_value(key, value)
     return out
 
 

@@ -5,11 +5,15 @@ integrating-factor RK4, and the provably energy-non-increasing two-step
 scheme.  Unsteady flow: explicit, semi-implicit first/second kind, the
 two-step stable scheme, and a midpoint/trapezoidal second-order scheme.
 
-Every scheme couples to the fluid through one per-step map on the frozen
-curve, force -> (U, V, fluid) (``_velocity_map``: spread, solve on the grid,
-interpolate); steady and unsteady flow differ only in the fluid solve behind
-it and in the leading-order symbols, so the explicit and the stable schemes
-are one stepper each for both flows.
+Every scheme is written in three maps on the frozen curve, with forces and
+velocities held as block vectors [normal; tangential] in the node frames:
+the elastic force F (``geometry.elastic_force``), the velocity map K
+(``_velocity_map``: rotate to xy, spread, solve on the grid, interpolate,
+rotate back; it also returns the solved fluid) and the rate maps R
+(``_stretch_rate``, ``_angle_rate``), the s_alpha-theta kinematics.  Steady
+and unsteady flow differ only in the fluid solve behind K and in the
+leading-order symbols, so the explicit and the stable schemes are one
+stepper each for both flows; steady flow keeps no fluid (``_finish``).
 
 The semi-implicit updates add the implicit leading-order term and subtract
 its explicit counterpart, so every scheme is consistent with the same
@@ -23,11 +27,11 @@ systems; every diagonal update, backward Euler or Crank-Nicolson, goes
 through ``_semi_implicit``.  The second-kind circulants are gathered from
 their first columns, and a circulant product from the multipliers' product:
 O(N_b^2) assembly.  Both implicit systems of the two-step stable schemes
-read A = I - diag(scale) R K F, with the force map F and the rate map R
-written once and K the interface mobility in the node frames (force ->
-interface velocity of the frozen curve): formed once per step, one fluid
-solve per unit force, up to DENSE_MAX nodes, else applied by GMRES as one
-grid solve per product, both to the relative residual LINEAR_TOL.
+read A = I - diag(scale) R K F_lin, with F_lin the linear part of F in the
+unknown and K the interface mobility: formed once per step, one fluid solve
+per unit force (``_interface_mobility``), up to DENSE_MAX nodes, else applied
+by GMRES as one grid solve per product, both to the relative residual
+LINEAR_TOL.
 """
 import warnings
 from dataclasses import dataclass, replace
@@ -41,8 +45,8 @@ from . import bessel, coupling, spectral, stokes
 from .bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_second_order, ssd_symbol_t
 from .errors import BlowupError, ParameterError, SolverStallError
 from .geometry import (InterfaceState, anchor_velocity, elastic_force, enclosed_area,
-                       evolve_salpha_theta_rhs, init_ellipse, reconstruct_curve, tangent_normal,
-                       theta_derivative, update_reference_points)
+                       init_ellipse, reconstruct_curve, tangent_normal, theta_derivative,
+                       update_reference_points)
 from .params import finite_real
 from .stokes import FluidState, steady_stokes_grid_solve, unsteady_stokes_step
 
@@ -98,13 +102,6 @@ def _grid_uv(fluid):
     return np.stack([fluid.u, fluid.v], axis=-1)
 
 
-def _project_velocity(uv, tau, nrm):
-    """Split interpolated (u, v) node values into normal/tangential parts."""
-    u_n = uv[:, 0] * nrm[:, 0] + uv[:, 1] * nrm[:, 1]
-    u_t = uv[:, 0] * tau[:, 0] + uv[:, 1] * tau[:, 1]
-    return u_n, u_t
-
-
 def _fluid_solve(fluid, phys, grid, cfg):
     """The scheme's fluid solve f_grid -> fluid: steady Stokes from rest, or
     one unsteady step from ``fluid`` (None: from rest)."""
@@ -113,23 +110,54 @@ def _fluid_solve(fluid, phys, grid, cfg):
     return lambda f_grid: unsteady_stokes_step(fluid, f_grid, phys.rho, phys.mu, cfg.dt, grid)
 
 
-def _velocity_map(state, tau, nrm, phys, grid, cfg):
-    """The step's map force -> (U, V, fluid) on the frozen ``state.curve``,
-    U and V in the node frames ``nrm``, ``tau``: the force is spread, solved
-    for and interpolated back.  Unsteady flow advances ``state.fluid`` one
-    step; steady flow solves from rest and keeps no fluid (None)."""
-    steady = cfg.scheme in STEADY_SCHEMES
-    stencils = coupling.delta_stencils(state.curve, grid)
-    solve = _fluid_solve(state.fluid, phys, grid, cfg)
+def _velocity_map(stencils, tau, nrm, grid, solve, average_with=None):
+    """K, the map force -> (u, fluid) on a frozen curve, force and velocity
+    blocks [normal; tangential] in the node frames ``nrm``, ``tau``: the force
+    is rotated to xy, spread through ``stencils``, solved for by
+    ``solve(f_grid)``, interpolated and rotated back.  The trapezoidal scheme
+    interpolates the mean of the solved fluid and ``average_with``."""
+    nb = len(tau)
 
     def velocity(force):
-        fluid = solve(coupling.spread(stencils, force, grid))
-        uv = coupling.interpolate(stencils, _grid_uv(fluid), grid)
-        return (*_project_velocity(uv, tau, nrm), None if steady else fluid)
+        fluid = solve(coupling.spread(stencils, force[:nb, None] * nrm + force[nb:, None] * tau,
+                                      grid))
+        uv = _grid_uv(fluid)
+        if average_with is not None:
+            uv = 0.5 * (uv + _grid_uv(average_with))
+        uv = coupling.interpolate(stencils, uv, grid)
+        return np.concatenate([np.sum(uv * nrm, axis=1), np.sum(uv * tau, axis=1)]), fluid
     return velocity
 
 
+def _step_map(state, phys, grid, cfg):
+    """K on the step's own curve, through the scheme's fluid solve."""
+    tau, nrm = tangent_normal(state.interface)
+    return _velocity_map(coupling.delta_stencils(state.curve, grid), tau, nrm, grid,
+                         _fluid_solve(state.fluid, phys, grid, cfg))
+
+
+def _rows(v, x):
+    """diag(v) x for a vector x or the columns of a matrix x (v may be a scalar)."""
+    return (v * x.T).T
+
+
+def _stretch_rate(u, dth, d):
+    """R for s_alpha: D V - theta_a U of the block velocity u = [U; V] (a
+    vector or matrix columns), ``d`` the derivative D."""
+    nb = len(u) // 2
+    return d(u[nb:]) - _rows(dth, u[:nb])
+
+
+def _angle_rate(u, dth, d):
+    """R for the angle, times s_alpha: D U + theta_a V (theta_t is this over s_alpha)."""
+    nb = len(u) // 2
+    return d(u[:nb]) + _rows(dth, u[nb:])
+
+
 def _finish(state, cfg, s_new, phi_new, refs, fluid=None):
+    """The next StepState, after the blowup checks; steady flow keeps no fluid."""
+    if cfg.scheme in STEADY_SCHEMES:
+        fluid = None
     k = state.step + 1
     if not (np.all(np.isfinite(s_new) & (s_new > 0)) and np.all(np.isfinite(phi_new))
             and np.all(np.isfinite(refs))):
@@ -160,23 +188,16 @@ def _semi_implicit(x, rhs, lead, dt, ref=None, theta=1.0):
                       / (1.0 / dt - theta * lead))
 
 
-def _frozen_angle_force(s, tau, nrm, dth_n, elastic, length):
-    """Elastic force F(s, theta^n) of the stretch s on the frozen angle."""
-    ds = spectral.derivative_1d(s, 1, period=length)
-    return elastic * (ds[:, None] * tau + (s * dth_n)[:, None] * nrm) \
-        - elastic * dth_n[:, None] * nrm
-
-
 def step_explicit(state, phys, grid, cfg):
     """Forward Euler, in steady or unsteady flow."""
     iface = state.interface
-    tau, nrm = tangent_normal(iface)
-    u_n, u_t, fluid1 = _velocity_map(state, tau, nrm, phys, grid, cfg)(
-        elastic_force(iface, phys.elastic))
-    ds, dth = evolve_salpha_theta_rhs(iface, u_n, u_t)
-    refs = update_reference_points(iface, u_n, u_t, cfg.dt)
-    return _finish(state, cfg, iface.s_alpha + cfg.dt * ds, iface.phi + cfg.dt * dth,
-                   refs, fluid1)
+    dth = theta_derivative(iface)
+    d = partial(spectral.derivative_1d, period=iface.length)
+    u, fluid1 = _step_map(state, phys, grid, cfg)(
+        elastic_force(iface.s_alpha, dth, phys.elastic, iface.length))
+    return _finish(state, cfg, iface.s_alpha + cfg.dt * _stretch_rate(u, dth, d),
+                   iface.phi + cfg.dt * (_angle_rate(u, dth, d) / iface.s_alpha),
+                   update_reference_points(iface, u, cfg.dt), fluid1)
 
 
 def _steady_rates(iface, phys):
@@ -225,22 +246,20 @@ def step_ssd1_steady(state, phys, grid, cfg):
     """
     iface = state.interface
     dt = cfg.dt
-    tau, nrm = tangent_normal(iface)
-    velocity = _velocity_map(state, tau, nrm, phys, grid, cfg)
-    u_n, u_t, _ = velocity(elastic_force(iface, phys.elastic))
-    eta, xi, _ = _steady_rates(iface, phys)
     dth = theta_derivative(iface)
-    rhs_s = spectral.derivative_1d(u_t, 1, period=iface.length) - dth * u_n
-    s_new = _semi_implicit(iface.s_alpha, rhs_s, -eta, dt)
+    d = partial(spectral.derivative_1d, period=iface.length)
+    velocity = _step_map(state, phys, grid, cfg)
+    u, _ = velocity(elastic_force(iface.s_alpha, dth, phys.elastic, iface.length))
+    eta, xi, _ = _steady_rates(iface, phys)
+    s_new = _semi_implicit(iface.s_alpha, _stretch_rate(u, dth, d), -eta, dt)
 
-    u_n1, u_t1, _ = velocity(_frozen_angle_force(s_new, tau, nrm, dth, phys.elastic,
-                                                 iface.length))
+    u1, _ = velocity(elastic_force(s_new, dth, phys.elastic, iface.length))
     # the angle update divides the explicit terms by the new s_alpha
-    rhs_phi = (spectral.derivative_1d(u_n1, 1, period=iface.length) + u_t1 * dth) / s_new
-    phi_new = _semi_implicit(iface.phi, rhs_phi, -xi, dt)
-    refs = update_reference_points(iface, u_n1, u_t1, dt)
+    phi_new = _semi_implicit(iface.phi, _angle_rate(u1, dth, d) / s_new, -xi, dt)
+    refs = update_reference_points(iface, u1, dt)
 
-    target = enclosed_area(state.curve) - dt * float(np.sum(u_n * iface.s_alpha)) * iface.dalpha
+    flux = float(np.sum(u[:iface.n_nodes] * iface.s_alpha)) * iface.dalpha
+    target = enclosed_area(state.curve) - dt * flux
     s_new = _area_balanced_stretch(s_new, phi_new, refs, iface.length, target, state.step + 1)
     return _finish(state, cfg, s_new, phi_new, refs)
 
@@ -269,6 +288,7 @@ def step_ifrk4_steady(state, phys, grid, cfg):
     nb = iface.n_nodes
     eta, xi, _ = _steady_rates(iface, phys)
     rate = np.concatenate([eta, xi])
+    d = partial(spectral.derivative_1d, period=iface.length)
     stage_vel = []
 
     def n_func(stage, y):
@@ -279,12 +299,11 @@ def step_ifrk4_steady(state, phys, grid, cfg):
         stage_if = InterfaceState(s, phi, iface.ref_points, iface.length)
         stage = replace(state, interface=stage_if,
                         curve=reconstruct_curve(stage_if, drift_tol=np.inf))
-        tau, nrm = tangent_normal(stage_if)
-        u_n, u_t, _ = _velocity_map(stage, tau, nrm, phys, grid, cfg)(
-            elastic_force(stage_if, phys.elastic))
-        ds, dth = evolve_salpha_theta_rhs(stage_if, u_n, u_t)
-        stage_vel.append(anchor_velocity(stage_if, u_n, u_t))
-        return np.concatenate([_fft(ds) + eta * y[:nb], _fft(dth) + xi * y[nb:]])
+        dth = theta_derivative(stage_if)
+        u, _ = _step_map(stage, phys, grid, cfg)(elastic_force(s, dth, phys.elastic, iface.length))
+        stage_vel.append(anchor_velocity(stage_if, u))
+        return np.concatenate([_fft(_stretch_rate(u, dth, d)) + eta * y[:nb],
+                               _fft(_angle_rate(u, dth, d) / s) + xi * y[nb:]])
 
     y0 = np.concatenate([_fft(iface.s_alpha), _fft(iface.phi)])
     y1 = _ifrk4_diagonal(y0, rate, dt, n_func)
@@ -326,15 +345,16 @@ def _dense_solve(a, b, step_index, rtol=1e-8):
     return x
 
 
-def _angle_transport_solve(iface, lead_mat, u_n, u_t, s_new, dt, step_index):
+def _angle_transport_solve(iface, lead_mat, u, s_new, dt, step_index):
     """Second-kind angle update: the leading term ``lead_mat`` and the
-    transport (V/s^{n+1}) D theta^{n+1} implicit, the rest explicit."""
+    transport (V/s^{n+1}) D phi^{n+1} implicit, the rest of the angle rate
+    (its part on the winding 2 pi/L_b) explicit."""
     nb = iface.n_nodes
     dmat = _derivative_matrix(nb, iface.length)
-    w = u_t / s_new
-    a_p = np.eye(nb) / dt - lead_mat - w[:, None] * dmat
-    du = spectral.derivative_1d(u_n, 1, period=iface.length)
-    b_p = iface.phi / dt + du / s_new + w * (TWO_PI / iface.length) - lead_mat @ iface.phi
+    rate = _angle_rate(u, TWO_PI / iface.length,
+                       partial(spectral.derivative_1d, period=iface.length))
+    a_p = np.eye(nb) / dt - lead_mat - (u[nb:] / s_new)[:, None] * dmat
+    b_p = iface.phi / dt + rate / s_new - lead_mat @ iface.phi
     return _dense_solve(a_p, b_p, step_index)
 
 
@@ -342,10 +362,9 @@ def step_ssd2_steady(state, phys, grid, cfg):
     iface = state.interface
     dt = cfg.dt
     nb = iface.n_nodes
-    tau, nrm = tangent_normal(iface)
-    u_n, u_t, _ = _velocity_map(state, tau, nrm, phys, grid, cfg)(
-        elastic_force(iface, phys.elastic))
     dth = theta_derivative(iface)
+    u, _ = _step_map(state, phys, grid, cfg)(
+        elastic_force(iface.s_alpha, dth, phys.elastic, iface.length))
     eta, _, gamma = _steady_rates(iface, phys)
     lam_abs = _circulant_from_multiplier(eta)         # (S_b/4mu)|kappa|
     # periodized ln|a - a'| convolution
@@ -356,15 +375,14 @@ def step_ssd2_steady(state, phys, grid, cfg):
     # with U_lead(s) = -c * int ln|a-a'| (s-1) theta_a da'; the constant parts
     # of the implicit and explicit leading terms cancel, leaving t_lin s
     t_lin = -lam_abs + c * (dth[:, None] * log_mat * dth[None, :])
-    rhs_expl = spectral.derivative_1d(u_t, 1, period=iface.length) - dth * u_n
+    rhs_expl = _stretch_rate(u, dth, partial(spectral.derivative_1d, period=iface.length))
     a_s = np.eye(nb) / dt - t_lin
     b_s = iface.s_alpha / dt + rhs_expl - t_lin @ iface.s_alpha
     s_new = _dense_solve(a_s, b_s, state.step + 1)
 
     # angle system: implicit -gamma|kappa| leading term plus implicit transport
-    phi_new = _angle_transport_solve(iface, -gamma * lam_abs, u_n, u_t, s_new, dt,
-                                     state.step + 1)
-    refs = update_reference_points(iface, u_n, u_t, dt)
+    phi_new = _angle_transport_solve(iface, -gamma * lam_abs, u, s_new, dt, state.step + 1)
+    refs = update_reference_points(iface, u, dt)
     return _finish(state, cfg, s_new, phi_new, refs)
 
 
@@ -383,123 +401,92 @@ def _solve_linear(lin, b, step_index):
     return x
 
 
-def _rows(v, x):
-    """diag(v) x for a vector x or the columns of a matrix x (v may be a scalar)."""
-    return (v * x.T).T
-
-
 def _interface_mobility(stencils, solve, grid, tau, nrm):
-    """Interface mobility of a frozen curve in the node frames: M = J L S (the
-    IB mobility of Balboa Usabiaga et al. 2016), column 2j + c the interface
-    velocity of the unit force on node j in direction c, rotated into K,
-    K[a N_b + i, b N_b + k] the a-velocity at node i of a unit b-force at
-    node k, a and b in (normal, tangential).  Each node is spread once through
-    its own stencils, and each column costs one fluid solve ``solve(f_grid)``.
-    Spreading and interpolation are adjoint, so K is symmetric."""
-    nb = len(stencils.w)
-    mob = np.empty((2 * nb, 2 * nb))
-    unit = np.eye(2)[None]
+    """K assembled: the interface mobility M = J L S of a frozen curve (the IB
+    mobility of Balboa Usabiaga et al. 2016) in the node frames.  Column
+    a N_b + j is the block velocity [U; V] of the unit a-force on node j, a in
+    (normal, tangential): node j spreads its unit forces ``nrm[j]`` and
+    ``tau[j]`` once through its own stencils, and each column costs one fluid
+    solve ``solve(f_grid)``.  Spreading and interpolation are adjoint, so K is
+    symmetric."""
+    nb = len(tau)
+    uv = np.empty((nb, 2, 2 * nb))    # node, xy, column
     for j in range(nb):
-        fields = coupling.spread(stencils[j:j + 1], unit, grid)  # (N, N, 2, 2)
-        for c in range(2):
-            uv = coupling.interpolate(stencils, _grid_uv(solve(fields[..., c])), grid)
-            mob[:, 2 * j + c] = uv.ravel()
-    frames = np.stack([nrm, tau])
-    return np.einsum("aid,idke,bke->aibk", frames, mob.reshape(nb, 2, nb, 2),
-                     frames).reshape(2 * nb, 2 * nb)
+        units = np.stack([nrm[j], tau[j]], axis=-1)[None]    # (1, xy, a)
+        fields = coupling.spread(stencils[j:j + 1], units, grid)  # (N, N, xy, a)
+        for a in range(2):
+            uv[..., a * nb + j] = coupling.interpolate(stencils, _grid_uv(solve(fields[..., a])),
+                                                       grid)
+    return np.concatenate([np.sum(uv * nrm[..., None], axis=1),
+                           np.sum(uv * tau[..., None], axis=1)])
 
 
 def step_stable(state, phys, grid, cfg):
     """Two-step stable scheme (after Newren, Fogelson, Guy & Kirby) on a
-    frozen curve, in steady or unsteady flow.  The fluid enters as
-    ``solve(f_grid)``, the fluid driven from rest by a grid force, and in
-    unsteady flow ``advance(f_grid)``, the solve from the current fluid (None
-    in steady flow, which keeps no fluid and has no unforced velocity).
+    frozen curve, in steady or unsteady flow, written in F, K and R: the
+    implicit systems use K from rest (``solve``), and the velocities that move
+    the interface and the fluid use the advancing K (from the current fluid
+    in unsteady flow; the same solve in steady flow).
 
-    Both implicit systems read A = I - diag(scale) R K F, scale dt for s_alpha
-    and dt/s^{n+1} for the angle: F maps the unknown to the (normal,
-    tangential) force, K that force to the interface velocity in the same
-    frames, and R the velocity to the unknown's rate.  F and R are written
-    once.  Up to DENSE_MAX nodes K is assembled once per step
+    Both implicit systems read A = I - diag(scale) R K F_lin, scale dt for
+    s_alpha and dt/s^{n+1} for the angle, with F_lin the part of the force
+    linear in the unknown.  Step 1 takes F(s^{n+1}, theta^n) = F_lin s^{n+1} +
+    F(0, theta^n); Step 2 takes F(s^{n+1}, theta^{n+1}) = F_lin phi^{n+1} +
+    F(s^{n+1}, 2 pi/L_b).  Up to DENSE_MAX nodes K is assembled once per step
     (``_interface_mobility``) and A formed with the derivative matrix; above
     it GMRES applies A, K as one from-rest grid solve, D as the FFT derivative."""
     iface = state.interface
     dt = cfg.dt
     nb = iface.n_nodes
-    elastic = phys.elastic
-    solve = _fluid_solve(None, phys, grid, cfg)
-    advance = None if cfg.scheme in STEADY_SCHEMES else _fluid_solve(state.fluid, phys, grid, cfg)
+    elastic, length = phys.elastic, iface.length
     stencils = coupling.delta_stencils(state.curve, grid)
     tau, nrm = tangent_normal(iface)
     dth = theta_derivative(iface)
+    solve = _fluid_solve(None, phys, grid, cfg)
+    from_rest = _velocity_map(stencils, tau, nrm, grid, solve)
+    advance = _velocity_map(stencils, tau, nrm, grid, _fluid_solve(state.fluid, phys, grid, cfg))
+    # the unforced velocity of the current fluid (none in steady flow)
+    u_hom = 0.0 if cfg.scheme in STEADY_SCHEMES else advance(np.zeros(2 * nb))[0]
 
-    def velocity(fluid):
-        return coupling.interpolate(stencils, _grid_uv(fluid), grid)
-
-    def response(force):
-        """Linear interface velocity of a force (fluid from rest)."""
-        return velocity(solve(coupling.spread(stencils, force, grid)))
-
-    def frame(uv):
-        return np.concatenate(_project_velocity(uv, tau, nrm))
-
-    fft_derivative = partial(spectral.derivative_1d, period=iface.length)
+    fft_derivative = partial(spectral.derivative_1d, period=length)
     dense = nb <= DENSE_MAX
     if dense:
-        derivative = _derivative_matrix(nb, iface.length).__matmul__
+        derivative = _derivative_matrix(nb, length).__matmul__
         mobility = _interface_mobility(stencils, solve, grid, tau, nrm).__matmul__
     else:
         derivative = fft_derivative
 
         def mobility(f):  # one from-rest grid solve
-            return frame(response(f[:nb, None] * nrm + f[nb:, None] * tau))
+            return from_rest(f)[0]
 
     def system(scale, force, rate):
-        """A = I - diag(scale) R K F: assembled, or the map x -> A x for GMRES."""
+        """A = I - diag(scale) R K F_lin: assembled, or the map x -> A x for GMRES."""
         def apply(x):
-            return x - _rows(scale, rate(mobility(force(x, derivative)), derivative))
+            return x - _rows(scale, rate(mobility(force(x, derivative)), dth, derivative))
         return apply(np.eye(nb)) if dense else apply
 
-    # Step 1: implicit s_alpha through F(s^{n+1}, theta^n), whose normal and
-    # tangential parts are S_b theta_a s and S_b D s; the stretch rate is
-    # D V - theta_a U
+    # Step 1: implicit s_alpha; F_lin s = S_b [theta_a s; D s]
     def force_s(s, d):
         return elastic * np.concatenate([_rows(dth, s), d(s)])
 
-    def rate_s(u, d):
-        return d(u[nb:]) - _rows(dth, u[:nb])
+    b = iface.s_alpha + dt * _stretch_rate(
+        u_hom + from_rest(elastic_force(np.zeros(nb), dth, elastic, length))[0], dth,
+        fft_derivative)
+    s_new = _solve_linear(system(dt, force_s, _stretch_rate), b, state.step + 1)
+    # the Step-1 velocity at the solution moves the anchors and the fluid
+    u1, fluid1 = advance(elastic_force(s_new, dth, elastic, length))
 
-    uv_hom = 0.0 if advance is None else velocity(advance(np.zeros((grid.n, grid.n, 2))))
-    b = iface.s_alpha + dt * rate_s(frame(uv_hom + response(-elastic * dth[:, None] * nrm)),
-                                    fft_derivative)
-    s_new = _solve_linear(system(dt, force_s, rate_s), b, state.step + 1)
-
-    # recover the Step-1 velocities at the solution for the reference points
-    force_full = _frozen_angle_force(s_new, tau, nrm, dth, elastic, iface.length)
-    if advance is None:
-        fluid1, uv1 = None, response(force_full)
-    else:
-        fluid1 = advance(coupling.spread(stencils, force_full, grid))
-        uv1 = velocity(fluid1)
-    u_n1, u_t1 = _project_velocity(uv1, tau, nrm)
-
-    # Step 2: implicit angle through F(s^{n+1}, theta^{n+1}), whose normal
-    # part is S_b (s^{n+1} - 1) D phi; the angle rate is D U + theta_a V
+    # Step 2: implicit angle; F_lin phi = S_b [(s^{n+1} - 1) D phi; 0]
     def force_phi(phi, d):
         f_n = elastic * _rows(s_new - 1.0, d(phi))
         return np.concatenate([f_n, np.zeros_like(f_n)])
 
-    def rate_phi(u, d):
-        return d(u[:nb]) + _rows(dth, u[nb:])
-
     scale = dt / s_new
-    ds_new = fft_derivative(s_new)
-    force0 = elastic * (ds_new[:, None] * tau
-                        + ((s_new - 1.0) * (TWO_PI / iface.length))[:, None] * nrm)
-    b_phi = iface.phi + scale * rate_phi(frame(uv_hom + response(force0)), fft_derivative)
-    phi_new = _solve_linear(system(scale, force_phi, rate_phi), b_phi, state.step + 1)
-    refs = update_reference_points(iface, u_n1, u_t1, dt)
-    return _finish(state, cfg, s_new, phi_new, refs, fluid1)
+    b_phi = iface.phi + scale * _angle_rate(
+        u_hom + from_rest(elastic_force(s_new, TWO_PI / length, elastic, length))[0], dth,
+        fft_derivative)
+    phi_new = _solve_linear(system(scale, force_phi, _angle_rate), b_phi, state.step + 1)
+    return _finish(state, cfg, s_new, phi_new, update_reference_points(iface, u1, dt), fluid1)
 
 
 def _rescaling_coefficient(stored, observed, leading, label):
@@ -535,30 +522,30 @@ def step_ssd1_unsteady(state, phys, grid, cfg):
     """First-kind SSD step: s_alpha through F^n, the angle through F(s^{n+1}, theta^n)."""
     iface = state.interface
     dt = cfg.dt
-    tau, nrm = tangent_normal(iface)
-    velocity = _velocity_map(state, tau, nrm, phys, grid, cfg)
-    u_n_star, u_t_star, _ = velocity(elastic_force(iface, phys.elastic))
+    nb = iface.n_nodes
+    dth = theta_derivative(iface)
+    velocity = _step_map(state, phys, grid, cfg)
+    u_star, _ = velocity(elastic_force(iface.s_alpha, dth, phys.elastic, iface.length))
     p = SsdSymbolParams.from_state(iface.s_alpha, phys.elastic, phys.mu, phys.rho, dt)
-    kappa = spectral.wavenumbers(iface.n_nodes, iface.length)
+    kappa = spectral.wavenumbers(nb, iface.length)
     t_hat = ssd_symbol_t(kappa, p)
     s_hat_sym = ssd_symbol_s(kappa, p)
-    dth = theta_derivative(iface)
-    dv_star = spectral.derivative_1d(u_t_star, 1, period=iface.length)
-    rhs_s = dv_star - dth * u_n_star
+    # the stretch rate D V - theta_a U, written out because C_V reads D V
+    dv_star = spectral.derivative_1d(u_star[nb:], 1, period=iface.length)
+    rhs_s = dv_star - dth * u_star[:nb]
     c_v = _rescaling_coefficient(state.c_v, dv_star,
                                  lambda: spectral.apply_symbol_1d(iface.s_alpha, t_hat), "C_V")
     s_new = _semi_implicit(iface.s_alpha, rhs_s, c_v * t_hat, dt)
 
-    u_n1, u_t1, fluid1 = velocity(_frozen_angle_force(s_new, tau, nrm, dth, phys.elastic,
-                                                      iface.length))
-    c_u = _rescaling_coefficient(state.c_u, u_n1, lambda: _velocity_level_lead(
+    u1, fluid1 = velocity(elastic_force(s_new, dth, phys.elastic, iface.length))
+    c_u = _rescaling_coefficient(state.c_u, u1[:nb], lambda: _velocity_level_lead(
         s_hat_sym, kappa, iface.phi, p.s_min), "C_U")
-    rhs_phi = (spectral.derivative_1d(u_n1, 1, period=iface.length) + u_t1 * dth) / s_new
+    rhs_phi = _angle_rate(u1, dth, partial(spectral.derivative_1d, period=iface.length)) / s_new
     # the leading angle operator is S/min(s); the explicit counterpart must
     # carry the same factor or the homogeneous high-k multiplier becomes
     # min(s) != 1 and the update amplifies node-scale modes
     phi_new = _semi_implicit(iface.phi, rhs_phi, c_u * s_hat_sym / float(np.min(s_new)), dt)
-    refs = update_reference_points(iface, u_n1, u_t1, dt)
+    refs = update_reference_points(iface, u1, dt)
     return _finish(replace(state, c_v=c_v, c_u=c_u), cfg, s_new, phi_new, refs, fluid1)
 
 
@@ -566,14 +553,13 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
     iface = state.interface
     dt = cfg.dt
     nb = iface.n_nodes
-    tau, nrm = tangent_normal(iface)
-    velocity = _velocity_map(state, tau, nrm, phys, grid, cfg)
-    u_n_star, u_t_star, _ = velocity(elastic_force(iface, phys.elastic))
+    dth = theta_derivative(iface)
+    velocity = _step_map(state, phys, grid, cfg)
+    u_star, _ = velocity(elastic_force(iface.s_alpha, dth, phys.elastic, iface.length))
     p = SsdSymbolParams.from_state(iface.s_alpha, phys.elastic, phys.mu, phys.rho, dt)
-    kappa = spectral.wavenumbers(iface.n_nodes, iface.length)
+    kappa = spectral.wavenumbers(nb, iface.length)
     t_hat = ssd_symbol_t(kappa, p)
     s_hat_sym = ssd_symbol_s(kappa, p)
-    dth = theta_derivative(iface)
     beta = p.lam * p.s_min
 
     # dense correction: the smooth K0(beta|d|) + ln|d| convolution (the log
@@ -590,22 +576,22 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
     # the leading term t_mat s + pref coef kd2 ((s - 1) theta_a) is affine in s;
     # its constant part cancels between the implicit and explicit sides
     t2_lin = t_mat + pref * (coef[:, None] * kd2 * dth[None, :])
-    dv_star = spectral.derivative_1d(u_t_star, 1, period=iface.length)
+    # the stretch rate D V - theta_a U, written out because C_V reads D V
+    dv_star = spectral.derivative_1d(u_star[nb:], 1, period=iface.length)
     c_v = _rescaling_coefficient(
         state.c_v, dv_star, lambda: t_mat @ s0 + pref * coef * (kd2 @ ((s0 - 1.0) * dth)), "C_V")
-    rhs_s = dv_star - dth * u_n_star
+    rhs_s = dv_star - dth * u_star[:nb]
     a_s = np.eye(nb) / dt - c_v * t2_lin
     b_s = s0 / dt + rhs_s - c_v * (t2_lin @ s0)
     s_new = _dense_solve(a_s, b_s, state.step + 1)
 
-    u_n1, u_t1, fluid1 = velocity(_frozen_angle_force(s_new, tau, nrm, dth, phys.elastic,
-                                                      iface.length))
-    c_u = _rescaling_coefficient(state.c_u, u_n1, lambda: _velocity_level_lead(
+    u1, fluid1 = velocity(elastic_force(s_new, dth, phys.elastic, iface.length))
+    c_u = _rescaling_coefficient(state.c_u, u1[:nb], lambda: _velocity_level_lead(
         s_hat_sym, kappa, iface.phi, p.s_min), "C_U")
     # angle system: diagonal leading term plus implicit transport (V/s) D theta
     s_mat = _circulant_from_multiplier(c_u * s_hat_sym / float(np.min(s_new)))
-    phi_new = _angle_transport_solve(iface, s_mat, u_n1, u_t1, s_new, dt, state.step + 1)
-    refs = update_reference_points(iface, u_n1, u_t1, dt)
+    phi_new = _angle_transport_solve(iface, s_mat, u1, s_new, dt, state.step + 1)
+    refs = update_reference_points(iface, u1, dt)
     return _finish(replace(state, c_v=c_v, c_u=c_u), cfg, s_new, phi_new, refs, fluid1)
 
 
@@ -622,41 +608,39 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     half = step_ssd1_unsteady(replace(state, c_v=1.0, c_u=1.0), phys, grid,
                               replace(cfg, scheme="ssd1_unsteady", dt=dt / 2))
     iface_h = half.interface
-    stencils_h = coupling.delta_stencils(half.curve, grid)
-    tau_h, nrm_h = tangent_normal(iface_h)
     dth_h = theta_derivative(iface_h)
+    d = partial(spectral.derivative_1d, period=iface.length)
 
     p2 = replace(SsdSymbolParams.from_state(iface_h.s_alpha, phys.elastic, phys.mu, phys.rho, dt),
                  lam=np.sqrt(2.0 * phys.rho / (phys.mu * dt)))
     kappa = spectral.wavenumbers(iface.n_nodes, iface.length)
     t2_hat, s2_hat = ssd_symbol_second_order(kappa, p2)
 
-    def centered_velocity(force):
-        # trapezoidal solve on the midpoint curve, (U, V) of (u^n + u^{n+1})/2
-        fluid = unsteady_stokes_step(state.fluid, coupling.spread(stencils_h, force, grid),
-                                     phys.rho, phys.mu, dt, grid, theta=0.5)
-        uv = coupling.interpolate(stencils_h, 0.5 * (_grid_uv(fluid) + _grid_uv(state.fluid)),
-                                  grid)
-        return (*_project_velocity(uv, tau_h, nrm_h), fluid)
+    # trapezoidal solves on the midpoint curve; the velocity is that of the
+    # centred fluid (u^n + u^{n+1})/2
+    centered_velocity = _velocity_map(
+        coupling.delta_stencils(half.curve, grid), *tangent_normal(iface_h), grid,
+        lambda f_grid: unsteady_stokes_step(state.fluid, f_grid, phys.rho, phys.mu, dt, grid,
+                                            theta=0.5),
+        average_with=state.fluid)
 
-    u_n_star, u_t_star, _ = centered_velocity(elastic_force(iface_h, phys.elastic))
-    rhs_s = spectral.derivative_1d(u_t_star, 1, period=iface.length) - dth_h * u_n_star
-    s_new = _semi_implicit(iface.s_alpha, rhs_s, t2_hat, dt, ref=iface_h.s_alpha, theta=0.5)
+    u_star, _ = centered_velocity(elastic_force(iface_h.s_alpha, dth_h, phys.elastic,
+                                                iface.length))
+    s_new = _semi_implicit(iface.s_alpha, _stretch_rate(u_star, dth_h, d), t2_hat, dt,
+                           ref=iface_h.s_alpha, theta=0.5)
 
     s_bar = 0.5 * (s_new + iface.s_alpha)
-    u_n_bar, u_t_bar, fluid1 = centered_velocity(
-        _frozen_angle_force(s_bar, tau_h, nrm_h, dth_h, phys.elastic, iface.length))
+    u_bar, fluid1 = centered_velocity(elastic_force(s_bar, dth_h, phys.elastic, iface.length))
 
     # the angle leading operator carries 1/min(s) on both the implicit
     # midpoint term and its explicit counterpart so the pair cancels to
     # O(dt^3); a pointwise 1/s on one side only would degrade the order
-    rhs_phi = (spectral.derivative_1d(u_n_bar, 1, period=iface.length)
-               + u_t_bar * dth_h) / iface_h.s_alpha
+    rhs_phi = _angle_rate(u_bar, dth_h, d) / iface_h.s_alpha
     phi_new = _semi_implicit(iface.phi, rhs_phi, s2_hat / float(np.min(iface_h.s_alpha)), dt,
                              ref=iface_h.phi, theta=0.5)
 
     # midpoint predictor for the anchors, velocities from the centered field
-    refs = update_reference_points(iface_h, u_n_bar, u_t_bar, dt)
+    refs = update_reference_points(iface_h, u_bar, dt)
     refs = iface.ref_points + (refs - iface_h.ref_points)
     return _finish(state, cfg, s_new, phi_new, refs, fluid1)
 

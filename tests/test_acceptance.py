@@ -214,7 +214,7 @@ def test_criterion_8_ssd_symbol_asymptotics():
     mu = 1e4
     p = SsdSymbolParams(elastic=1.0, mu=mu, rho=1.0, dt=0.1,
                         lam=1.0 / np.sqrt(mu * 0.1), s_min=1.0,
-                        s_max_excess=s_exc, gamma=0.3)
+                        s_max_excess=s_exc)
     for k in range(1, 9):
         t = bessel.ssd_symbol_t(k, p)
         s = bessel.ssd_symbol_s(k, p)
@@ -224,7 +224,7 @@ def test_criterion_8_ssd_symbol_asymptotics():
     mu, dt = 1e-6, 0.1
     p = SsdSymbolParams(elastic=1.0, mu=mu, rho=1.0, dt=dt,
                         lam=1.0 / np.sqrt(mu * dt), s_min=1.0,
-                        s_max_excess=s_exc, gamma=0.3)
+                        s_max_excess=s_exc)
     for k in range(1, 9):
         t = bessel.ssd_symbol_t(k, p)
         expect_t = -(np.sqrt(dt) / (2.0 * np.sqrt(mu))) * k**2

@@ -3,7 +3,8 @@ user besides the tests: package code that refers to it, or a mention in the
 benchmark (`bench/`), a demo (`demos/`) or a tool (`tools/`).  A name that
 only its own tests call is dead weight; delete it with its tests, or list it
 below with the reason it stays.  A private module-level function has no
-such outside user: package code must refer to it."""
+such outside user: package code must refer to it.  Every function that the
+benchmark's tracer reports by name must exist in the package."""
 
 import ast
 import os
@@ -76,3 +77,25 @@ def test_every_private_function_is_used_by_package_code():
     unused = [f"{module}.{name}" for module, name in _private_functions()
               if name not in referenced]
     assert not unused, f"private functions no package code refers to: {unused}"
+
+
+def _tracer_named():
+    """``NAMED`` of the benchmark's tracer, read from its source without
+    importing the benchmark."""
+    with open(os.path.join(ROOT, "bench", "tracer.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "NAMED" for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py assigns no NAMED")
+
+
+def test_every_name_the_tracer_reports_exists():
+    # a renamed or deleted function would otherwise show only as the
+    # benchmark's trace.missing_names count
+    defined = {(module, node.name) for module, tree in TREES.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    missing = [f"{layer}.{name}" for layer, names in _tracer_named().items()
+               for name in names if (layer, name) not in defined]
+    assert not missing, f"bench/tracer.py names functions the package lacks: {missing}"

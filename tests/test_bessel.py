@@ -35,10 +35,10 @@ class TestK0ConvolutionSymbol:
             assert abs(val - expect) <= 1e-6
 
 
-def params(mu, dt=0.1, elastic=1.0, rho=1.0, s_min=1.0, s_exc=0.0, gamma=0.0):
+def params(mu, dt=0.1, elastic=1.0, rho=1.0, s_min=1.0, s_exc=0.0):
     lam = 1.0 / np.sqrt(mu * dt / rho)
     return SsdSymbolParams(elastic=elastic, mu=mu, rho=rho, dt=dt, lam=lam,
-                           s_min=s_min, s_max_excess=s_exc, gamma=gamma)
+                           s_min=s_min, s_max_excess=s_exc)
 
 
 class TestSsdSymbols:
@@ -89,8 +89,7 @@ class TestSsdSymbols:
         mu, dt, s_min, s_exc = 0.02, 0.25, 1.25, 0.45
         lam_bar = np.sqrt(2.0 / (mu * dt))
         p2 = SsdSymbolParams(elastic=1.0, mu=mu, rho=1.0, dt=dt, lam=lam_bar,
-                             s_min=s_min, s_max_excess=s_exc,
-                             gamma=1.0 - 1.0 / (s_min + s_exc))
+                             s_min=s_min, s_max_excess=s_exc)
         k = 4
         t2, s2 = bessel.ssd_symbol_second_order(k, p2)
         beta = lam_bar * s_min
@@ -103,7 +102,7 @@ class TestSsdSymbols:
         mu, dt = 0.02, 0.25
         lam_bar = np.sqrt(2.0 / (mu * dt))
         base = dict(elastic=1.0, mu=mu, rho=1.0, dt=dt, lam=lam_bar,
-                    s_max_excess=0.45, gamma=0.2)
+                    s_max_excess=0.45)
         k = 4.0
         p_a = SsdSymbolParams(s_min=1.0, **base)
         p_b = SsdSymbolParams(s_min=2.0, **base)
@@ -119,7 +118,4 @@ class TestSsdSymbols:
     def test_invalid_params(self):
         with pytest.raises(DomainError):
             SsdSymbolParams(elastic=1, mu=1, rho=1, dt=0.1, lam=-1.0,
-                            s_min=1.0, s_max_excess=0.0, gamma=0.0)
-        with pytest.raises(DomainError):
-            SsdSymbolParams(elastic=1, mu=1, rho=1, dt=0.1, lam=1.0,
-                            s_min=1.0, s_max_excess=0.0, gamma=1.5)
+                            s_min=1.0, s_max_excess=0.0)

@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from ibstokes import geometry, spectral
+from ibstokes import geometry, schemes, spectral
 from ibstokes.errors import DegenerateParameterizationError, InvalidGeometryError
 from ibstokes.geometry import CurveSamples, InterfaceState
 
@@ -77,26 +79,35 @@ class TestTangentNormal:
             assert np.max(np.abs(dtau / state.s_alpha - dth / state.s_alpha * nrm[:, comp])) <= 1e-8
 
 
+def frame_force(f, state):
+    """The (N, 2) xy force of a block force [normal; tangential]."""
+    tau, nrm = geometry.tangent_normal(state)
+    n = state.n_nodes
+    return f[:n, None] * nrm + f[n:, None] * tau
+
+
+def force(state, elastic):
+    return geometry.elastic_force(state.s_alpha, geometry.theta_derivative(state), elastic,
+                                  state.length)
+
+
 class TestElasticForce:
     def test_equilibrium_circle_zero_force(self):
         n = 128
         state = InterfaceState(np.ones(n), np.full(n, np.pi / 2),
                                np.array([[1.5, 0.5], [-0.5, 0.5]]))
-        f = geometry.elastic_force(state, 1.0)
-        assert np.max(np.abs(f)) <= 1e-13
+        assert np.max(np.abs(force(state, 1.0))) <= 1e-13
 
     def test_uniform_stretch_is_normal_force(self):
         n = 128
         c = 1.4
         state = InterfaceState(np.full(n, c), np.full(n, np.pi / 2), np.zeros((2, 2)))
-        f = geometry.elastic_force(state, 2.0)
-        _, nrm = geometry.tangent_normal(state)
-        # F = S_b (c-1) theta_a n with theta_a = 1
-        expect = 2.0 * (c - 1.0) * nrm
-        assert np.max(np.abs(f - expect)) <= 1e-12
+        # F = S_b [(c - 1) theta_a; 0] with theta_a = 1
+        expect = np.concatenate([np.full(n, 2.0 * (c - 1.0)), np.zeros(n)])
+        assert np.max(np.abs(force(state, 2.0) - expect)) <= 1e-12
 
     def test_matches_product_rule_form(self):
-        # F = d/da (T tau) computed by direct spectral differentiation
+        # rotated to xy, F = d/da (T tau) computed by direct spectral differentiation
         state, _ = ellipse(256)
         sb = 1.3
         tau, _ = geometry.tangent_normal(state)
@@ -105,22 +116,27 @@ class TestElasticForce:
             spectral.derivative_1d(tension * tau[:, 0], 1, period=state.length),
             spectral.derivative_1d(tension * tau[:, 1], 1, period=state.length),
         ])
-        f = geometry.elastic_force(state, sb)
-        assert np.max(np.abs(f - direct)) <= 1e-8
+        assert np.max(np.abs(frame_force(force(state, sb), state) - direct)) <= 1e-8
 
     def test_zero_mean(self):
         state, _ = ellipse(256, rest_radius=0.2)
-        f = geometry.elastic_force(state, 1.0)
-        total = np.sum(f, axis=0) * state.dalpha
+        total = np.sum(frame_force(force(state, 1.0), state), axis=0) * state.dalpha
         assert np.max(np.abs(total)) <= 1e-10
 
 
 class TestEvolveRhs:
+    """The rate maps R of the schemes: d s_alpha/dt = D V - theta_a U and
+    s_alpha d theta/dt = D U + theta_a V."""
+
+    def rates(self, state, u):
+        dth = geometry.theta_derivative(state)
+        d = partial(spectral.derivative_1d, period=state.length)
+        return (schemes._stretch_rate(u, dth, d),
+                schemes._angle_rate(u, dth, d) / state.s_alpha)
+
     def test_uniform_rotation_keeps_s_alpha(self):
         state, _ = ellipse(128, a=0.3, b=0.3)
-        u = np.zeros(128)
-        v = np.full(128, 0.7)
-        ds, dth = geometry.evolve_salpha_theta_rhs(state, u, v)
+        ds, dth = self.rates(state, np.concatenate([np.zeros(128), np.full(128, 0.7)]))
         assert np.max(np.abs(ds)) <= 1e-12
         # dtheta/dt = V theta_a / s_alpha = 0.7 * 1 / 0.3
         assert np.max(np.abs(dth - 0.7 / 0.3)) <= 1e-10
@@ -129,15 +145,13 @@ class TestEvolveRhs:
         state, _ = ellipse(256)
         tau, nrm = geometry.tangent_normal(state)
         c = np.array([0.8, -0.3])
-        u = nrm @ c
-        v = tau @ c
-        ds, _ = geometry.evolve_salpha_theta_rhs(state, u, v)
+        ds, _ = self.rates(state, np.concatenate([nrm @ c, tau @ c]))
         assert np.max(np.abs(ds)) <= 1e-10
 
     def test_uniform_normal_inflation(self):
         state, _ = ellipse(128, a=0.5, b=0.5)
         c = 0.2
-        ds, dth = geometry.evolve_salpha_theta_rhs(state, np.full(128, c), np.zeros(128))
+        ds, dth = self.rates(state, np.concatenate([np.full(128, c), np.zeros(128)]))
         assert np.max(np.abs(dth)) <= 1e-12
         assert np.max(np.abs(ds + c)) <= 1e-11  # ds/dt = -theta_a U = -c
 
@@ -145,13 +159,14 @@ class TestEvolveRhs:
 class TestReferencePoints:
     def test_zero_velocity(self):
         state, _ = ellipse(64)
-        refs = geometry.update_reference_points(state, np.zeros(64), np.zeros(64), 0.5)
+        refs = geometry.update_reference_points(state, np.zeros(128), 0.5)
         assert np.array_equal(refs, state.ref_points)
 
     def test_pure_tangential_at_theta_zero(self):
         n = 64
         state = InterfaceState(np.ones(n), -2 * np.pi * np.arange(n) / n, np.zeros((2, 2)))
-        refs = geometry.update_reference_points(state, np.zeros(n), np.ones(n), 0.1)
+        u = np.concatenate([np.zeros(n), np.ones(n)])
+        refs = geometry.update_reference_points(state, u, 0.1)
         assert refs[0, 0] == pytest.approx(0.1)
         assert refs[0, 1] == pytest.approx(0.0)
 
@@ -159,7 +174,8 @@ class TestReferencePoints:
         n = 64
         phi = np.pi / 2 - 2 * np.pi * np.arange(n) / n
         state = InterfaceState(np.ones(n), phi, np.zeros((2, 2)))
-        refs = geometry.update_reference_points(state, np.ones(n), np.zeros(n), 0.05)
+        u = np.concatenate([np.ones(n), np.zeros(n)])
+        refs = geometry.update_reference_points(state, u, 0.05)
         # theta(0) = pi/2: xdot = -U sin(theta) = -1
         assert refs[0, 0] == pytest.approx(-0.05)
         assert refs[0, 1] == pytest.approx(0.0, abs=1e-15)
@@ -177,7 +193,8 @@ class TestReferencePoints:
             for row, j in enumerate((0, n // 2)):
                 want[row] = (u_t[j] * np.cos(th[j]) - u_n[j] * np.sin(th[j]),
                              u_t[j] * np.sin(th[j]) + u_n[j] * np.cos(th[j]))
-            assert np.array_equal(geometry.anchor_velocity(state, u_n, u_t), want)
+            got = geometry.anchor_velocity(state, np.concatenate([u_n, u_t]))
+            assert np.array_equal(got, want)
 
 
 class TestReconstruct:

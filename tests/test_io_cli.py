@@ -18,11 +18,15 @@ class TestConfigParsing:
             scheme = ssd1_unsteady
             n = 64            # trailing comment
             dt = 0.25
-            rescale = true
+            t_end = 2
             label = demo-run
+            rescale = true
         """)
-        assert data == {"scheme": "ssd1_unsteady", "n": 64, "dt": 0.25,
-                        "rescale": True, "label": "demo-run"}
+        # each value takes its field's type; an unknown key keeps its text
+        # for load_run_config to refuse
+        assert data == {"scheme": "ssd1_unsteady", "n": 64, "dt": 0.25, "t_end": 2.0,
+                        "label": "demo-run", "rescale": "true"}
+        assert type(data["t_end"]) is float
 
     def test_bad_line(self):
         with pytest.raises(ParameterError):
@@ -171,7 +175,7 @@ class TestCli:
                                             ("snapshot_every", "2.5"),
                                             ("snapshot_every", "true"),
                                             ("mu", "abc"), ("mu", "yes"), ("dt", "on"),
-                                            ("center_x", "left")])
+                                            ("center_x", "left"), ("n", "64.5")])
     def test_bad_value_or_removed_key_is_usage_error(self, key, value, tmp_path, capsys):
         # non-finite, bool and non-numeric values are refused before the run
         # starts, and the removed options are unknown keys; either way the
@@ -181,6 +185,16 @@ class TestCli:
         assert code == 64
         assert key in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("label", ["yes", "007"])
+    def test_label_is_kept_as_text(self, label, tmp_path):
+        # a string field takes its value as written, never as a bool or a number
+        code = self.run_cli("run", "--set", "scheme=explicit_steady", "--set", "n=16",
+                            "--set", "dt=0.1", "--set", "t_end=0",
+                            "--set", f"label={label}", "--out", str(tmp_path))
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{label}-final.json",
+                                                               f"{label}.csv"]
 
     @pytest.mark.parametrize("argv, named", [
         (("convergence", "--dts", "1/0"), "--dts"),

@@ -53,6 +53,16 @@ def test_mobility_is_symmetric(scheme):
     assert np.max(np.abs(mob - mob.T)) <= 1e-12 * np.max(np.abs(mob))
 
 
+@pytest.mark.parametrize("scheme", STABLE)
+def test_mobility_is_the_matrix_of_the_velocity_map(scheme):
+    # column a N_b + j is the from-rest velocity map applied to the unit
+    # a-force on node j, a in (normal, tangential)
+    grid, stencils, (tau, nrm), solve, mob = mobility_case(scheme)
+    velocity = schemes._velocity_map(stencils, tau, nrm, grid, solve)
+    columns = np.column_stack([velocity(unit)[0] for unit in np.eye(2 * grid.n_boundary)])
+    assert np.max(np.abs(mob - columns)) <= 1e-12 * np.max(np.abs(columns))
+
+
 def test_one_node_slice_spreads_like_the_whole_curve():
     grid, stencils, *_ = mobility_case("stable_steady")
     unit = np.eye(2)[None]

@@ -232,6 +232,5 @@ def test_ssd_symbols_recomputed_per_step():
     p = SsdSymbolParams.from_state(s, 1.0, 0.01, 1.0, 0.1)
     assert p.s_min == pytest.approx(1.1)
     assert p.s_max_excess == pytest.approx(0.4)
-    assert p.gamma == pytest.approx(1 - 1 / 1.4)
     assert ssd_symbol_t(3.0, p) < 0
     assert ssd_symbol_s(3.0, p) < 0
