@@ -3,11 +3,15 @@
 The config format is a flat key = value document: one assignment per line,
 '#' starts a comment, and each unquoted value is read as its key's declared
 type (int, float or str).  Command-line flags override file values.
-Snapshots are versioned JSON with explicit arrays; floats use the shortest
-representation that round-trips exactly, so save/load is lossless.
+Snapshots are versioned JSON documents.  Format 3 holds each array as a
+record of its dtype, shape and raw little-endian float64 bytes in base64,
+and its scalars as JSON numbers (shortest repr, exact), so save/load is
+lossless.  Formats 1 and 2, whose arrays are JSON float lists, still load.
 """
 
+import base64
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -20,8 +24,9 @@ from .params import PhysParams, finite_real
 from .schemes import SchemeConfig, StepState, initial_state
 from .stokes import FluidState
 
-# format 2 adds the SSD rescaling coefficients c_v / c_u; format 1 still loads
-SNAPSHOT_FORMAT_VERSION = 2
+# format 2 adds the SSD rescaling coefficients c_v / c_u; format 3 writes
+# arrays as base64 float64 records; formats 1 and 2 still load
+SNAPSHOT_FORMAT_VERSION = 3
 
 TWO_PI = 2.0 * np.pi
 
@@ -142,41 +147,77 @@ def load_run_config(path=None, overrides=None):
     return RunConfig(**data)
 
 
+def _encode_array(a):
+    """The format-3 record of a float64 array: its dtype, its shape and its
+    raw little-endian bytes in base64."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(a.shape),
+            "base64": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _decode_array(name, record):
+    """The writable, C-contiguous float64 array of the format-3 record of
+    snapshot field ``name``; ParameterError naming the field when the record
+    is malformed or its payload does not hold exactly its shape's values."""
+    try:
+        dtype, shape = record["dtype"], tuple(record["shape"])
+        raw = base64.b64decode(record["base64"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:     # binascii.Error is a ValueError
+        raise ParameterError(f"snapshot field {name}: bad array record ({exc})") from None
+    if dtype != "<f8" or not all(type(d) is int and d >= 0 for d in shape) \
+            or len(raw) != 8 * math.prod(shape):
+        raise ParameterError(f"snapshot field {name}: {len(raw)} bytes of {dtype!r} do not "
+                             f"make a float64 array of shape {list(shape)}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
 def save_snapshot(path, state, run_config=None):
-    """Write the full simulation state as versioned JSON."""
-    iface = state.interface
+    """Write the full simulation state as versioned JSON.  The document goes
+    to a temporary file beside ``path`` and replaces it only once complete,
+    so a failed write leaves any earlier snapshot at ``path`` intact."""
+    iface, fluid = state.interface, state.fluid
     doc = {
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "t": state.t,
         "step": state.step,
         "interface_length": iface.length,
-        "s_alpha": iface.s_alpha.tolist(),
-        "phi": iface.phi.tolist(),
-        "ref_points": iface.ref_points.tolist(),
-        "u": state.fluid.u.tolist() if state.fluid is not None else None,
-        "v": state.fluid.v.tolist() if state.fluid is not None else None,
+        "s_alpha": _encode_array(iface.s_alpha),
+        "phi": _encode_array(iface.phi),
+        "ref_points": _encode_array(iface.ref_points),
+        "u": _encode_array(fluid.u) if fluid is not None else None,
+        "v": _encode_array(fluid.v) if fluid is not None else None,
         "speed_ref": state.speed_ref,
         "c_v": state.c_v,
         "c_u": state.c_u,
     }
     if run_config is not None:
         doc["config"] = asdict(run_config)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):     # the write failed
+            os.remove(tmp)
 
 
 def load_snapshot(path):
-    """Rebuild a StepState from a snapshot file."""
+    """Rebuild a StepState from a snapshot file of any supported format."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format_version") not in (1, SNAPSHOT_FORMAT_VERSION):
-        raise ParameterError(f"unsupported snapshot format {doc.get('format_version')}")
-    iface = InterfaceState(np.array(doc["s_alpha"]), np.array(doc["phi"]),
-                           np.array(doc["ref_points"]), doc["interface_length"])
-    fluid = None
-    if doc["u"] is not None:
-        u = np.array(doc["u"])
-        fluid = FluidState(u, np.array(doc["v"]))
+    version = doc.get("format_version")
+    if version not in (1, 2, SNAPSHOT_FORMAT_VERSION):
+        raise ParameterError(f"unsupported snapshot format {version}")
+
+    def array(name):
+        if version == SNAPSHOT_FORMAT_VERSION:
+            return _decode_array(name, doc[name])
+        return np.array(doc[name])      # formats 1 and 2: JSON float lists
+
+    iface = InterfaceState(array("s_alpha"), array("phi"), array("ref_points"),
+                           doc["interface_length"])
+    fluid = None if doc["u"] is None else FluidState(array("u"), array("v"))
     curve = reconstruct_curve(iface, drift_tol=np.inf)
     return StepState(iface, curve, fluid, doc["t"], doc["step"], doc.get("speed_ref"),
                      doc.get("c_v"), doc.get("c_u"))

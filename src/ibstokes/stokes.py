@@ -10,13 +10,14 @@ multipliers.
 The per-grid operators (wavenumbers, and the symbol's three components
 Gxx, Gxy, Gyy with the unsteady keep factor, keyed on the steady or
 unsteady scalars) are built once and cached as read-only arrays, so a
-solve is four or six FFTs plus one 2x2 symbol product per mode.  The
+solve is four FFTs plus one 2x2 symbol product per mode, and an advancing
+solve adds the fluid's own two, formed once per fluid state.  The
 module also holds the Fourier multiplier of the periodized log kernel on
 the interface, which the second-kind schemes' leading terms use.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,7 +35,9 @@ def reset_counters():
 
 @dataclass
 class FluidState:
-    """Velocity components on the N x N periodic grid."""
+    """Velocity components on the N x N periodic grid.  The fields are never
+    written in place, so their rfft2 half spectrum is formed once per state
+    and shared by every solve that advances from it."""
 
     u: np.ndarray
     v: np.ndarray
@@ -45,6 +48,12 @@ class FluidState:
 
     def max_speed(self):
         return float(np.sqrt(np.max(self.u**2 + self.v**2)))
+
+    @cached_property
+    def spectrum(self):
+        """(rfft2(u), rfft2(v))."""
+        spectral.counters["fft"] += 2
+        return _read_only(np.fft.rfft2(self.u)), _read_only(np.fft.rfft2(self.v))
 
 
 def _read_only(a):
@@ -114,7 +123,7 @@ def _spectral_solve(fluid, force, grid, keep, symbol):
     if force.shape != (n, n, 2) or (fluid is not None and fluid.u.shape != (n, n)):
         raise InvalidGridError("field shapes inconsistent with grid")
     counters["fluid_solves"] += 1
-    spectral.counters["fft"] += 4 if fluid is None else 6
+    spectral.counters["fft"] += 4
     gxx, gxy, gyy = symbol
     fu, fv = np.fft.rfft2(force[..., 0]), np.fft.rfft2(force[..., 1])
     un = gxx * fu
@@ -122,8 +131,9 @@ def _spectral_solve(fluid, force, grid, keep, symbol):
     vn = gxy * fu
     vn += gyy * fv
     if fluid is not None:
-        un += keep * np.fft.rfft2(fluid.u)
-        vn += keep * np.fft.rfft2(fluid.v)
+        fluid_u, fluid_v = fluid.spectrum
+        un += keep * fluid_u
+        vn += keep * fluid_v
     return FluidState(np.fft.irfft2(un, s=(n, n)), np.fft.irfft2(vn, s=(n, n)))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -82,8 +83,8 @@ class TestSnapshots:
         save_snapshot(str(path), state, config)
         direct = schemes.step(state, phys, grid, cfg1)
         resumed = schemes.step(load_snapshot(str(path)), phys, grid, cfg2)
-        assert np.max(np.abs(direct.interface.s_alpha - resumed.interface.s_alpha)) <= 1e-14
-        assert np.max(np.abs(direct.curve.x - resumed.curve.x)) <= 1e-14
+        assert np.array_equal(direct.interface.s_alpha, resumed.interface.s_alpha)
+        assert np.array_equal(direct.curve.x, resumed.curve.x)
 
     def test_format_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -91,20 +92,93 @@ class TestSnapshots:
         with pytest.raises(ParameterError):
             load_snapshot(str(path))
 
+    def test_arrays_saved_as_base64_records(self, tmp_path):
+        config, phys, grid, state = self.make_state()
+        path = tmp_path / "snap.json"
+        save_snapshot(str(path), state, config)
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 3
+        for name, a in zip(ARRAY_FIELDS, _state_arrays(state)):
+            assert set(doc[name]) == {"dtype", "shape", "base64"}
+            assert doc[name]["dtype"] == "<f8" and doc[name]["shape"] == list(a.shape)
+        scalars = {"t": state.t, "step": state.step, "interface_length": state.interface.length,
+                   "speed_ref": state.speed_ref, "c_v": state.c_v, "c_u": state.c_u}
+        assert {name: doc[name] for name in scalars} == scalars
+        back = load_snapshot(str(path))
+        for a in _state_arrays(back):
+            assert a.dtype == np.float64 and a.flags.writeable and a.flags.c_contiguous
+
+    def test_format_2_lists_load_bitwise(self, tmp_path):
+        config, phys, grid, state = self.make_state()
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(_list_document(state, config, 2)))
+        back = load_snapshot(str(path))
+        for a, b in zip(_state_arrays(state), _state_arrays(back)):
+            assert np.array_equal(a, b)
+        assert (back.t, back.step, back.speed_ref, back.c_v, back.c_u) \
+            == (state.t, state.step, state.speed_ref, state.c_v, state.c_u)
+
     def test_format_1_still_loads(self, tmp_path):
         # format 1 has no rescaling coefficients; the next SSD step recomputes them
         config, phys, grid, state = self.make_state()
         assert state.c_v is not None and state.c_u is not None
         path = tmp_path / "v1.json"
-        save_snapshot(str(path), state, config)
-        doc = json.loads(path.read_text())
+        doc = _list_document(state, config, 1)
         del doc["c_v"], doc["c_u"]
-        doc["format_version"] = 1
         path.write_text(json.dumps(doc))
         back = load_snapshot(str(path))
         assert back.c_v is None and back.c_u is None
         assert np.array_equal(back.interface.s_alpha, state.interface.s_alpha)
         assert back.t == state.t and back.step == state.step
+
+    @pytest.mark.parametrize("field, damage", [
+        ("s_alpha", lambda r: {**r, "base64": r["base64"][:-1]}),       # bad padding
+        ("phi", lambda r: {**r, "base64": r["base64"][:-4]}),           # whole bytes short
+        ("u", lambda r: {**r, "shape": [r["shape"][0], r["shape"][1] + 1]}),
+        ("ref_points", lambda r: {**r, "shape": [-1]}),
+        ("v", lambda r: {**r, "dtype": "<f4"}),
+    ])
+    def test_damaged_array_names_field(self, tmp_path, field, damage):
+        config, phys, grid, state = self.make_state()
+        path = tmp_path / "snap.json"
+        save_snapshot(str(path), state, config)
+        doc = json.loads(path.read_text())
+        doc[field] = damage(doc[field])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match=f"snapshot field {field}:"):
+            load_snapshot(str(path))
+
+    def test_failed_write_keeps_earlier_snapshot(self, tmp_path, monkeypatch):
+        config, phys, grid, state = self.make_state()
+        path = tmp_path / "snap.json"
+        save_snapshot(str(path), state, config)
+        before = path.read_bytes()
+
+        def broken_dump(doc, fh):
+            fh.write('{"format_version": 3, "t": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", broken_dump)
+        later = schemes.step(state, phys, grid, config.scheme_config())
+        with pytest.raises(OSError, match="disk full"):
+            save_snapshot(str(path), later, config)
+        assert os.listdir(tmp_path) == ["snap.json"]
+        assert path.read_bytes() == before
+        back = load_snapshot(str(path))
+        for a, b in zip(_state_arrays(state), _state_arrays(back)):
+            assert np.array_equal(a, b)
+
+
+ARRAY_FIELDS = ("s_alpha", "phi", "ref_points", "u", "v")
+
+
+def _list_document(state, config, version):
+    """A snapshot document as formats 1 and 2 wrote it: arrays as JSON lists."""
+    doc = {"format_version": version, "t": state.t, "step": state.step,
+           "interface_length": state.interface.length, "speed_ref": state.speed_ref,
+           "c_v": state.c_v, "c_u": state.c_u, "config": asdict(config)}
+    doc.update(zip(ARRAY_FIELDS, (a.tolist() for a in _state_arrays(state))))
+    return doc
 
 
 def _restart_run(scheme):
@@ -138,7 +212,7 @@ def test_restart_follows_straight_run(scheme, tmp_path):
         resumed = schemes.step(resumed, phys, grid, fresh)
     assert resumed.step == straight.step
     for a, b in zip(_state_arrays(straight), _state_arrays(resumed)):
-        assert np.max(np.abs(a - b)) <= 1e-14
+        assert np.array_equal(a, b)
 
 
 class TestCli:
