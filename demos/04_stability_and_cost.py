@@ -6,11 +6,11 @@ costs only a handful of FFTs while the unconditionally stable scheme pays a
 dense solve.
 """
 
-import time
+import tempfile
 
 import numpy as np
 
-from ibstokes import diagnostics, schemes, stokes
+from ibstokes import cli, diagnostics, schemes
 from ibstokes.grids import GridSpec
 from ibstokes.params import PhysParams
 
@@ -38,20 +38,7 @@ for n in (32, 64, 128):
     print(f"  N={n:3d}: " + " ".join(f"{v[0]}@{dt:g}" for dt, v in zip(dts, verdicts)))
 
 print("\nper-step cost (unsteady schemes, mu = 0.01):")
-for scheme, ns in (("ssd1_unsteady", (64, 128, 256)), ("stable_unsteady", (64, 128))):
-    times = []
-    for n in ns:
-        phys = PhysParams(rho=1.0, mu=0.01, elastic=1.0, interface_length=2 * np.pi * 0.2)
-        grid = GridSpec.make(n, interface_length=phys.interface_length)
-        cfg = schemes.SchemeConfig(scheme=scheme, dt=0.05)
-        state = schemes.step(schemes.initial_state(phys, grid), phys, grid, cfg)
-        stokes.reset_counters()
-        t0 = time.perf_counter()
-        for _ in range(4):
-            state = schemes.step(state, phys, grid, cfg)
-        times.append((time.perf_counter() - t0) / 4)
-        print(f"  {scheme:>16s} N={n:3d}: {times[-1] * 1e3:8.1f} ms/step, "
-              f"{stokes.counters['fluid_solves'] / 4:5.0f} fluid solves/step")
-    if len(times) > 1:
-        slope = np.polyfit(np.log(ns[:len(times)]), np.log(times), 1)[0]
-        print(f"  {scheme:>16s} wall-time exponent in N: {slope:.2f}")
+with tempfile.TemporaryDirectory() as out:
+    for scheme, ns in (("ssd1_unsteady", "64,128,256"), ("stable_unsteady", "64,128")):
+        cli.main(["cost", "--schemes", scheme, "--n-list", ns, "--steps", "4",
+                  "--set", "mu=0.01", "--set", "dt=0.05", "--out", out])

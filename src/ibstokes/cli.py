@@ -11,11 +11,12 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
-from . import diagnostics, schemes, spectral, stokes
+from . import diagnostics, schemes, stokes
 from .errors import BlowupError, IBStokesError, ParameterError, SolverStallError
 from .io import _parse_value, load_run_config, output_dir, save_snapshot, write_diagnostics_csv
 from .presets import PRESETS
@@ -187,6 +188,36 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+@contextmanager
+def _counted_calls():
+    """Count, while in force, the calls that ``cost`` reports: the numpy
+    transforms the package calls ("fft"), the fluid solves and the dense
+    solves.  Each is wrapped where the package looks it up, and every
+    original is restored on exit.  Yields the counts."""
+    counted = {"fft": [(np.fft, name) for name in ("fft", "ifft", "rfft2", "irfft2")],
+               "fluid_solves": [(stokes, "_spectral_solve")],
+               "dense_solves": [(schemes, "_dense_solve")]}
+    counts = dict.fromkeys(counted, 0)
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = []
+    try:
+        for key, targets in counted.items():
+            for owner, name in targets:
+                fn = getattr(owner, name)
+                originals.append((owner, name, fn))
+                setattr(owner, name, counting(key, fn))
+        yield counts
+    finally:
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
+
+
 def cmd_cost(args):
     overrides = _parse_assignments(args.set)
     base = load_run_config(args.config, overrides)
@@ -200,16 +231,13 @@ def cmd_cost(args):
             phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
             st = config.initial_state()
             st = schemes.step(st, phys, grid, cfg)  # warm up, sets rescaling
-            spectral.reset_counters()
-            stokes.reset_counters()
-            t0 = time.perf_counter()
-            for _ in range(args.steps):
-                st = schemes.step(st, phys, grid, cfg)
-            per_step = (time.perf_counter() - t0) / args.steps
+            with _counted_calls() as counts:
+                t0 = time.perf_counter()
+                for _ in range(args.steps):
+                    st = schemes.step(st, phys, grid, cfg)
+                per_step = (time.perf_counter() - t0) / args.steps
             row = {"scheme": scheme, "n": n, "seconds_per_step": per_step,
-                   "fft_per_step": spectral.counters["fft"] / args.steps,
-                   "fluid_solves_per_step": stokes.counters["fluid_solves"] / args.steps,
-                   "dense_solves_per_step": stokes.counters["dense_solves"] / args.steps}
+                   **{f"{key}_per_step": count / args.steps for key, count in counts.items()}}
             rows.append(row)
             times.append(per_step)
             print(f"{scheme} N={n}: {per_step * 1e3:.2f} ms/step, "

@@ -100,7 +100,7 @@ def tangent_normal(state):
 
 def theta_derivative(state):
     """D theta = 2*pi/length + D phi (the winding part differentiates exactly)."""
-    return TWO_PI / state.length + spectral.derivative_1d(state.phi, 1, period=state.length)
+    return TWO_PI / state.length + spectral.derivative_1d(state.phi, period=state.length)
 
 
 def elastic_force(s_alpha, dth, elastic, length):
@@ -108,7 +108,7 @@ def elastic_force(s_alpha, dth, elastic, length):
     the node frames: the block S_b [(s_alpha - 1) D theta; D s_alpha].  ``dth``
     is D theta, frozen or not (an array, or the scalar 2 pi/length)."""
     return elastic * np.concatenate([(s_alpha - 1.0) * dth,
-                                     spectral.derivative_1d(s_alpha, 1, period=length)])
+                                     spectral.derivative_1d(s_alpha, period=length)])
 
 
 def anchor_velocity(state, u):
@@ -166,8 +166,8 @@ def radius_variation(curve):
 def state_from_curve(curve, length=TWO_PI):
     """Build an InterfaceState from curve samples (inverse of reconstruct_curve)."""
     n = curve.n_nodes
-    x_a = spectral.derivative_1d(curve.x, 1, period=length)
-    y_a = spectral.derivative_1d(curve.y, 1, period=length)
+    x_a = spectral.derivative_1d(curve.x, period=length)
+    y_a = spectral.derivative_1d(curve.y, period=length)
     s_alpha = np.hypot(x_a, y_a)
     theta = np.unwrap(np.arctan2(y_a, x_a))
     ang = TWO_PI * np.arange(n) / n

@@ -88,16 +88,6 @@ class StepState:
     c_u: float = None             # a start state with c_v = c_u = 1 runs unrescaled
 
 
-def _fft(x):
-    spectral.counters["fft"] += 1
-    return np.fft.fft(x)
-
-
-def _ifft_real(xh):
-    spectral.counters["fft"] += 1
-    return np.real(np.fft.ifft(xh))
-
-
 def _grid_uv(fluid):
     return np.stack([fluid.u, fluid.v], axis=-1)
 
@@ -182,10 +172,10 @@ def _semi_implicit(x, rhs, lead, dt, ref=None, theta=1.0):
     1/2 Crank-Nicolson) and its explicit counterpart lead * ref, with ref = x
     unless given, is subtracted:
     (x^/dt + (1 - theta) lead x^ + r^ - lead ref^) / (1/dt - theta lead)."""
-    x_hat = _fft(x)
-    ref_hat = x_hat if ref is None else _fft(ref)
-    return _ifft_real((x_hat / dt + (1.0 - theta) * lead * x_hat + _fft(rhs) - lead * ref_hat)
-                      / (1.0 / dt - theta * lead))
+    x_hat = np.fft.fft(x)
+    ref_hat = x_hat if ref is None else np.fft.fft(ref)
+    return np.real(np.fft.ifft((x_hat / dt + (1.0 - theta) * lead * x_hat + np.fft.fft(rhs)
+                                - lead * ref_hat) / (1.0 / dt - theta * lead)))
 
 
 def step_explicit(state, phys, grid, cfg):
@@ -292,8 +282,8 @@ def step_ifrk4_steady(state, phys, grid, cfg):
     stage_vel = []
 
     def n_func(stage, y):
-        s = _ifft_real(y[:nb])
-        phi = _ifft_real(y[nb:])
+        s = np.real(np.fft.ifft(y[:nb]))
+        phi = np.real(np.fft.ifft(y[nb:]))
         if np.any(s <= 0) or not np.all(np.isfinite(s)):
             raise BlowupError(state.step + 1, "stage state degenerate inside RK4")
         stage_if = InterfaceState(s, phi, iface.ref_points, iface.length)
@@ -302,13 +292,13 @@ def step_ifrk4_steady(state, phys, grid, cfg):
         dth = theta_derivative(stage_if)
         u, _ = _step_map(stage, phys, grid, cfg)(elastic_force(s, dth, phys.elastic, iface.length))
         stage_vel.append(anchor_velocity(stage_if, u))
-        return np.concatenate([_fft(_stretch_rate(u, dth, d)) + eta * y[:nb],
-                               _fft(_angle_rate(u, dth, d) / s) + xi * y[nb:]])
+        return np.concatenate([np.fft.fft(_stretch_rate(u, dth, d)) + eta * y[:nb],
+                               np.fft.fft(_angle_rate(u, dth, d) / s) + xi * y[nb:]])
 
-    y0 = np.concatenate([_fft(iface.s_alpha), _fft(iface.phi)])
+    y0 = np.concatenate([np.fft.fft(iface.s_alpha), np.fft.fft(iface.phi)])
     y1 = _ifrk4_diagonal(y0, rate, dt, n_func)
-    s_new = _ifft_real(y1[:nb])
-    phi_new = _ifft_real(y1[nb:])
+    s_new = np.real(np.fft.ifft(y1[:nb]))
+    phi_new = np.real(np.fft.ifft(y1[nb:]))
     # the anchors ride the same RK4 stages (classical weights), keeping the
     # reconstruction at the accuracy of the interface update
     k1, k2, k3, k4 = stage_vel
@@ -319,7 +309,6 @@ def step_ifrk4_steady(state, phys, grid, cfg):
 def _circulant_from_multiplier(mult):
     """Real circulant applying a conjugate-symmetric Fourier multiplier, gathered
     from its first column: C[i, j] = c[(i - j) % n], c = real(ifft(mult))."""
-    spectral.counters["fft"] += 1
     return circulant(np.real(np.fft.ifft(mult)))
 
 
@@ -327,15 +316,12 @@ def _circulant_from_multiplier(mult):
 def _derivative_matrix(n, period):
     """Spectral first-derivative circulant (Nyquist mode zeroed).  It depends
     only on (N_b, L_b), so it is built once and cached, read-only."""
-    mult = 1j * spectral.wavenumbers(n, period)
-    mult[n // 2] = 0.0
-    dmat = _circulant_from_multiplier(mult)
+    dmat = _circulant_from_multiplier(1j * spectral.odd_wavenumbers(n, period))
     dmat.flags.writeable = False
     return dmat
 
 
 def _dense_solve(a, b, step_index, rtol=1e-8):
-    stokes.counters["dense_solves"] += 1
     x = np.linalg.solve(a, b)
     resid = np.linalg.norm(a @ x - b)
     if not np.isfinite(resid) or resid > rtol * max(np.linalg.norm(b), 1e-30):
@@ -503,19 +489,19 @@ def _rescaling_coefficient(stored, observed, leading, label):
     return float(np.max(np.abs(observed))) / denom
 
 
-def _velocity_level_lead(symbol, kappa, phi, s_min):
+def _velocity_level_lead(symbol, phi, s_min, length):
     """Leading-order normal velocity implied by an angle-equation symbol.
 
     The angle equation reads theta_t = (1/s) D U + ..., so a leading term
     symbol(kappa) acting on phi corresponds to the velocity
-    u_hat = s_min * symbol(kappa) * phi_hat / (i kappa).
+    u_hat = s_min * symbol(kappa) * phi_hat / (i kappa), on an interface of
+    length ``length``.
     """
-    n = len(kappa)
-    out = np.zeros(n, dtype=complex)
+    kappa = spectral.odd_wavenumbers(len(phi), length)
+    out = np.zeros(len(phi), dtype=complex)
     nz = kappa != 0
-    out[nz] = s_min * symbol[nz] * _fft(phi)[nz] / (1j * kappa[nz])
-    out[n // 2] = 0.0
-    return _ifft_real(out)
+    out[nz] = s_min * symbol[nz] * np.fft.fft(phi)[nz] / (1j * kappa[nz])
+    return np.real(np.fft.ifft(out))
 
 
 def step_ssd1_unsteady(state, phys, grid, cfg):
@@ -531,7 +517,7 @@ def step_ssd1_unsteady(state, phys, grid, cfg):
     t_hat = ssd_symbol_t(kappa, p)
     s_hat_sym = ssd_symbol_s(kappa, p)
     # the stretch rate D V - theta_a U, written out because C_V reads D V
-    dv_star = spectral.derivative_1d(u_star[nb:], 1, period=iface.length)
+    dv_star = spectral.derivative_1d(u_star[nb:], period=iface.length)
     rhs_s = dv_star - dth * u_star[:nb]
     c_v = _rescaling_coefficient(state.c_v, dv_star,
                                  lambda: spectral.apply_symbol_1d(iface.s_alpha, t_hat), "C_V")
@@ -539,7 +525,7 @@ def step_ssd1_unsteady(state, phys, grid, cfg):
 
     u1, fluid1 = velocity(elastic_force(s_new, dth, phys.elastic, iface.length))
     c_u = _rescaling_coefficient(state.c_u, u1[:nb], lambda: _velocity_level_lead(
-        s_hat_sym, kappa, iface.phi, p.s_min), "C_U")
+        s_hat_sym, iface.phi, p.s_min, iface.length), "C_U")
     rhs_phi = _angle_rate(u1, dth, partial(spectral.derivative_1d, period=iface.length)) / s_new
     # the leading angle operator is S/min(s); the explicit counterpart must
     # carry the same factor or the homogeneous high-k multiplier becomes
@@ -577,7 +563,7 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
     # its constant part cancels between the implicit and explicit sides
     t2_lin = t_mat + pref * (coef[:, None] * kd2 * dth[None, :])
     # the stretch rate D V - theta_a U, written out because C_V reads D V
-    dv_star = spectral.derivative_1d(u_star[nb:], 1, period=iface.length)
+    dv_star = spectral.derivative_1d(u_star[nb:], period=iface.length)
     c_v = _rescaling_coefficient(
         state.c_v, dv_star, lambda: t_mat @ s0 + pref * coef * (kd2 @ ((s0 - 1.0) * dth)), "C_V")
     rhs_s = dv_star - dth * u_star[:nb]
@@ -587,7 +573,7 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
 
     u1, fluid1 = velocity(elastic_force(s_new, dth, phys.elastic, iface.length))
     c_u = _rescaling_coefficient(state.c_u, u1[:nb], lambda: _velocity_level_lead(
-        s_hat_sym, kappa, iface.phi, p.s_min), "C_U")
+        s_hat_sym, iface.phi, p.s_min, iface.length), "C_U")
     # angle system: diagonal leading term plus implicit transport (V/s) D theta
     s_mat = _circulant_from_multiplier(c_u * s_hat_sym / float(np.min(s_new)))
     phi_new = _angle_transport_solve(iface, s_mat, u1, s_new, dt, state.step + 1)

@@ -5,7 +5,8 @@ Conventions follow the discrete Fourier transform with wavenumbers
 k in {-N/2+1, ..., N/2}.  numpy's FFT stores the unpaired Nyquist mode at
 index N/2 with the opposite sign convention; the odd-symmetry multipliers
 (ik, 1/ik) zero that mode so results stay real and skew-symmetry is
-preserved.  Even multipliers keep it.
+preserved.  Even multipliers keep it.  ``odd_wavenumbers`` is that rule,
+for every odd multiplier in the package.
 """
 
 import numpy as np
@@ -13,15 +14,6 @@ import numpy as np
 from .errors import InvalidGridError, SymmetryError
 
 TWO_PI = 2.0 * np.pi
-
-# cheap instrumentation used by the cost-scaling report: one count per
-# numpy.fft transform call, 1-D or 2-D, anywhere in the package
-counters = {"fft": 0}
-
-
-def reset_counters():
-    counters["fft"] = 0
-
 
 def _check_1d(f):
     f = np.asarray(f, dtype=float)
@@ -40,28 +32,20 @@ def wavenumbers(n, period=TWO_PI):
     return TWO_PI * integer_modes(n) / period
 
 
-def derivative_1d(f, order=1, period=TWO_PI):
-    """Spectral derivative of periodic samples.
-
-    Parameters
-    ----------
-    f : periodic samples, even length
-    order : positive integer derivative order
-    period : parameter-domain length
-
-    The Nyquist mode is zeroed for odd orders (unpaired mode under an odd
-    multiplier), kept for even orders.
-    """
-    f = _check_1d(f)
-    if order < 1 or int(order) != order:
-        raise InvalidGridError(f"derivative order must be a positive integer, got {order}")
-    n = f.size
+def odd_wavenumbers(n, period=TWO_PI):
+    """``wavenumbers`` with the unpaired Nyquist mode zeroed: the wavenumbers
+    of every odd-symmetry multiplier (ik, 1/ik)."""
     k = wavenumbers(n, period)
-    counters["fft"] += 2
+    k[n // 2] = 0.0
+    return k
+
+
+def derivative_1d(f, *, period=TWO_PI):
+    """Spectral first derivative of periodic samples (even length) over the
+    parameter domain of length ``period``."""
+    f = _check_1d(f)
     fh = np.fft.fft(f)
-    fh *= (1j * k) ** order
-    if order % 2 == 1:
-        fh[n // 2] = 0.0
+    fh *= 1j * odd_wavenumbers(f.size, period)
     return np.real(np.fft.ifft(fh))
 
 
@@ -83,7 +67,6 @@ def apply_symbol_1d(f, symbol):
     if mismatch > 1e-12 * scale or abs(sig[0].imag) > 1e-12 * scale \
             or abs(sig[n // 2].imag) > 1e-12 * scale:
         raise SymmetryError("symbol is not conjugate-symmetric; real output impossible")
-    counters["fft"] += 2
     return np.real(np.fft.ifft(np.fft.fft(f) * sig))
 
 
@@ -95,14 +78,12 @@ def antiderivative(f, value_at_zero=0.0, period=TWO_PI):
     """
     f = _check_1d(f)
     n = f.size
-    k = wavenumbers(n, period)
-    counters["fft"] += 2
+    k = odd_wavenumbers(n, period)
     fh = np.fft.fft(f)
     mean = fh[0].real / n
     gh = np.zeros_like(fh)
     nz = k != 0
     gh[nz] = fh[nz] / (1j * k[nz])
-    gh[n // 2] = 0.0
     g = np.real(np.fft.ifft(gh))
     alpha = period * np.arange(n) / n
     return g - g[0] + mean * alpha + value_at_zero
@@ -117,9 +98,7 @@ def derivative_2d(field, axis, length=1.0):
     if field.ndim != 2 or field.shape[0] != field.shape[1] or field.shape[0] == 0:
         raise InvalidGridError(f"need a square N x N grid, got shape {field.shape}")
     n = field.shape[0]
-    k = wavenumbers(n, length)
-    k = np.where(integer_modes(n) == -(n // 2), 0.0, k)
-    counters["fft"] += 2
+    k = odd_wavenumbers(n, length)
     if axis == "x":
         fh = np.fft.fft(field, axis=0)
         fh *= (1j * k)[:, None]

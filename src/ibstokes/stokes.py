@@ -13,7 +13,9 @@ unsteady scalars) are built once and cached as read-only arrays, so a
 solve is four FFTs plus one 2x2 symbol product per mode, and an advancing
 solve adds the fluid's own two, formed once per fluid state.  The
 module also holds the Fourier multiplier of the periodized log kernel on
-the interface, which the second-kind schemes' leading terms use.
+the interface, which the second-kind schemes' leading terms use.  Beyond
+those read-only caches it keeps no state: ``ibstokes cost`` counts the
+solves from outside.
 """
 
 from dataclasses import dataclass
@@ -23,15 +25,6 @@ import numpy as np
 
 from . import spectral
 from .errors import InvalidGridError, ParameterError
-
-# instrumentation for the cost-scaling report
-counters = {"fluid_solves": 0, "dense_solves": 0}
-
-
-def reset_counters():
-    counters["fluid_solves"] = 0
-    counters["dense_solves"] = 0
-
 
 @dataclass
 class FluidState:
@@ -52,7 +45,6 @@ class FluidState:
     @cached_property
     def spectrum(self):
         """(rfft2(u), rfft2(v))."""
-        spectral.counters["fft"] += 2
         return _read_only(np.fft.rfft2(self.u)), _read_only(np.fft.rfft2(self.v))
 
 
@@ -69,7 +61,7 @@ def grid_wavenumbers(n, length):
     each; only |k|^2 is a full array.  Cached per grid; all three are
     read-only."""
     k = spectral.wavenumbers(n, length)
-    kd = np.where(spectral.integer_modes(n) == -(n // 2), 0.0, k)
+    kd = spectral.odd_wavenumbers(n, length)
     # the half axis holds modes 0..N/2; numpy's full layout stores N/2 as
     # -N/2, which has the same square and is zeroed in kd
     half = n // 2 + 1
@@ -122,8 +114,6 @@ def _spectral_solve(fluid, force, grid, keep, symbol):
     n = grid.n
     if force.shape != (n, n, 2) or (fluid is not None and fluid.u.shape != (n, n)):
         raise InvalidGridError("field shapes inconsistent with grid")
-    counters["fluid_solves"] += 1
-    spectral.counters["fft"] += 4
     gxx, gxy, gyy = symbol
     fu, fv = np.fft.rfft2(force[..., 0]), np.fft.rfft2(force[..., 1])
     un = gxx * fu

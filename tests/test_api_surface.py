@@ -4,9 +4,11 @@ benchmark (`bench/`), a demo (`demos/`) or a tool (`tools/`).  A name that
 only its own tests call is dead weight; delete it with its tests, or list it
 below with the reason it stays.  A private module-level function has no
 such outside user: package code must refer to it.  Every function that the
-benchmark's tracer reports by name must exist in the package."""
+benchmark's tracer reports by name must exist in the package, and so must
+every package attribute that a demo or a tool loads."""
 
 import ast
+import importlib
 import os
 import re
 
@@ -99,3 +101,36 @@ def test_every_name_the_tracer_reports_exists():
     missing = [f"{layer}.{name}" for layer, names in _tracer_named().items()
                for name in names if (layer, name) not in defined]
     assert not missing, f"bench/tracer.py names functions the package lacks: {missing}"
+
+
+def _script_references():
+    """(module, attribute) for every package attribute that a demo or a tool
+    loads, read from the scripts' source without running them: the names
+    they import from a package module, and the attributes they read through
+    a name bound to one."""
+    refs = set()
+    for directory in ("demos", "tools"):
+        for _, text in _sources(os.path.join(ROOT, directory)):
+            tree = ast.parse(text)
+            bound = {}  # local name -> package module
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "ibstokes":
+                    bound.update((a.asname or a.name, a.name) for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ibstokes."):
+                    refs.update((node.module[len("ibstokes."):], a.name) for a in node.names)
+                elif isinstance(node, ast.Import):
+                    bound.update((a.asname, a.name[len("ibstokes."):]) for a in node.names
+                                 if a.asname and a.name.startswith("ibstokes."))
+            refs.update((bound[node.value.id], node.attr) for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in bound)
+    return refs
+
+
+def test_every_attribute_a_demo_or_tool_loads_exists():
+    # a demo or tool that calls a deleted function fails only when it is run
+    refs = _script_references()
+    assert refs
+    missing = [f"{module}.{name}" for module, name in sorted(refs)
+               if not hasattr(importlib.import_module(f"ibstokes.{module}"), name)]
+    assert not missing, f"demos/ or tools/ load names the package lacks: {missing}"

@@ -77,4 +77,4 @@ def test_derivative_matrix_is_cached_read_only():
     with pytest.raises(ValueError):
         dmat[0, 0] = 1.0
     f = np.sin(np.arange(16) * 2.0 * np.pi / 16)
-    assert _rel(dmat @ f, spectral.derivative_1d(f, 1)) <= 1e-13
+    assert _rel(dmat @ f, spectral.derivative_1d(f)) <= 1e-13

@@ -43,8 +43,8 @@ class TestInitEllipse:
 
     def test_theta_reconstruction_matches_atan2(self):
         state, curve = ellipse(256)
-        x_a = spectral.derivative_1d(curve.x, 1, period=state.length)
-        y_a = spectral.derivative_1d(curve.y, 1, period=state.length)
+        x_a = spectral.derivative_1d(curve.x, period=state.length)
+        y_a = spectral.derivative_1d(curve.y, period=state.length)
         raw = np.unwrap(np.arctan2(y_a, x_a))
         assert np.max(np.abs(state.theta - raw)) <= 1e-8
 
@@ -75,7 +75,7 @@ class TestTangentNormal:
         tau, nrm = geometry.tangent_normal(state)
         dth = geometry.theta_derivative(state)
         for comp in range(2):
-            dtau = spectral.derivative_1d(tau[:, comp], 1, period=state.length)
+            dtau = spectral.derivative_1d(tau[:, comp], period=state.length)
             assert np.max(np.abs(dtau / state.s_alpha - dth / state.s_alpha * nrm[:, comp])) <= 1e-8
 
 
@@ -113,8 +113,8 @@ class TestElasticForce:
         tau, _ = geometry.tangent_normal(state)
         tension = sb * (state.s_alpha - 1.0)
         direct = np.column_stack([
-            spectral.derivative_1d(tension * tau[:, 0], 1, period=state.length),
-            spectral.derivative_1d(tension * tau[:, 1], 1, period=state.length),
+            spectral.derivative_1d(tension * tau[:, 0], period=state.length),
+            spectral.derivative_1d(tension * tau[:, 1], period=state.length),
         ])
         assert np.max(np.abs(frame_force(force(state, sb), state) - direct)) <= 1e-8
 

@@ -1,11 +1,15 @@
+import copy
+import importlib
 import json
 import os
+import pkgutil
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from ibstokes import cli, schemes
+import ibstokes
+from ibstokes import cli, schemes, stokes
 from ibstokes.errors import ParameterError, SolverStallError
 from ibstokes.io import (RunConfig, load_run_config, load_snapshot,
                          parse_config_text, save_snapshot)
@@ -364,6 +368,20 @@ class TestCli:
         assert rows[0].startswith("scheme,n,seconds_per_step")
         assert len(rows) >= 4  # two sizes + exponent row
 
+    def test_cost_restores_what_it_counts_after_a_blowup(self, tmp_path, capsys):
+        wrapped = [(np.fft, "fft"), (np.fft, "ifft"), (np.fft, "rfft2"), (np.fft, "irfft2"),
+                   (stokes, "_spectral_solve"), (schemes, "_dense_solve")]
+        originals = [getattr(owner, name) for owner, name in wrapped]
+        # explicit_steady at dt = 2 blows up at step 4: the warm-up step is
+        # step 1, so the blowup comes inside the counted steps
+        code = self.run_cli("cost", "--schemes", "explicit_steady", "--n-list", "32",
+                            "--steps", "3", "--set", "mu=1", "--set", "dt=2",
+                            "--out", str(tmp_path))
+        assert code == 2
+        assert "at step 4" in capsys.readouterr().err
+        for (owner, name), original in zip(wrapped, originals):
+            assert getattr(owner, name) is original, name
+
 
 # solves per step: (fluid solves per boundary node, other fluid solves, dense
 # solves).  The stable schemes solve once per column of the mobility M
@@ -380,23 +398,22 @@ SOLVES_PER_STEP = {
 @pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)
 def test_stable_scheme_fluid_solves_per_step(scheme):
     # counted over the second step, after the first has fixed C_V and C_U
-    from ibstokes import stokes
     steady = scheme in schemes.STEADY_SCHEMES
     config = RunConfig(scheme=scheme, n=32, dt=0.1 if steady else 0.01,
                        mu=1.0 if steady else 0.01)
     phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
     state = schemes.step(config.initial_state(), phys, grid, cfg)
-    stokes.reset_counters()
-    schemes.step(state, phys, grid, cfg)
+    with cli._counted_calls() as counts:
+        schemes.step(state, phys, grid, cfg)
     per_node, other, dense = SOLVES_PER_STEP[scheme]
-    assert stokes.counters["fluid_solves"] == per_node * grid.n_boundary + other
-    assert stokes.counters["dense_solves"] == dense
+    assert counts["fluid_solves"] == per_node * grid.n_boundary + other
+    assert counts["dense_solves"] == dense
 
 
 @pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)
 def test_fft_counter_matches_numpy_calls(scheme, monkeypatch):
-    # every numpy.fft transform the step makes adds exactly one to the counter
-    from ibstokes import spectral
+    # every numpy.fft transform the step makes, of any family, is one that
+    # ``cost`` counts
     steady = scheme in schemes.STEADY_SCHEMES
     config = RunConfig(scheme=scheme, n=16, dt=0.1 if steady else 0.01,
                        mu=1.0 if steady else 0.01)
@@ -408,10 +425,34 @@ def test_fft_counter_matches_numpy_calls(scheme, monkeypatch):
             calls.append(1)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    before = spectral.counters["fft"]
-    schemes.step(state, phys, grid, cfg)
+    with cli._counted_calls() as counts:
+        schemes.step(state, phys, grid, cfg)
     assert len(calls) > 0
-    assert spectral.counters["fft"] - before == len(calls)
+    assert counts["fft"] == len(calls)
+
+
+def _module_containers():
+    """Deep copies of the module-level dicts, lists and sets of every
+    ibstokes module."""
+    found = {}
+    for info in pkgutil.iter_modules(ibstokes.__path__):
+        module = importlib.import_module(f"ibstokes.{info.name}")
+        for name, value in vars(module).items():
+            if not name.startswith("__") and isinstance(value, (dict, list, set)):
+                found[f"{info.name}.{name}"] = copy.deepcopy(value)
+    return found
+
+
+def test_a_step_changes_no_module_state():
+    before = _module_containers()
+    assert before  # the presets table at least
+    for scheme in schemes.ALL_SCHEMES:
+        steady = scheme in schemes.STEADY_SCHEMES
+        config = RunConfig(scheme=scheme, n=16, dt=0.1 if steady else 0.01,
+                           mu=1.0 if steady else 0.01)
+        schemes.step(config.initial_state(), config.phys(), config.grid(),
+                     config.scheme_config())
+    assert _module_containers() == before
 
 
 @pytest.mark.parametrize("scheme", ["stable_steady", "stable_unsteady"])

@@ -238,14 +238,14 @@ class TestStableSteady:
         tau, nrm = tangent_normal(iface)
         dth = theta_derivative(iface)
         force = phys.elastic * (
-            spectral.derivative_1d(new.interface.s_alpha, 1, period=iface.length)[:, None] * tau
+            spectral.derivative_1d(new.interface.s_alpha, period=iface.length)[:, None] * tau
             + ((new.interface.s_alpha - 1.0) * dth)[:, None] * nrm)
         stencils = coupling.delta_stencils(state.curve, grid)
         fl = steady_stokes_grid_solve(coupling.spread(stencils, force, grid), phys.mu, grid)
         uv = coupling.interpolate(stencils, np.stack([fl.u, fl.v], -1), grid)
         u_n = uv[:, 0] * nrm[:, 0] + uv[:, 1] * nrm[:, 1]
         u_t = uv[:, 0] * tau[:, 0] + uv[:, 1] * tau[:, 1]
-        rhs = spectral.derivative_1d(u_t, 1, period=iface.length) - dth * u_n
+        rhs = spectral.derivative_1d(u_t, period=iface.length) - dth * u_n
         resid = new.interface.s_alpha - (iface.s_alpha + cfg.dt * rhs)
         assert np.max(np.abs(resid)) <= 1e-9
 
