@@ -15,7 +15,7 @@ from ibstokes.grids import GridSpec
 from ibstokes.params import PhysParams
 
 phys = PhysParams(rho=1.0, mu=0.01, elastic=1.0, interface_length=2 * np.pi * 0.2)
-grid = GridSpec.make(64, interface_length=phys.interface_length)
+grid = GridSpec.make(64)
 state0 = schemes.initial_state(phys, grid)
 
 print("energy trace, explicit scheme, dt = 0.002 (resolving the ring-down):")

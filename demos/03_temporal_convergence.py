@@ -12,7 +12,7 @@ from ibstokes.grids import GridSpec
 from ibstokes.params import PhysParams
 
 phys = PhysParams(rho=1.0, mu=0.01, elastic=1.0, interface_length=2 * np.pi * 0.2)
-grid = GridSpec.make(128, interface_length=phys.interface_length)
+grid = GridSpec.make(128)
 
 
 def run(dt):

@@ -17,7 +17,7 @@ from ibstokes.params import PhysParams
 
 def probe(scheme, n, dt, steps=60, mu=1.0):
     phys = PhysParams(rho=1.0, mu=mu, elastic=1.0, interface_length=2 * np.pi * 0.2)
-    grid = GridSpec.make(n, interface_length=phys.interface_length)
+    grid = GridSpec.make(n)
     cfg = schemes.SchemeConfig(scheme=scheme, dt=dt)
     state = schemes.initial_state(phys, grid)
     verdict, _, _ = diagnostics.stability_probe(state, phys, grid, cfg, steps)

@@ -105,7 +105,9 @@ def cmd_run(args):
     if args.preset:
         if args.preset not in PRESETS:
             raise ParameterError(f"unknown preset {args.preset!r}; try 'ibstokes presets'")
-        configs = [load_run_config(None, {**c.__dict__, **overrides})
+        # an overridden n takes N_b = 2N unless the command sets n_boundary too
+        reset = {"n_boundary": None} if "n" in overrides else {}
+        configs = [load_run_config(None, {**c.__dict__, **reset, **overrides})
                    for c in PRESETS[args.preset]]
     else:
         configs = [load_run_config(args.config, overrides)]
@@ -221,39 +223,38 @@ def _counted_calls():
 def cmd_cost(args):
     overrides = _parse_assignments(args.set)
     base = load_run_config(args.config, overrides)
-    names, ns = args.schemes.split(","), args.n_list
-    rows = []
-    for scheme in names:
-        times = []
-        for n in ns:
-            config = load_run_config(None, {**base.__dict__, "scheme": scheme, "n": n,
-                                            "n_boundary": None, "label": ""})
-            phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
-            st = config.initial_state()
-            st = schemes.step(st, phys, grid, cfg)  # warm up, sets rescaling
-            with _counted_calls() as counts:
-                t0 = time.perf_counter()
-                for _ in range(args.steps):
-                    st = schemes.step(st, phys, grid, cfg)
-                per_step = (time.perf_counter() - t0) / args.steps
-            row = {"scheme": scheme, "n": n, "seconds_per_step": per_step,
-                   **{f"{key}_per_step": count / args.steps for key, count in counts.items()}}
-            rows.append(row)
-            times.append(per_step)
-            print(f"{scheme} N={n}: {per_step * 1e3:.2f} ms/step, "
-                  f"{row['fluid_solves_per_step']:.0f} fluid solves/step")
-        if len(ns) >= 2:
-            slope = np.polyfit(np.log(ns), np.log(times), 1)[0]
-            print(f"{scheme}: wall-time exponent in N = {slope:.2f}")
-            rows.append({"scheme": scheme, "n": "exponent", "seconds_per_step": slope})
-    out = _ensure_dir(args.out or output_dir())
-    path = os.path.join(out, "cost.csv")
+    ns = args.n_list
+    # every run's config is checked before the first run starts
+    runs = {scheme: [load_run_config(None, {**base.__dict__, "scheme": scheme, "n": n,
+                                            "n_boundary": None, "label": ""}) for n in ns]
+            for scheme in args.schemes.split(",")}
+    path = os.path.join(_ensure_dir(args.out or output_dir()), "cost.csv")
     fields = ("scheme", "n", "seconds_per_step", "fft_per_step", "fluid_solves_per_step",
               "dense_solves_per_step")
+    # each row is written once measured: a blowup or a stall keeps the rows before it
     with open(path, "w") as fh:
         fh.write(",".join(fields) + "\n")
-        for r in rows:
-            fh.write(",".join(str(r.get(k, "")) for k in fields) + "\n")
+        for scheme, configs in runs.items():
+            times = []
+            for config in configs:
+                phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
+                st = config.initial_state()
+                st = schemes.step(st, phys, grid, cfg)  # warm up, sets rescaling
+                with _counted_calls() as counts:
+                    t0 = time.perf_counter()
+                    for _ in range(args.steps):
+                        st = schemes.step(st, phys, grid, cfg)
+                    per_step = (time.perf_counter() - t0) / args.steps
+                row = {"scheme": scheme, "n": config.n, "seconds_per_step": per_step,
+                       **{f"{key}_per_step": count / args.steps for key, count in counts.items()}}
+                fh.write(",".join(str(row[k]) for k in fields) + "\n")
+                times.append(per_step)
+                print(f"{scheme} N={config.n}: {per_step * 1e3:.2f} ms/step, "
+                      f"{row['fluid_solves_per_step']:.0f} fluid solves/step")
+            if len(ns) >= 2:
+                slope = np.polyfit(np.log(ns), np.log(times), 1)[0]
+                print(f"{scheme}: wall-time exponent in N = {slope:.2f}")
+                fh.write(f"{scheme},exponent,{slope},,,\n")
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -4,11 +4,12 @@ discrete inner products they are adjoint under.
 ``delta_stencils`` builds one transfer object per curve: the 4x4 weight
 block of delta_h at each interface node and the grid cells it covers.
 Spreading scatters interface quantities onto the grid with weights
-delta_h(x - X_j) * dalpha; interpolation gathers grid fields with weights
-delta_h * h^2.  Both read the same object and never rebuild it, so the pair
-is adjoint by construction, exactly in floating point; that identity is what
-the energy estimates of the semi-implicit schemes rest on.  A step builds the
-object once for each curve it couples through.
+delta_h(x - X_j) * dalpha, with the interface's spacing dalpha passed in;
+interpolation gathers grid fields with weights delta_h * h^2.  Both read the
+same object and never rebuild it, so the pair is adjoint by construction,
+exactly in floating point; that identity is what the energy estimates of the
+semi-implicit schemes rest on.  A step builds the object once for each curve
+it couples through.
 """
 
 from dataclasses import dataclass
@@ -72,7 +73,7 @@ def delta_stencils(curve, grid):
     return Stencils(ix, iy, w, ix[:, :, None] * n + iy[:, None, :])
 
 
-def spread(stencils, values, grid):
+def spread(stencils, values, grid, dalpha):
     """Scatter per-node values to the grid: sum_j g_j delta_h(x - X_j) dalpha.
 
     values (N_b, ...) give a field (N, N, ...).  Accumulation runs per
@@ -82,7 +83,7 @@ def spread(stencils, values, grid):
     cols = values.reshape(len(values), -1)
     field = np.zeros((grid.n * grid.n, cols.shape[1]))
     for c in range(cols.shape[1]):
-        contrib = stencils.w * (cols[:, c, None, None] * grid.dalpha)
+        contrib = stencils.w * (cols[:, c, None, None] * dalpha)
         np.add.at(field[:, c], stencils.cells, contrib)
     return field.reshape((grid.n, grid.n) + values.shape[1:])
 

@@ -110,10 +110,13 @@ def run_convergence_study(run_fn, dt_list):
 
     run_fn(dt) returns a dict mapping observable name to (values, weight)
     where the norm is sqrt(sum(values^2) * weight).  dt_list must be a
-    halving chain; one extra run at dt_list[-1]/2 provides the last pair.
+    halving chain of at least two timesteps; one extra run at dt_list[-1]/2
+    provides the last pair.
     Returns {observable: {"dts", "errors", "rate", "pair_rates"}}.
     """
     dt_list = list(dt_list)
+    if len(dt_list) < 2:
+        raise ParameterError(f"dt list needs at least two timesteps to fit a rate, got {dt_list}")
     for a, b in zip(dt_list[:-1], dt_list[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise ParameterError(f"dt list must halve at each entry, got {a:g} then {b:g}")

@@ -1,26 +1,19 @@
-"""Discrete geometry constants of the periodic Eulerian/Lagrangian grids."""
+"""Discrete geometry constants of the periodic Eulerian grid."""
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidGridError
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """N x N periodic fluid grid of size length, with n_boundary interface nodes.
-
-    dalpha is the Lagrangian spacing length_b / n_boundary of the interface
-    parameter domain (which need not equal the fluid-domain size).
-    """
+    """N x N periodic fluid grid of size length, with n_boundary interface
+    nodes for the initial curve.  The node spacing belongs to the interface
+    (``InterfaceState.dalpha``), not to the grid."""
 
     n: int
     length: float
     n_boundary: int
-    dalpha: float
 
     def __post_init__(self):
         if self.n <= 0 or self.n % 2 != 0:
@@ -33,7 +26,6 @@ class GridSpec:
         return self.length / self.n
 
     @classmethod
-    def make(cls, n, length=1.0, n_boundary=None, interface_length=TWO_PI):
+    def make(cls, n, length=1.0, n_boundary=None):
         """Default boundary resolution: two interface nodes per mesh width."""
-        nb = 2 * n if n_boundary is None else n_boundary
-        return cls(n=n, length=length, n_boundary=nb, dalpha=interface_length / nb)
+        return cls(n=n, length=length, n_boundary=2 * n if n_boundary is None else n_boundary)

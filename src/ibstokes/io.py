@@ -87,9 +87,7 @@ class RunConfig:
                           interface_length=self.interface_length())
 
     def grid(self):
-        return GridSpec(n=self.n, length=self.domain_length,
-                        n_boundary=self.n_boundary,
-                        dalpha=self.interface_length() / self.n_boundary)
+        return GridSpec(n=self.n, length=self.domain_length, n_boundary=self.n_boundary)
 
     def scheme_config(self):
         return SchemeConfig(scheme=self.scheme, dt=self.dt)

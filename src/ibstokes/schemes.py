@@ -100,17 +100,19 @@ def _fluid_solve(fluid, phys, grid, cfg):
     return lambda f_grid: unsteady_stokes_step(fluid, f_grid, phys.rho, phys.mu, cfg.dt, grid)
 
 
-def _velocity_map(stencils, tau, nrm, grid, solve, average_with=None):
-    """K, the map force -> (u, fluid) on a frozen curve, force and velocity
-    blocks [normal; tangential] in the node frames ``nrm``, ``tau``: the force
-    is rotated to xy, spread through ``stencils``, solved for by
-    ``solve(f_grid)``, interpolated and rotated back.  The trapezoidal scheme
-    interpolates the mean of the solved fluid and ``average_with``."""
+def _velocity_map(stencils, iface, grid, solve, average_with=None):
+    """K, the map force -> (u, fluid) on the frozen interface ``iface``, force
+    and velocity blocks [normal; tangential] in its node frames: the force is
+    rotated to xy, spread through ``stencils`` with the interface's spacing,
+    solved for by ``solve(f_grid)``, interpolated and rotated back.  The
+    trapezoidal scheme interpolates the mean of the solved fluid and
+    ``average_with``."""
+    tau, nrm = tangent_normal(iface)
     nb = len(tau)
 
     def velocity(force):
         fluid = solve(coupling.spread(stencils, force[:nb, None] * nrm + force[nb:, None] * tau,
-                                      grid))
+                                      grid, iface.dalpha))
         uv = _grid_uv(fluid)
         if average_with is not None:
             uv = 0.5 * (uv + _grid_uv(average_with))
@@ -121,8 +123,7 @@ def _velocity_map(stencils, tau, nrm, grid, solve, average_with=None):
 
 def _step_map(state, phys, grid, cfg):
     """K on the step's own curve, through the scheme's fluid solve."""
-    tau, nrm = tangent_normal(state.interface)
-    return _velocity_map(coupling.delta_stencils(state.curve, grid), tau, nrm, grid,
+    return _velocity_map(coupling.delta_stencils(state.curve, grid), state.interface, grid,
                          _fluid_solve(state.fluid, phys, grid, cfg))
 
 
@@ -387,19 +388,20 @@ def _solve_linear(lin, b, step_index):
     return x
 
 
-def _interface_mobility(stencils, solve, grid, tau, nrm):
-    """K assembled: the interface mobility M = J L S of a frozen curve (the IB
-    mobility of Balboa Usabiaga et al. 2016) in the node frames.  Column
-    a N_b + j is the block velocity [U; V] of the unit a-force on node j, a in
-    (normal, tangential): node j spreads its unit forces ``nrm[j]`` and
-    ``tau[j]`` once through its own stencils, and each column costs one fluid
+def _interface_mobility(stencils, iface, grid, solve):
+    """K assembled: the interface mobility M = J L S of the frozen interface
+    ``iface`` (the IB mobility of Balboa Usabiaga et al. 2016) in its node
+    frames.  Column a N_b + j is the block velocity [U; V] of the unit a-force
+    on node j, a in (normal, tangential): node j spreads its unit normal and
+    tangent once through its own stencils, and each column costs one fluid
     solve ``solve(f_grid)``.  Spreading and interpolation are adjoint, so K is
     symmetric."""
+    tau, nrm = tangent_normal(iface)
     nb = len(tau)
     uv = np.empty((nb, 2, 2 * nb))    # node, xy, column
     for j in range(nb):
         units = np.stack([nrm[j], tau[j]], axis=-1)[None]    # (1, xy, a)
-        fields = coupling.spread(stencils[j:j + 1], units, grid)  # (N, N, xy, a)
+        fields = coupling.spread(stencils[j:j + 1], units, grid, iface.dalpha)  # (N, N, xy, a)
         for a in range(2):
             uv[..., a * nb + j] = coupling.interpolate(stencils, _grid_uv(solve(fields[..., a])),
                                                        grid)
@@ -426,11 +428,10 @@ def step_stable(state, phys, grid, cfg):
     nb = iface.n_nodes
     elastic, length = phys.elastic, iface.length
     stencils = coupling.delta_stencils(state.curve, grid)
-    tau, nrm = tangent_normal(iface)
     dth = theta_derivative(iface)
     solve = _fluid_solve(None, phys, grid, cfg)
-    from_rest = _velocity_map(stencils, tau, nrm, grid, solve)
-    advance = _velocity_map(stencils, tau, nrm, grid, _fluid_solve(state.fluid, phys, grid, cfg))
+    from_rest = _velocity_map(stencils, iface, grid, solve)
+    advance = _velocity_map(stencils, iface, grid, _fluid_solve(state.fluid, phys, grid, cfg))
     # the unforced velocity of the current fluid (none in steady flow)
     u_hom = 0.0 if cfg.scheme in STEADY_SCHEMES else advance(np.zeros(2 * nb))[0]
 
@@ -438,7 +439,7 @@ def step_stable(state, phys, grid, cfg):
     dense = nb <= DENSE_MAX
     if dense:
         derivative = _derivative_matrix(nb, length).__matmul__
-        mobility = _interface_mobility(stencils, solve, grid, tau, nrm).__matmul__
+        mobility = _interface_mobility(stencils, iface, grid, solve).__matmul__
     else:
         derivative = fft_derivative
 
@@ -605,7 +606,7 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     # trapezoidal solves on the midpoint curve; the velocity is that of the
     # centred fluid (u^n + u^{n+1})/2
     centered_velocity = _velocity_map(
-        coupling.delta_stencils(half.curve, grid), *tangent_normal(iface_h), grid,
+        coupling.delta_stencils(half.curve, grid), iface_h, grid,
         lambda f_grid: unsteady_stokes_step(state.fluid, f_grid, phys.rho, phys.mu, dt, grid,
                                             theta=0.5),
         average_with=state.fluid)

@@ -41,7 +41,7 @@ def report(num, ok, detail):
 def model(n, mu, rest_radius=0.2):
     phys = PhysParams(rho=1.0, mu=mu, elastic=1.0,
                       interface_length=2 * np.pi * rest_radius)
-    grid = GridSpec.make(n, interface_length=phys.interface_length)
+    grid = GridSpec.make(n)
     return phys, grid
 
 
@@ -60,8 +60,9 @@ def test_criterion_1_adjointness():
         g = rng.standard_normal(nb)
         u = rng.standard_normal((64, 64))
         stencils = coupling.delta_stencils(curve, grid)
-        lhs = inner_product_omega(u, coupling.spread(stencils, g, grid), grid.h)
-        rhs = inner_product_gamma(coupling.interpolate(stencils, u, grid), g, grid.dalpha)
+        dalpha = 2 * np.pi / nb     # the curve's spacing over the parameter interval
+        lhs = inner_product_omega(u, coupling.spread(stencils, g, grid, dalpha), grid.h)
+        rhs = inner_product_gamma(coupling.interpolate(stencils, u, grid), g, dalpha)
         scale = np.linalg.norm(u) * np.linalg.norm(g)
         worst = max(worst, abs(lhs - rhs) / scale)
     elapsed = time.time() - t0

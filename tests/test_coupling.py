@@ -17,6 +17,11 @@ def random_curve(rng, nb, jitter=0.03):
     return CurveSamples(x, y)
 
 
+def spacing(curve):
+    """Node spacing of a curve sampled over the parameter interval [0, 2 pi)."""
+    return 2 * np.pi / curve.n_nodes
+
+
 class TestPeskinPhi:
     def test_branch_values(self):
         assert peskin_phi(0.0) == pytest.approx(0.5)
@@ -55,8 +60,9 @@ class TestStencils:
 class TestSpreadInterpolate:
     def test_zero_input(self):
         grid = GridSpec.make(16)
-        stencils = coupling.delta_stencils(random_curve(np.random.default_rng(1), 32), grid)
-        assert np.max(np.abs(coupling.spread(stencils, np.zeros(32), grid))) == 0.0
+        curve = random_curve(np.random.default_rng(1), 32)
+        stencils = coupling.delta_stencils(curve, grid)
+        assert np.max(np.abs(coupling.spread(stencils, np.zeros(32), grid, spacing(curve)))) == 0.0
 
     def test_force_conservation(self):
         # sum_grid spread(F) h^2 = sum_interface F dalpha, per component
@@ -64,18 +70,19 @@ class TestSpreadInterpolate:
         rng = np.random.default_rng(2)
         curve = random_curve(rng, 64)
         f = rng.standard_normal((64, 2))
-        field = coupling.spread(coupling.delta_stencils(curve, grid), f, grid)
+        field = coupling.spread(coupling.delta_stencils(curve, grid), f, grid, spacing(curve))
         for c in range(2):
             lhs = np.sum(field[..., c]) * grid.h**2
-            rhs = np.sum(f[:, c]) * grid.dalpha
+            rhs = np.sum(f[:, c]) * spacing(curve)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
     def test_single_node_on_gridpoint(self):
         grid = GridSpec.make(32)
         curve = CurveSamples(np.array([8 * grid.h, 0.9]), np.array([4 * grid.h, 0.33]))
         # second node parked far away with zero weight value
-        field = coupling.spread(coupling.delta_stencils(curve, grid), np.array([1.0, 0.0]), grid)
-        peak = peskin_phi(0.0) ** 2 / grid.h**2 * grid.dalpha
+        field = coupling.spread(coupling.delta_stencils(curve, grid), np.array([1.0, 0.0]), grid,
+                                spacing(curve))
+        peak = peskin_phi(0.0) ** 2 / grid.h**2 * spacing(curve)
         assert field[8, 4] == pytest.approx(peak, rel=1e-13)
 
     def test_interpolate_constant(self):
@@ -103,8 +110,9 @@ class TestSpreadInterpolate:
             g = rng.standard_normal(128)
             u = rng.standard_normal((64, 64))
             stencils = coupling.delta_stencils(curve, grid)
-            lhs = inner_product_omega(u, coupling.spread(stencils, g, grid), grid.h)
-            rhs = inner_product_gamma(coupling.interpolate(stencils, u, grid), g, grid.dalpha)
+            lhs = inner_product_omega(u, coupling.spread(stencils, g, grid, spacing(curve)),
+                                      grid.h)
+            rhs = inner_product_gamma(coupling.interpolate(stencils, u, grid), g, spacing(curve))
             scale = np.linalg.norm(u) * np.linalg.norm(g)
             assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -115,8 +123,8 @@ class TestSpreadInterpolate:
         g = rng.standard_normal((64, 2))
         u = rng.standard_normal((32, 32, 2))
         stencils = coupling.delta_stencils(curve, grid)
-        lhs = inner_product_omega(u, coupling.spread(stencils, g, grid), grid.h)
-        rhs = inner_product_gamma(coupling.interpolate(stencils, u, grid), g, grid.dalpha)
+        lhs = inner_product_omega(u, coupling.spread(stencils, g, grid, spacing(curve)), grid.h)
+        rhs = inner_product_gamma(coupling.interpolate(stencils, u, grid), g, spacing(curve))
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(g)
 
     def test_trailing_components_match_single_component_transfers(self):
@@ -124,30 +132,33 @@ class TestSpreadInterpolate:
         # bitwise the pair of one-component transfers through the same object
         grid = GridSpec.make(32)
         rng = np.random.default_rng(7)
-        stencils = coupling.delta_stencils(random_curve(rng, 64), grid)
+        curve = random_curve(rng, 64)
+        stencils = coupling.delta_stencils(curve, grid)
         g = rng.standard_normal((64, 2))
         u = rng.standard_normal((32, 32, 2))
-        field = coupling.spread(stencils, g, grid)
+        field = coupling.spread(stencils, g, grid, spacing(curve))
         vals = coupling.interpolate(stencils, u, grid)
         assert field.shape == (32, 32, 2) and vals.shape == (64, 2)
         for c in range(2):
-            assert np.array_equal(field[..., c], coupling.spread(stencils, g[:, c], grid))
+            assert np.array_equal(field[..., c],
+                                  coupling.spread(stencils, g[:, c], grid, spacing(curve)))
             assert np.array_equal(vals[:, c], coupling.interpolate(stencils, u[..., c], grid))
 
     def test_periodic_wrap(self):
         # a node just outside the box spreads onto wrapped cells with full mass
         grid = GridSpec.make(16)
         curve = CurveSamples(np.array([-0.01, 1.005]), np.array([0.5, 0.5]))
-        field = coupling.spread(coupling.delta_stencils(curve, grid), np.ones(2), grid)
-        assert abs(np.sum(field) * grid.h**2 - 2 * grid.dalpha) <= 1e-13
+        field = coupling.spread(coupling.delta_stencils(curve, grid), np.ones(2), grid,
+                                spacing(curve))
+        assert abs(np.sum(field) * grid.h**2 - 2 * spacing(curve)) <= 1e-13
 
     def test_deterministic(self):
         grid = GridSpec.make(32)
         rng = np.random.default_rng(6)
         curve = random_curve(rng, 64)
         g = rng.standard_normal(64)
-        a = coupling.spread(coupling.delta_stencils(curve, grid), g, grid)
-        b = coupling.spread(coupling.delta_stencils(curve, grid), g, grid)
+        a = coupling.spread(coupling.delta_stencils(curve, grid), g, grid, spacing(curve))
+        b = coupling.spread(coupling.delta_stencils(curve, grid), g, grid, spacing(curve))
         assert np.array_equal(a, b)
 
 
@@ -175,13 +186,13 @@ class TestInnerProducts:
 def test_spread_of_elastic_force_has_zero_mean():
     # force is a derivative of a periodic quantity, so the spread field
     # integrates to ~0: the steady grid solve relies on this
-    grid = GridSpec.make(32, interface_length=2 * np.pi * 0.2)
+    grid = GridSpec.make(32)
     state, curve = geometry.init_ellipse(0.32, 0.24, (0.5, 0.5), 64, rest_radius=0.2)
     f = geometry.elastic_force(state.s_alpha, geometry.theta_derivative(state), 1.0,
                                state.length)
     tau, nrm = geometry.tangent_normal(state)
     f_xy = f[:64, None] * nrm + f[64:, None] * tau
-    field = coupling.spread(coupling.delta_stencils(curve, grid), f_xy, grid)
+    field = coupling.spread(coupling.delta_stencils(curve, grid), f_xy, grid, state.dalpha)
     for c in range(2):
         assert abs(np.sum(field[..., c]) * grid.h**2) <= 1e-10
 

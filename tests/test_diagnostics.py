@@ -95,7 +95,7 @@ class TestStabilityProbe:
     def probe(self, dt, steps=50, n=64):
         phys = PhysParams(rho=1.0, mu=1.0, elastic=1.0,
                           interface_length=2 * np.pi * 0.2)
-        grid = GridSpec.make(n, interface_length=phys.interface_length)
+        grid = GridSpec.make(n)
         cfg = SchemeConfig(scheme="explicit_steady", dt=dt)
         state = schemes.initial_state(phys, grid)
         return stability_probe(state, phys, grid, cfg, steps)
@@ -120,7 +120,7 @@ class TestStabilityProbe:
 
 def test_record_fields_consistent():
     phys = PhysParams(rho=1.0, mu=0.01, elastic=1.0, interface_length=2 * np.pi * 0.2)
-    grid = GridSpec.make(32, interface_length=phys.interface_length)
+    grid = GridSpec.make(32)
     state = schemes.initial_state(phys, grid)
     rec = diagnostics.record_state(state, phys, grid)
     assert rec.total == rec.kinetic + rec.potential

@@ -11,8 +11,10 @@ import pytest
 import ibstokes
 from ibstokes import cli, schemes, stokes
 from ibstokes.errors import ParameterError, SolverStallError
+from ibstokes.grids import GridSpec
 from ibstokes.io import (RunConfig, load_run_config, load_snapshot,
                          parse_config_text, save_snapshot)
+from ibstokes.params import PhysParams
 from ibstokes.presets import PRESETS
 
 
@@ -58,6 +60,21 @@ class TestConfigParsing:
 
     def test_default_boundary_count(self):
         assert RunConfig(n=48).n_boundary == 96
+
+
+@pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)
+def test_grid_without_interface_length_steps_like_run_config(scheme):
+    # the spread weight is the interface's own spacing L_b / N_b, so a grid
+    # built from N alone steps exactly as the configured run does
+    steady = scheme in schemes.STEADY_SCHEMES
+    config = RunConfig(scheme=scheme, n=32, dt=0.01, mu=1.0 if steady else 0.01)
+    phys = PhysParams(rho=1.0, mu=config.mu, elastic=1.0, interface_length=2 * np.pi * 0.2)
+    grid = GridSpec.make(32)
+    cfg = config.scheme_config()
+    got = schemes.step(schemes.initial_state(phys, grid), phys, grid, cfg)
+    want = schemes.step(config.initial_state(), config.phys(), config.grid(), cfg)
+    for a, b in zip(_state_arrays(got), _state_arrays(want)):
+        assert np.array_equal(a, b)
 
 
 class TestSnapshots:
@@ -278,10 +295,13 @@ class TestCli:
         (("convergence", "--dts", "1/0"), "--dts"),
         (("convergence", "--dts", "abc"), "--dts"),
         (("convergence", "--dts", "1/4,1/6"), "halve"),
+        (("convergence", "--dts", ""), "two timesteps"),
+        (("convergence", "--dts", "1/4"), "two timesteps"),
         (("sweep", "--n-list", "16,x"), "--n-list"),
         (("sweep", "--n-list", "16", "--dt-list", "1/8,x"), "--dt-list"),
         (("cost", "--schemes", "ssd1_unsteady", "--n-list", "16", "--steps", "0"), "--steps"),
-    ], ids=["dts-zero-denominator", "dts-not-a-number", "dts-not-halving", "n-list-not-an-int",
+    ], ids=["dts-zero-denominator", "dts-not-a-number", "dts-not-halving", "dts-empty",
+            "dts-single", "n-list-not-an-int",
             "dt-list-not-a-number", "steps-zero"])
     def test_malformed_list_is_usage_error(self, argv, named, tmp_path, capsys):
         # refused before any run, with a message that names the flag
@@ -373,14 +393,30 @@ class TestCli:
                    (stokes, "_spectral_solve"), (schemes, "_dense_solve")]
         originals = [getattr(owner, name) for owner, name in wrapped]
         # explicit_steady at dt = 2 blows up at step 4: the warm-up step is
-        # step 1, so the blowup comes inside the counted steps
-        code = self.run_cli("cost", "--schemes", "explicit_steady", "--n-list", "32",
+        # step 1, so the blowup comes inside the counted steps; ssd1_steady,
+        # measured first, holds
+        code = self.run_cli("cost", "--schemes", "ssd1_steady,explicit_steady", "--n-list", "32",
                             "--steps", "3", "--set", "mu=1", "--set", "dt=2",
                             "--out", str(tmp_path))
         assert code == 2
         assert "at step 4" in capsys.readouterr().err
         for (owner, name), original in zip(wrapped, originals):
             assert getattr(owner, name) is original, name
+        # the row measured before the blowup is kept
+        rows = (tmp_path / "cost.csv").read_text().splitlines()
+        assert rows[0].startswith("scheme,n,seconds_per_step")
+        assert [row.split(",")[:2] for row in rows[1:]] == [["ssd1_steady", "32"]]
+
+    def test_preset_n_override_takes_default_n_boundary(self, tmp_path):
+        # --set n=… gives N_b = 2N, unless the same command sets n_boundary
+        for extra, nb in (((), 64), (("--set", "n_boundary=48"), 48)):
+            out = tmp_path / str(nb)
+            code = self.run_cli("run", "--preset", "unsteady-fig5", "--set", "n=32",
+                                "--set", "t_end=0", *extra, "--out", str(out))
+            assert code == 0
+            for config in PRESETS["unsteady-fig5"]:
+                state = load_snapshot(str(out / f"{config.run_name()}-final.json"))
+                assert state.interface.n_nodes == nb
 
 
 # solves per step: (fluid solves per boundary node, other fluid solves, dense

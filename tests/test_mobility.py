@@ -12,7 +12,7 @@ STABLE = ("stable_steady", "stable_unsteady")
 
 
 def mobility_case(scheme, n=32):
-    """Stencils and node frames of the model ellipse, the scheme's from-rest
+    """Stencils and interface of the model ellipse, the scheme's from-rest
     grid solve and K."""
     steady = scheme == "stable_steady"
     config = RunConfig(scheme=scheme, n=n, dt=1.0 if steady else 0.05,
@@ -20,24 +20,25 @@ def mobility_case(scheme, n=32):
     phys, grid = config.phys(), config.grid()
     state = config.initial_state()
     stencils = coupling.delta_stencils(state.curve, grid)
-    tau, nrm = tangent_normal(state.interface)
     if steady:
         def solve(f_grid):
             return stokes.steady_stokes_grid_solve(f_grid, phys.mu, grid)
     else:
         def solve(f_grid):
             return stokes.unsteady_stokes_step(None, f_grid, phys.rho, phys.mu, config.dt, grid)
-    mob = schemes._interface_mobility(stencils, solve, grid, tau, nrm)
-    return grid, stencils, (tau, nrm), solve, mob
+    mob = schemes._interface_mobility(stencils, state.interface, grid, solve)
+    return grid, stencils, state.interface, solve, mob
 
 
 @pytest.mark.parametrize("scheme", STABLE)
 def test_mobility_applies_the_grid_response(scheme):
     # K maps (normal, tangential) force blocks to the velocity in the same frames
-    grid, stencils, (tau, nrm), solve, mob = mobility_case(scheme)
+    grid, stencils, iface, solve, mob = mobility_case(scheme)
     nb = grid.n_boundary
+    tau, nrm = tangent_normal(iface)
     f_n, f_t = np.random.default_rng(3).standard_normal((2, nb))
-    fluid = solve(coupling.spread(stencils, f_n[:, None] * nrm + f_t[:, None] * tau, grid))
+    fluid = solve(coupling.spread(stencils, f_n[:, None] * nrm + f_t[:, None] * tau, grid,
+                                  iface.dalpha))
     uv = coupling.interpolate(stencils, np.stack([fluid.u, fluid.v], axis=-1), grid)
     frame_uv = np.concatenate([np.sum(uv * nrm, axis=1), np.sum(uv * tau, axis=1)])
     assert mob.shape == (2 * nb, 2 * nb)
@@ -57,18 +58,19 @@ def test_mobility_is_symmetric(scheme):
 def test_mobility_is_the_matrix_of_the_velocity_map(scheme):
     # column a N_b + j is the from-rest velocity map applied to the unit
     # a-force on node j, a in (normal, tangential)
-    grid, stencils, (tau, nrm), solve, mob = mobility_case(scheme)
-    velocity = schemes._velocity_map(stencils, tau, nrm, grid, solve)
+    grid, stencils, iface, solve, mob = mobility_case(scheme)
+    velocity = schemes._velocity_map(stencils, iface, grid, solve)
     columns = np.column_stack([velocity(unit)[0] for unit in np.eye(2 * grid.n_boundary)])
     assert np.max(np.abs(mob - columns)) <= 1e-12 * np.max(np.abs(columns))
 
 
 def test_one_node_slice_spreads_like_the_whole_curve():
-    grid, stencils, *_ = mobility_case("stable_steady")
+    grid, stencils, iface, *_ = mobility_case("stable_steady")
     unit = np.eye(2)[None]
     for j in range(grid.n_boundary):
-        fields = coupling.spread(stencils[j:j + 1], unit, grid)
+        fields = coupling.spread(stencils[j:j + 1], unit, grid, iface.dalpha)
         for c in range(2):
             values = np.zeros((grid.n_boundary, 2))
             values[j, c] = 1.0
-            assert np.array_equal(fields[..., c], coupling.spread(stencils, values, grid))
+            assert np.array_equal(fields[..., c],
+                                  coupling.spread(stencils, values, grid, iface.dalpha))

@@ -17,10 +17,9 @@ class TestGroups:
 def test_steady_time_rescaling_equivalence():
     # two parameter sets with equal L_b/L follow the same trajectory after
     # t -> t/t0 with t0 = mu L / S_b
-    grid_kw = dict(interface_length=2 * np.pi * 0.2)
     p1 = PhysParams(rho=1, mu=1, elastic=1, interface_length=2 * np.pi * 0.2)
     p2 = PhysParams(rho=1, mu=2, elastic=4, interface_length=2 * np.pi * 0.2)
-    grid = GridSpec.make(64, **grid_kw)
+    grid = GridSpec.make(64)
     dt1 = 0.05
     t0_1 = p1.mu * grid.length / p1.elastic
     t0_2 = p2.mu * grid.length / p2.elastic

@@ -16,7 +16,7 @@ STEADY = ["explicit_steady", "ssd1_steady", "ssd2_steady", "ifrk4_steady", "stab
 def model(n=64, mu=1.0, rest_radius=0.2, n_boundary=None):
     phys = PhysParams(rho=1.0, mu=mu, elastic=1.0,
                       interface_length=2 * np.pi * rest_radius)
-    grid = GridSpec.make(n, n_boundary=n_boundary, interface_length=phys.interface_length)
+    grid = GridSpec.make(n, n_boundary=n_boundary)
     return phys, grid
 
 
@@ -40,7 +40,7 @@ def march(phys, grid, cfg, n_steps, state=None):
 @pytest.mark.parametrize("scheme", STEADY)
 def test_equilibrium_fixed_point(scheme):
     phys = PhysParams(rho=1.0, mu=1.0, elastic=1.0)  # interface length 2 pi
-    grid = GridSpec.make(32, interface_length=phys.interface_length)
+    grid = GridSpec.make(32)
     state = equilibrium_state(grid.n_boundary)
     cfg = SchemeConfig(scheme=scheme, dt=0.5)
     new = schemes.step(state, phys, grid, cfg)
@@ -241,7 +241,8 @@ class TestStableSteady:
             spectral.derivative_1d(new.interface.s_alpha, period=iface.length)[:, None] * tau
             + ((new.interface.s_alpha - 1.0) * dth)[:, None] * nrm)
         stencils = coupling.delta_stencils(state.curve, grid)
-        fl = steady_stokes_grid_solve(coupling.spread(stencils, force, grid), phys.mu, grid)
+        fl = steady_stokes_grid_solve(coupling.spread(stencils, force, grid, iface.dalpha),
+                                      phys.mu, grid)
         uv = coupling.interpolate(stencils, np.stack([fl.u, fl.v], -1), grid)
         u_n = uv[:, 0] * nrm[:, 0] + uv[:, 1] * nrm[:, 1]
         u_t = uv[:, 0] * tau[:, 0] + uv[:, 1] * tau[:, 1]

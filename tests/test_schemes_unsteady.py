@@ -18,7 +18,7 @@ UNSTEADY = ["explicit_unsteady", "ssd1_unsteady", "ssd2_unsteady",
 def model(n=64, mu=0.01, rest_radius=0.2):
     phys = PhysParams(rho=1.0, mu=mu, elastic=1.0,
                       interface_length=2 * np.pi * rest_radius)
-    grid = GridSpec.make(n, interface_length=phys.interface_length)
+    grid = GridSpec.make(n)
     return phys, grid
 
 
@@ -38,7 +38,7 @@ def unrescaled(phys, grid):
 @pytest.mark.parametrize("scheme", UNSTEADY)
 def test_equilibrium_fixed_point(scheme):
     phys = PhysParams(rho=1.0, mu=0.05, elastic=1.0)
-    grid = GridSpec.make(32, interface_length=phys.interface_length)
+    grid = GridSpec.make(32)
     nb = grid.n_boundary
     iface = InterfaceState(np.ones(nb), np.full(nb, np.pi / 2),
                            np.array([[1.5, 0.5], [-0.5, 0.5]]))
@@ -60,10 +60,9 @@ class TestExplicitUnsteady:
                                np.array([[0.7, 0.5], [0.3, 0.5]]),
                                length=2 * np.pi)
         state = StepState(iface, reconstruct_curve(iface), FluidState.rest(32), 0.0, 0, None)
-        grid2 = GridSpec.make(32, interface_length=2 * np.pi)
         cfg = SchemeConfig(scheme="explicit_unsteady", dt=0.01)
         phys2 = PhysParams(rho=1.0, mu=0.1, elastic=1.0)
-        new = schemes.step(state, phys2, grid2, cfg)
+        new = schemes.step(state, phys2, grid, cfg)
         assert new.fluid.max_speed() <= 1e-12
 
     def test_stability_dichotomy(self):

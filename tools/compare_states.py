@@ -6,7 +6,9 @@ Runs every case of `fingerprint.cases()` (this tree's list) in this tree and
 in OTHER_TREE, each in its own subprocess whose PYTHONPATH holds only that
 tree's `src` and `tools`.  For each case and array it prints "bitwise" when
 the two final arrays are identical, else the relative move
-max|a - b| / max|a|, with a taken from this tree.
+max|a - b| / max|a|, with a taken from this tree.  It exits 0 when every
+array is bitwise, 1 when any array moved or is missing from OTHER_TREE, and
+64 on a usage error.
 """
 
 import json
@@ -55,7 +57,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         ours = final_states(HERE, configs, os.path.join(tmp, "ours.npz"))
         theirs = final_states(argv[0], configs, os.path.join(tmp, "theirs.npz"))
-    worst = 0.0
+    worst, moved = 0.0, False
     for i, config in enumerate(configs):
         names = sorted({k.split("/")[1] for k in ours if k.startswith(f"{i}/")})
         cells = []
@@ -63,15 +65,17 @@ def main(argv=None):
             a, b = ours[f"{i}/{name}"], theirs.get(f"{i}/{name}")
             if b is None or a.shape != b.shape:
                 cells.append(f"{name} missing")
+                moved = True
             elif np.array_equal(a, b):
                 cells.append(f"{name} bitwise")
             else:
+                moved = True
                 rel = float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), 1e-300))
                 worst = max(worst, rel)
                 cells.append(f"{name} {rel:.2e}")
         print(f"{fingerprint.case_id(config)}: {', '.join(cells)}")
     print(f"largest relative move: {worst:.2e}")
-    return 0
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
