@@ -6,12 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ParameterError
 
 def k0_convolution_symbol(beta, k):
     """Fourier multiplier 1/sqrt(beta^2 + k^2) of f -> (1/pi) int K0(beta|a-a'|) f da'."""
     if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+        raise ParameterError(f"beta must be positive, got {beta}")
     k = np.asarray(k, dtype=float)
     return 1.0 / np.sqrt(beta * beta + k * k)
 
@@ -34,10 +34,10 @@ class SsdSymbolParams:
 
     def __post_init__(self):
         if not (self.lam > 0 and self.s_min > 0):
-            raise DomainError("need lam > 0 and s_min > 0")
+            raise ParameterError("need lam > 0 and s_min > 0")
         for name in ("elastic", "mu", "rho", "dt", "lam", "s_min", "s_max_excess"):
             if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} is not finite")
+                raise ParameterError(f"{name} is not finite")
 
     @classmethod
     def from_state(cls, s_alpha, elastic, mu, rho, dt):

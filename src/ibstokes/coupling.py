@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGridError
+from .errors import ParameterError
 
 
 def peskin_phi(r):
@@ -41,13 +41,11 @@ class Stencils:
     """The delta_h weights of one curve on one grid, shared by spread and
     interpolate.
 
-    ix, iy: periodic grid indices per axis, (N_b, 4); w: weights (N_b, 4, 4)
-    with w[j, p, q] = phi(dx_p) phi(dy_q) / h^2; cells: the flat grid index
-    ix[j, p] * N + iy[j, q] of each weight.
+    w: weights (N_b, 4, 4) with w[j, p, q] = phi(dx_p) phi(dy_q) / h^2;
+    cells: the flat grid index ix[j, p] * N + iy[j, q] of each weight, with
+    ix, iy the periodic grid indices of the node's 4x4 block per axis.
     """
 
-    ix: np.ndarray
-    iy: np.ndarray
     w: np.ndarray
     cells: np.ndarray
 
@@ -55,7 +53,7 @@ class Stencils:
         """The stencils of a slice of the nodes, e.g. ``stencils[j:j + 1]``
         for node j alone: spreading through it equals spreading values that
         vanish off those nodes through the whole curve's object."""
-        return Stencils(self.ix[nodes], self.iy[nodes], self.w[nodes], self.cells[nodes])
+        return Stencils(self.w[nodes], self.cells[nodes])
 
 
 def delta_stencils(curve, grid):
@@ -70,7 +68,7 @@ def delta_stencils(curve, grid):
     cy = np.floor(gy).astype(int) + offs
     ix, iy = cx % n, cy % n
     w = peskin_phi(gx - cx)[:, :, None] * peskin_phi(gy - cy)[:, None, :] / h**2
-    return Stencils(ix, iy, w, ix[:, :, None] * n + iy[:, None, :])
+    return Stencils(w, ix[:, :, None] * n + iy[:, None, :])
 
 
 def spread(stencils, values, grid, dalpha):
@@ -106,7 +104,7 @@ def inner_product_gamma(f, g, dalpha):
     """Interface inner product sum f g dalpha (componentwise over trailing axes)."""
     f, g = np.asarray(f), np.asarray(g)
     if f.shape != g.shape:
-        raise InvalidGridError(f"shape mismatch {f.shape} vs {g.shape}")
+        raise ParameterError(f"shape mismatch {f.shape} vs {g.shape}")
     return float(np.sum(f * g) * dalpha)
 
 
@@ -114,5 +112,5 @@ def inner_product_omega(u, v, h):
     """Grid inner product sum u v h^2 (componentwise over trailing axes)."""
     u, v = np.asarray(u), np.asarray(v)
     if u.shape != v.shape:
-        raise InvalidGridError(f"shape mismatch {u.shape} vs {v.shape}")
+        raise ParameterError(f"shape mismatch {u.shape} vs {v.shape}")
     return float(np.sum(u * v) * h**2)

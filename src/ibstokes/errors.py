@@ -5,28 +5,9 @@ class IBStokesError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidGridError(IBStokesError, ValueError):
-    """Grid or sample array has an unusable shape (odd length, empty, non-square)."""
-
-
-class SymmetryError(IBStokesError, ValueError):
-    """A Fourier symbol lacks the conjugate symmetry needed for real output."""
-
-
-class DomainError(IBStokesError, ValueError):
-    """Argument outside the mathematical domain of a special function."""
-
-
-class InvalidGeometryError(IBStokesError, ValueError):
-    """Degenerate curve geometry (collapsed axis, coincident nodes)."""
-
-
-class DegenerateParameterizationError(IBStokesError, ValueError):
-    """Arclength derivative is non-positive somewhere."""
-
-
 class ParameterError(IBStokesError, ValueError):
-    """Invalid physical or numerical parameter (e.g. dt <= 0)."""
+    """Invalid input: a parameter, an array shape, a Fourier symbol, a geometry
+    or a snapshot field."""
 
 
 class BlowupError(IBStokesError, RuntimeError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .errors import DegenerateParameterizationError, InvalidGeometryError
+from .errors import ParameterError
 
 TWO_PI = 2.0 * np.pi
 
@@ -35,7 +35,7 @@ class InterfaceState:
         self.phi = np.asarray(self.phi, dtype=float)
         self.ref_points = np.asarray(self.ref_points, dtype=float).reshape(2, 2)
         if np.any(self.s_alpha <= 0):
-            raise DegenerateParameterizationError("s_alpha must be positive everywhere")
+            raise ParameterError("s_alpha must be positive everywhere")
 
     @property
     def n_nodes(self):
@@ -82,9 +82,9 @@ def init_ellipse(a, b, center, n_nodes, rest_radius=1.0):
     s_alpha equals |dX/d(angle)|.
     """
     if a <= 1e-12 or b <= 1e-12:
-        raise InvalidGeometryError(f"degenerate ellipse axes a={a}, b={b}")
+        raise ParameterError(f"degenerate ellipse axes a={a}, b={b}")
     if n_nodes % 2 != 0 or n_nodes <= 0:
-        raise InvalidGeometryError(f"n_nodes must be even and positive, got {n_nodes}")
+        raise ParameterError(f"n_nodes must be even and positive, got {n_nodes}")
     ang = TWO_PI * np.arange(n_nodes) / n_nodes
     curve = CurveSamples(center[0] + a * np.cos(ang), center[1] + b * np.sin(ang))
     return state_from_curve(curve, TWO_PI * rest_radius), curve

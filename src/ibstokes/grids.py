@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .errors import InvalidGridError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -17,9 +17,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n <= 0 or self.n % 2 != 0:
-            raise InvalidGridError(f"grid count N must be even and positive, got {self.n}")
+            raise ParameterError(f"grid count N must be even and positive, got {self.n}")
         if self.n_boundary <= 0 or self.n_boundary % 2 != 0:
-            raise InvalidGridError(f"N_b must be even and positive, got {self.n_boundary}")
+            raise ParameterError(f"N_b must be even and positive, got {self.n_boundary}")
 
     @property
     def h(self):

@@ -208,14 +208,21 @@ def load_snapshot(path):
     if version not in (1, 2, SNAPSHOT_FORMAT_VERSION):
         raise ParameterError(f"unsupported snapshot format {version}")
 
-    def array(name):
+    def array(name, shape=None):
         if version == SNAPSHOT_FORMAT_VERSION:
-            return _decode_array(name, doc[name])
-        return np.array(doc[name])      # formats 1 and 2: JSON float lists
+            a = _decode_array(name, doc[name])
+        else:
+            a = np.array(doc[name])     # formats 1 and 2: JSON float lists
+        if shape is not None and a.shape != shape:
+            raise ParameterError(f"snapshot field {name}: shape {list(a.shape)}, "
+                                 f"expected {list(shape)}")
+        return a
 
-    iface = InterfaceState(array("s_alpha"), array("phi"), array("ref_points"),
+    s_alpha = array("s_alpha")
+    iface = InterfaceState(s_alpha, array("phi", s_alpha.shape), array("ref_points", (2, 2)),
                            doc["interface_length"])
-    fluid = None if doc["u"] is None else FluidState(array("u"), array("v"))
+    u = None if doc["u"] is None else array("u")
+    fluid = None if u is None else FluidState(u, array("v", u.shape))
     curve = reconstruct_curve(iface, drift_tol=np.inf)
     return StepState(iface, curve, fluid, doc["t"], doc["step"], doc.get("speed_ref"),
                      doc.get("c_v"), doc.get("c_u"))

@@ -50,8 +50,9 @@ def build_presets():
         _unsteady("ssd1_unsteady", 1.0, t_end=20.0, snapshot_every=20),
         _unsteady("stable_unsteady", 1.0, t_end=20.0, snapshot_every=20),
     ]
-    # temporal convergence of the second-order scheme (study presets carry the
-    # base run; the dt chain is supplied by the convergence command)
+    # base runs of the second-order scheme's temporal convergence study at
+    # dt = 1/16; `convergence` takes no preset, so a study sets the same
+    # values with --set and takes its dt chain from --dts
     p["conv-fig7-table3"] = [
         _unsteady("second_order_unsteady", 1.0 / 16, t_end=1.0, n=256, mu=0.05),
         _unsteady("second_order_unsteady", 1.0 / 16, t_end=1.0, n=256, mu=0.01),

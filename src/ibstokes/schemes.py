@@ -323,7 +323,10 @@ def _derivative_matrix(n, period):
 
 
 def _dense_solve(a, b, step_index, rtol=1e-8):
-    x = np.linalg.solve(a, b)
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:       # an exactly singular system
+        raise SolverStallError(f"singular implicit system at step {step_index}") from None
     resid = np.linalg.norm(a @ x - b)
     if not np.isfinite(resid) or resid > rtol * max(np.linalg.norm(b), 1e-30):
         if np.linalg.cond(a) >= 1e14:

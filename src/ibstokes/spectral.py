@@ -11,14 +11,14 @@ for every odd multiplier in the package.
 
 import numpy as np
 
-from .errors import InvalidGridError, SymmetryError
+from .errors import ParameterError
 
 TWO_PI = 2.0 * np.pi
 
 def _check_1d(f):
     f = np.asarray(f, dtype=float)
     if f.ndim != 1 or f.size == 0 or f.size % 2 != 0:
-        raise InvalidGridError(f"need a nonempty even-length 1D sample array, got shape {f.shape}")
+        raise ParameterError(f"need a nonempty even-length 1D sample array, got shape {f.shape}")
     return f
 
 
@@ -59,14 +59,14 @@ def apply_symbol_1d(f, symbol):
     n = f.size
     sig = np.asarray(symbol)
     if sig.shape != (n,):
-        raise InvalidGridError(f"symbol array has shape {sig.shape}, expected ({n},)")
+        raise ParameterError(f"symbol array has shape {sig.shape}, expected ({n},)")
     sig = sig.astype(complex)
     paired = np.arange(1, n // 2)
     mismatch = np.max(np.abs(sig[-paired] - np.conj(sig[paired]))) if paired.size else 0.0
     scale = max(np.max(np.abs(sig)), 1e-300)
     if mismatch > 1e-12 * scale or abs(sig[0].imag) > 1e-12 * scale \
             or abs(sig[n // 2].imag) > 1e-12 * scale:
-        raise SymmetryError("symbol is not conjugate-symmetric; real output impossible")
+        raise ParameterError("symbol is not conjugate-symmetric; real output impossible")
     return np.real(np.fft.ifft(np.fft.fft(f) * sig))
 
 
@@ -96,7 +96,7 @@ def derivative_2d(field, axis, length=1.0):
     """
     field = np.asarray(field, dtype=float)
     if field.ndim != 2 or field.shape[0] != field.shape[1] or field.shape[0] == 0:
-        raise InvalidGridError(f"need a square N x N grid, got shape {field.shape}")
+        raise ParameterError(f"need a square N x N grid, got shape {field.shape}")
     n = field.shape[0]
     k = odd_wavenumbers(n, length)
     if axis == "x":
@@ -107,4 +107,4 @@ def derivative_2d(field, axis, length=1.0):
         fh = np.fft.fft(field, axis=1)
         fh *= (1j * k)[None, :]
         return np.real(np.fft.ifft(fh, axis=1))
-    raise InvalidGridError(f"axis must be 'x' or 'y', got {axis!r}")
+    raise ParameterError(f"axis must be 'x' or 'y', got {axis!r}")

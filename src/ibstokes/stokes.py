@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import spectral
-from .errors import InvalidGridError, ParameterError
+from .errors import ParameterError
 
 @dataclass
 class FluidState:
@@ -113,7 +113,7 @@ def _spectral_solve(fluid, force, grid, keep, symbol):
     None is a fluid at rest: its transform and ``keep`` are skipped."""
     n = grid.n
     if force.shape != (n, n, 2) or (fluid is not None and fluid.u.shape != (n, n)):
-        raise InvalidGridError("field shapes inconsistent with grid")
+        raise ParameterError("field shapes inconsistent with grid")
     gxx, gxy, gyy = symbol
     fu, fv = np.fft.rfft2(force[..., 0]), np.fft.rfft2(force[..., 1])
     un = gxx * fu

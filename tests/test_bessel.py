@@ -5,7 +5,7 @@ from scipy.integrate import quad
 
 from ibstokes import bessel
 from ibstokes.bessel import SsdSymbolParams
-from ibstokes.errors import DomainError
+from ibstokes.errors import ParameterError
 
 
 class TestK0ConvolutionSymbol:
@@ -20,7 +20,7 @@ class TestK0ConvolutionSymbol:
         assert bessel.k0_convolution_symbol(5.0, 3) < bessel.k0_convolution_symbol(2.0, 3)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match="beta must be positive, got 0.0"):
             bessel.k0_convolution_symbol(0.0, 1)
 
     def test_identity_against_quadrature(self):
@@ -116,6 +116,6 @@ class TestSsdSymbols:
         assert abs((s_b / br_b) / (s_a / br_a) - 0.125) <= 1e-12
 
     def test_invalid_params(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match="need lam > 0 and s_min > 0"):
             SsdSymbolParams(elastic=1, mu=1, rho=1, dt=0.1, lam=-1.0,
                             s_min=1.0, s_max_excess=0.0)

@@ -5,6 +5,7 @@ import pytest
 
 from ibstokes import bessel, schemes, spectral, stokes
 from ibstokes.bessel import SsdSymbolParams
+from ibstokes.errors import SolverStallError
 from ibstokes.io import RunConfig
 
 
@@ -78,3 +79,21 @@ def test_derivative_matrix_is_cached_read_only():
         dmat[0, 0] = 1.0
     f = np.sin(np.arange(16) * 2.0 * np.pi / 16)
     assert _rel(dmat @ f, spectral.derivative_1d(f)) <= 1e-13
+
+
+def test_near_singular_dense_system_is_a_solver_stall():
+    # one row a hair off the sum of two others: LAPACK solves it, and the
+    # residual and the condition number name it singular
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((6, 6))
+    a[-1] = a[0] + a[1] + 1e-15 * rng.standard_normal(6)
+    assert np.linalg.cond(a) >= 1e14
+    with pytest.raises(SolverStallError, match="singular implicit system at step 7"):
+        schemes._dense_solve(a, rng.standard_normal(6), 7)
+
+
+def test_exactly_singular_dense_system_is_a_solver_stall():
+    # LAPACK refuses a zero pivot; the step reports a solver failure, not a
+    # numpy error
+    with pytest.raises(SolverStallError, match="singular implicit system at step 7"):
+        schemes._dense_solve(np.ones((6, 6)), np.arange(6.0), 7)

@@ -3,7 +3,7 @@ import pytest
 
 from ibstokes import coupling, geometry, schemes
 from ibstokes.coupling import inner_product_gamma, inner_product_omega, peskin_phi
-from ibstokes.errors import InvalidGridError
+from ibstokes.errors import ParameterError
 from ibstokes.geometry import CurveSamples
 from ibstokes.grids import GridSpec
 from ibstokes.io import RunConfig
@@ -179,7 +179,7 @@ class TestInnerProducts:
         assert inner_product_omega(u, u, 1.0 / n) == pytest.approx(4.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(InvalidGridError):
+        with pytest.raises(ParameterError, match=r"shape mismatch \(4,\) vs \(5,\)"):
             inner_product_gamma(np.ones(4), np.ones(5), 0.1)
 
 

@@ -6,6 +6,7 @@ from ibstokes.diagnostics import (fit_rate, kinetic_energy, potential_energy,
                                   run_convergence_study, stability_probe)
 from ibstokes.geometry import init_ellipse
 from ibstokes.grids import GridSpec
+from ibstokes.io import RunConfig
 from ibstokes.params import PhysParams
 from ibstokes.schemes import SchemeConfig
 from ibstokes.stokes import FluidState
@@ -110,6 +111,32 @@ class TestStabilityProbe:
         verdict, records, _ = self.probe(1.0)
         assert verdict == "unstable"
         assert not records[-1].stable
+
+    @staticmethod
+    def probe_run(**settings):
+        config = RunConfig(**settings)
+        return stability_probe(config.initial_state(), config.phys(), config.grid(),
+                               config.scheme_config(), config.n_steps())
+
+    def test_energy_rise_is_unstable(self):
+        # ssd1_unsteady at dt = 2 raises no error: its energy passes 10x the
+        # initial value at step 2 with the curve still in the box
+        verdict, records, final = self.probe_run(scheme="ssd1_unsteady", n=32, dt=2.0, t_end=8)
+        assert verdict == "unstable"
+        assert final is not None and final.step == 2
+        assert not records[-1].stable
+        assert records[-1].total > 10 * records[0].total
+        assert diagnostics._curve_in_box(final.curve, 1.0)
+
+    def test_curve_out_of_box_is_unstable(self):
+        # a curve centred four lengths out of the box fails the box check at
+        # the first step, with its energy still falling
+        verdict, records, final = self.probe_run(scheme="ssd1_unsteady", n=16, dt=0.1,
+                                                 t_end=1, center_x=5.0)
+        assert verdict == "unstable"
+        assert final is not None and final.step == 1
+        assert not records[-1].stable
+        assert records[-1].total < records[0].total
 
     def test_deterministic(self):
         v1, r1, _ = self.probe(0.1, steps=10)

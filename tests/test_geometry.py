@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ibstokes import geometry, schemes, spectral
-from ibstokes.errors import DegenerateParameterizationError, InvalidGeometryError
+from ibstokes.errors import ParameterError
 from ibstokes.geometry import CurveSamples, InterfaceState
 
 
@@ -49,9 +49,9 @@ class TestInitEllipse:
         assert np.max(np.abs(state.theta - raw)) <= 1e-8
 
     def test_degenerate_axis(self):
-        with pytest.raises(InvalidGeometryError):
+        with pytest.raises(ParameterError, match="degenerate ellipse axes a=0.0, b=0.2"):
             geometry.init_ellipse(0.0, 0.2, (0.5, 0.5), 64)
-        with pytest.raises(InvalidGeometryError):
+        with pytest.raises(ParameterError, match="n_nodes must be even and positive, got 63"):
             geometry.init_ellipse(0.2, 0.2, (0.5, 0.5), 63)
 
 
@@ -255,5 +255,5 @@ class TestArea:
 
 
 def test_negative_s_alpha_rejected():
-    with pytest.raises(DegenerateParameterizationError):
+    with pytest.raises(ParameterError, match="s_alpha must be positive everywhere"):
         InterfaceState(np.array([1.0, -0.1, 1.0, 1.0]), np.zeros(4), np.zeros((2, 2)))

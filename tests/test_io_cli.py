@@ -1,8 +1,10 @@
+import base64
 import copy
 import importlib
 import json
 import os
 import pkgutil
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 import ibstokes
 from ibstokes import cli, schemes, stokes
-from ibstokes.errors import ParameterError, SolverStallError
+from ibstokes.errors import BlowupError, IBStokesError, ParameterError, SolverStallError
 from ibstokes.grids import GridSpec
 from ibstokes.io import (RunConfig, load_run_config, load_snapshot,
                          parse_config_text, save_snapshot)
@@ -158,6 +160,11 @@ class TestSnapshots:
         ("u", lambda r: {**r, "shape": [r["shape"][0], r["shape"][1] + 1]}),
         ("ref_points", lambda r: {**r, "shape": [-1]}),
         ("v", lambda r: {**r, "dtype": "<f4"}),
+        # well-formed records whose shapes disagree with the other fields
+        pytest.param("phi", lambda r: _first_values(r, r["shape"][0] - 2), id="phi-short"),
+        pytest.param("ref_points", lambda r: _first_values(r, 3), id="ref_points-three"),
+        pytest.param("v", lambda r: {**r, "shape": [r["shape"][0] // 2, r["shape"][1] * 2]},
+                     id="v-not-shaped-as-u"),
     ])
     def test_damaged_array_names_field(self, tmp_path, field, damage):
         config, phys, grid, state = self.make_state()
@@ -191,6 +198,12 @@ class TestSnapshots:
 
 
 ARRAY_FIELDS = ("s_alpha", "phi", "ref_points", "u", "v")
+
+
+def _first_values(record, count):
+    """A well-formed format-3 record of the first ``count`` values of ``record``."""
+    raw = base64.b64decode(record["base64"])[:8 * count]
+    return {"dtype": "<f8", "shape": [count], "base64": base64.b64encode(raw).decode("ascii")}
 
 
 def _list_document(state, config, version):
@@ -234,6 +247,49 @@ def test_restart_follows_straight_run(scheme, tmp_path):
     assert resumed.step == straight.step
     for a, b in zip(_state_arrays(straight), _state_arrays(resumed)):
         assert np.array_equal(a, b)
+
+
+def test_step_snapshots_reload_the_straight_run(tmp_path):
+    # snapshot_every = 2 over 4 steps writes steps 2 and 4 beside the final
+    # snapshot, each the state of the run at that step, bit for bit
+    code = cli.main(["run", "--set", "scheme=ssd1_unsteady", "--set", "n=16",
+                     "--set", "dt=0.1", "--set", "t_end=0.4", "--set", "snapshot_every=2",
+                     "--set", "label=snap", "--out", str(tmp_path)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "snap-final.json", "snap-step2.json", "snap-step4.json", "snap.csv"]
+    config = RunConfig(scheme="ssd1_unsteady", n=16, dt=0.1, t_end=0.4)
+    phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
+    straight = {}
+    for state in schemes.simulate(config.initial_state(), phys, grid, cfg, 4):
+        straight[state.step] = state
+    for name, step in (("step2", 2), ("step4", 4), ("final", 4)):
+        back = load_snapshot(str(tmp_path / f"snap-{name}.json"))
+        assert (back.t, back.step, back.speed_ref, back.c_v, back.c_u) == (
+            straight[step].t, step, straight[step].speed_ref, straight[step].c_v,
+            straight[step].c_u)
+        for a, b in zip(_state_arrays(straight[step]), _state_arrays(back)):
+            assert np.array_equal(a, b)
+
+
+# each error class of the package, with the exit code and the message prefix
+# that cli.main gives it
+EXIT_OF = {ParameterError: (64, "usage error: "), BlowupError: (2, "instability: "),
+           SolverStallError: (3, "solver failure: ")}
+
+
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys):
+    for cls in IBStokesError.__subclasses__():
+        code, prefix = EXIT_OF[cls]
+        exc = cls(1, "raised on purpose") if cls is BlowupError else cls("raised on purpose")
+
+        def raising(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_presets", raising)
+        assert cli.main(["presets"]) == code
+        assert capsys.readouterr().err == prefix + "raised on purpose\n"
+    assert set(IBStokesError.__subclasses__()) == set(EXIT_OF)
 
 
 class TestCli:
@@ -281,6 +337,14 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_input_refused_past_the_config_checks_is_usage_error(self, tmp_path, capsys):
+        # the axis passes RunConfig's > 0 check; the ellipse refuses it
+        code = self.run_cli("run", "--set", "scheme=ssd1_unsteady", "--set", "n=16",
+                            "--set", "ellipse_a=1e-13", "--out", str(tmp_path))
+        assert code == 64
+        assert capsys.readouterr().err == "usage error: degenerate ellipse axes a=1e-13, b=0.24\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("label", ["yes", "007"])
     def test_label_is_kept_as_text(self, label, tmp_path):
         # a string field takes its value as written, never as a bool or a number
@@ -300,9 +364,13 @@ class TestCli:
         (("sweep", "--n-list", "16,x"), "--n-list"),
         (("sweep", "--n-list", "16", "--dt-list", "1/8,x"), "--dt-list"),
         (("cost", "--schemes", "ssd1_unsteady", "--n-list", "16", "--steps", "0"), "--steps"),
+        # a preset names every value of its runs: a config file beside it is
+        # refused, not ignored
+        (("run", "--preset", "stab-fig8", "--config", "f.cfg", "--set", "t_end=0"),
+         "--config"),
     ], ids=["dts-zero-denominator", "dts-not-a-number", "dts-not-halving", "dts-empty",
             "dts-single", "n-list-not-an-int",
-            "dt-list-not-a-number", "steps-zero"])
+            "dt-list-not-a-number", "steps-zero", "preset-with-config"])
     def test_malformed_list_is_usage_error(self, argv, named, tmp_path, capsys):
         # refused before any run, with a message that names the flag
         assert self.run_cli(*argv, "--out", str(tmp_path)) == 64
@@ -380,6 +448,45 @@ class TestCli:
         assert rows[-1].startswith("2,nan,") and rows[-1].endswith(",0")
         assert not (tmp_path / "stall-final.json").exists()
 
+    @pytest.mark.parametrize("patch, scheme, code, failed_step, error, match", [
+        ({"DENSE_MAX": 0, "LINEAR_TOL": 1e-300}, "stable_steady", 3, 1,
+         SolverStallError, "GMRES stalled"),
+        ({"LINEAR_TOL": 1e-300}, "stable_steady", 3, 1,
+         SolverStallError, "dense solve residual"),
+        ({"BLOWUP_FACTOR": 1e-6}, "ssd1_unsteady", 2, 2,
+         BlowupError, "velocity grew 1e-06x at step 2"),
+    ], ids=["gmres-stall", "dense-residual", "velocity-growth"])
+    def test_solver_failure_ends_run(self, patch, scheme, code, failed_step, error, match,
+                                     tmp_path, monkeypatch):
+        # the solvers' and the blowup guard's own checks, reached by tightening
+        # their limits: the run ends with the documented code, a NaN row
+        # flagged unstable and no final snapshot
+        for name, value in patch.items():
+            monkeypatch.setattr(schemes, name, value)
+        settings = {"scheme": scheme, "n": 16, "dt": 0.1, "t_end": 0.4, "mu": 1.0,
+                    "label": "fail"}
+        config = RunConfig(**settings)
+        with pytest.raises(error, match=match):
+            for _ in schemes.simulate(config.initial_state(), config.phys(), config.grid(),
+                                      config.scheme_config(), config.n_steps()):
+                pass
+        argv = [a for key, value in settings.items() for a in ("--set", f"{key}={value}")]
+        assert self.run_cli("run", *argv, "--out", str(tmp_path)) == code
+        rows = (tmp_path / "fail.csv").read_text().splitlines()
+        assert len(rows) == failed_step + 2
+        assert rows[-1].startswith(f"{failed_step},nan,") and rows[-1].endswith(",0")
+        assert not (tmp_path / "fail-final.json").exists()
+
+    def test_convergence_blowup_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # explicit_steady at dt = 2 blows up in the study's first run
+        out = tmp_path / "out"
+        code = self.run_cli("convergence", "--dts", "2,1", "--set", "scheme=explicit_steady",
+                            "--set", "n=32", "--set", "mu=1", "--set", "t_end=16",
+                            "--out", str(out))
+        assert code == 2
+        assert "a run blew up" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cost_command(self, tmp_path):
         code = self.run_cli("cost", "--schemes", "ssd1_unsteady", "--n-list", "32,64",
                             "--steps", "2", "--out", str(tmp_path))
@@ -406,6 +513,16 @@ class TestCli:
         rows = (tmp_path / "cost.csv").read_text().splitlines()
         assert rows[0].startswith("scheme,n,seconds_per_step")
         assert [row.split(",")[:2] for row in rows[1:]] == [["ssd1_steady", "32"]]
+
+    def test_cost_fits_no_exponent_to_one_size(self, tmp_path):
+        # the same N twice gives no slope: no RankWarning, no exponent row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.RankWarning)
+            code = self.run_cli("cost", "--schemes", "ssd1_unsteady", "--n-list", "16,16",
+                                "--steps", "1", "--out", str(tmp_path))
+        assert code == 0
+        rows = (tmp_path / "cost.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [["ssd1_unsteady", "16"]] * 2
 
     def test_preset_n_override_takes_default_n_boundary(self, tmp_path):
         # --set n=… gives N_b = 2N, unless the same command sets n_boundary
