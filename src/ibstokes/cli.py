@@ -25,6 +25,9 @@ EXIT_OK = 0
 EXIT_UNSTABLE = 2
 EXIT_SOLVER = 3
 EXIT_USAGE = 64
+# exit code and message prefix of each error that ends a run
+FAILURES = {BlowupError: (EXIT_UNSTABLE, "instability"),
+            SolverStallError: (EXIT_SOLVER, "solver failure")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,13 +69,20 @@ def _parse_assignments(pairs):
     return out
 
 
-def _ensure_dir(path):
+def _out_dir(args, configs=()):
+    """Make and return the output directory, only once every run's initial
+    state builds: input refused there (degenerate ellipse axes) leaves no
+    directory behind."""
+    for config in configs:
+        config.initial_state()
+    path = args.out or output_dir()
     os.makedirs(path, exist_ok=True)
     return path
 
 
 def execute_run(config, out_dir):
-    """Run one simulation, writing diagnostics CSV and snapshots.
+    """Run one simulation, writing diagnostics CSV and snapshots.  A run
+    ended by a blowup or a solver failure says why on stderr.
 
     Returns (exit_code, records).
     """
@@ -93,7 +103,8 @@ def execute_run(config, out_dir):
                               state, config)
     except (BlowupError, SolverStallError) as exc:
         records.append(diagnostics.DiagnosticsRecord.failure(records[-1].step + 1))
-        code = EXIT_UNSTABLE if isinstance(exc, BlowupError) else EXIT_SOLVER
+        code, kind = FAILURES[type(exc)]
+        print(f"{name}: {kind}: {exc}", file=sys.stderr)
     else:
         save_snapshot(os.path.join(out_dir, f"{name}-final.json"), state, config)
     write_diagnostics_csv(os.path.join(out_dir, f"{name}.csv"), records)
@@ -111,7 +122,7 @@ def cmd_run(args):
                    for c in PRESETS[args.preset]]
     else:
         configs = [load_run_config(args.config, overrides)]
-    out = _ensure_dir(args.out or output_dir())
+    out = _out_dir(args, configs)
     worst = EXIT_OK
     for config in configs:
         code, records = execute_run(config, out)
@@ -143,8 +154,7 @@ def cmd_convergence(args):
     except BlowupError:
         print("convergence study aborted: a run blew up", file=sys.stderr)
         return EXIT_UNSTABLE
-    out = _ensure_dir(args.out or output_dir())
-    stem = os.path.join(out, f"convergence-{base.run_name()}")
+    stem = os.path.join(_out_dir(args), f"convergence-{base.run_name()}")
     with open(stem + ".csv", "w") as fh:
         fh.write("observable,dt,error\n")
         for name, d in study.items():
@@ -164,18 +174,17 @@ def cmd_sweep(args):
     overrides = _parse_assignments(args.set)
     base = load_run_config(args.config, overrides)
     ns, dts = args.n_list, args.dt_list
-    out = _ensure_dir(args.out or output_dir())
-    path = os.path.join(out, f"sweep-{base.scheme}.csv")
+    configs = {(n, dt): load_run_config(None, {**base.__dict__, "n": n, "n_boundary": None,
+                                               "dt": dt, "label": ""})
+               for n in ns for dt in dts}
+    path = os.path.join(_out_dir(args, configs.values()), f"sweep-{base.scheme}.csv")
     verdicts = {}
-    for n in ns:
-        for dt in dts:
-            config = load_run_config(None, {**base.__dict__, "n": n, "n_boundary": None,
-                                            "dt": dt, "label": ""})
-            phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
-            st = config.initial_state()
-            verdict, _, _ = diagnostics.stability_probe(st, phys, grid, cfg, config.n_steps())
-            verdicts[(n, dt)] = verdict
-            print(f"N={n} dt={dt:g}: {verdict}")
+    for (n, dt), config in configs.items():
+        phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
+        st = config.initial_state()
+        verdict, _, _ = diagnostics.stability_probe(st, phys, grid, cfg, config.n_steps())
+        verdicts[(n, dt)] = verdict
+        print(f"N={n} dt={dt:g}: {verdict}")
     with open(path, "w") as fh:
         fh.write("dt\\N," + ",".join(str(n) for n in ns) + "\n")
         for dt in dts:
@@ -228,7 +237,7 @@ def cmd_cost(args):
     runs = {scheme: [load_run_config(None, {**base.__dict__, "scheme": scheme, "n": n,
                                             "n_boundary": None, "label": ""}) for n in ns]
             for scheme in args.schemes.split(",")}
-    path = os.path.join(_ensure_dir(args.out or output_dir()), "cost.csv")
+    path = os.path.join(_out_dir(args, [c for cs in runs.values() for c in cs]), "cost.csv")
     fields = ("scheme", "n", "seconds_per_step", "fft_per_step", "fluid_solves_per_step",
               "dense_solves_per_step")
     # each row is written once measured: a blowup or a stall keeps the rows before it
@@ -293,7 +302,7 @@ def build_parser():
     sweep.add_argument("--config", help="base config file")
     sweep.add_argument("--n-list", required=True, type=_list_of(int),
                        help="comma-separated grid sizes")
-    sweep.add_argument("--dt-list", default="", type=_list_of(_number),
+    sweep.add_argument("--dt-list", required=True, type=_list_of(_number),
                        help="comma-separated timesteps")
     sweep.add_argument("--set", action="append", metavar="KEY=VALUE")
     sweep.add_argument("--out")
@@ -324,12 +333,10 @@ def main(argv=None):
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SolverStallError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except BlowupError as exc:
-        print(f"instability: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
+    except (BlowupError, SolverStallError) as exc:
+        code, kind = FAILURES[type(exc)]
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import numpy as np
 
 from .coupling import inner_product_gamma, inner_product_omega
 from .errors import BlowupError, ParameterError, SolverStallError
-from .geometry import enclosed_area
+from .geometry import anchor_drift, enclosed_area
 from .schemes import step
 
 
@@ -27,6 +27,10 @@ def potential_energy(s_alpha, elastic, dalpha):
 
 @dataclass
 class DiagnosticsRecord:
+    """One step's diagnostics.  ``anchor_drift`` is the gap between the two
+    anchored curve reconstructions; ``c_v`` / ``c_u`` are the state's SSD
+    rescaling coefficients, None where the scheme has none (yet)."""
+
     step: int
     t: float
     kinetic: float
@@ -36,20 +40,24 @@ class DiagnosticsRecord:
     max_u: float
     min_salpha: float
     max_salpha: float
+    anchor_drift: float
+    c_v: float = None
+    c_u: float = None
     stable: bool = True
 
-    CSV_HEADER = "step,t,K,P,E,area,max_u,min_salpha,max_salpha,stable"
+    CSV_HEADER = "step,t,K,P,E,area,max_u,min_salpha,max_salpha,anchor_drift,c_v,c_u,stable"
 
     @classmethod
     def failure(cls, step):
         """The row of a step that failed: every value NaN, flagged unstable."""
-        return cls(step, *[np.nan] * 8, stable=False)
+        return cls(step, *[np.nan] * 11, stable=False)
 
     def csv_row(self):
         nums = (self.t, self.kinetic, self.potential, self.total, self.area,
-                self.max_u, self.min_salpha, self.max_salpha)
-        return f"{self.step}," + ",".join(format(v, ".17g") for v in nums) \
-            + f",{int(self.stable)}"
+                self.max_u, self.min_salpha, self.max_salpha, self.anchor_drift,
+                self.c_v, self.c_u)
+        return f"{self.step}," + ",".join("" if v is None else format(v, ".17g")
+                                          for v in nums) + f",{int(self.stable)}"
 
 
 def record_state(state, phys, grid):
@@ -60,25 +68,30 @@ def record_state(state, phys, grid):
         step=state.step, t=state.t, kinetic=k, potential=p, total=k + p,
         area=enclosed_area(state.curve), max_u=max_u,
         min_salpha=float(np.min(state.interface.s_alpha)),
-        max_salpha=float(np.max(state.interface.s_alpha)))
+        max_salpha=float(np.max(state.interface.s_alpha)),
+        anchor_drift=anchor_drift(state.interface, state.curve),
+        c_v=state.c_v, c_u=state.c_u)
 
 
-def _curve_in_box(curve, length):
-    lo, hi = -length, 2.0 * length
-    return bool(np.all((curve.x >= lo) & (curve.x <= hi)
-                       & (curve.y >= lo) & (curve.y <= hi)))
+def _curve_in_box(curve, centre, length):
+    """Every node within 1.5 domain lengths of ``centre`` in x and in y."""
+    half = 1.5 * length
+    return bool(np.all((np.abs(curve.x - centre[0]) <= half)
+                       & (np.abs(curve.y - centre[1]) <= half)))
 
 
 def stability_probe(state, phys, grid, cfg, n_steps):
     """Run the scheme and classify the trajectory.
 
     Unstable iff the total energy ever exceeds 10x its initial value, any
-    field goes non-finite, or the curve leaves the wrapped domain box by more
-    than one domain length.  Returns (verdict, records, final_state) where
-    final_state is None after a detected failure.
+    field goes non-finite, or a node moves out of the box of half-width 1.5
+    domain lengths centred on the initial curve's centroid.  Returns
+    (verdict, records, final_state) where final_state is None after a
+    detected failure.
     """
     records = [record_state(state, phys, grid)]
     e0 = records[0].total
+    centre = (state.curve.x.mean(), state.curve.y.mean())
     for _ in range(n_steps):
         try:
             state = step(state, phys, grid, cfg)
@@ -87,7 +100,7 @@ def stability_probe(state, phys, grid, cfg, n_steps):
             return "unstable", records, None
         rec = record_state(state, phys, grid)
         if (not np.isfinite(rec.total)) or rec.total > 10.0 * e0 \
-                or not _curve_in_box(state.curve, grid.length):
+                or not _curve_in_box(state.curve, centre, grid.length):
             rec.stable = False
             records.append(rec)
             return "unstable", records, state

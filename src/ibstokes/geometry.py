@@ -5,7 +5,6 @@ update, and curve reconstruction from two reference points.
 Per-node forces and velocities are block vectors [normal; tangential] in
 the node frames (``tangent_normal``), 2 N_b long."""
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,13 +126,13 @@ def update_reference_points(state, u, dt):
     return state.ref_points + dt * anchor_velocity(state, u)
 
 
-def reconstruct_curve(state, drift_tol=1e-6):
+def reconstruct_curve(state):
     """Rebuild curve samples by integrating s_alpha * (cos theta, sin theta).
 
     One reconstruction is anchored at alpha = 0, a second (the same
     antiderivative rigidly translated) at alpha = length/2; the result is
-    their pointwise average.  A mismatch between the two anchors beyond
-    drift_tol emits a warning but is not fatal.
+    their pointwise average.  ``anchor_drift`` measures how far apart the two
+    are.
     """
     th = state.theta
     gx = spectral.antiderivative(state.s_alpha * np.cos(th), state.ref_points[0, 0],
@@ -142,11 +141,17 @@ def reconstruct_curve(state, drift_tol=1e-6):
                                  period=state.length)
     mid = state.n_nodes // 2
     shift = state.ref_points[1] - np.array([gx[mid], gy[mid]])
-    drift = float(np.hypot(*shift))
-    if drift > drift_tol:
-        warnings.warn(f"reference-point reconstructions disagree by {drift:.3e}",
-                      RuntimeWarning, stacklevel=2)
     return CurveSamples(gx + 0.5 * shift[0], gy + 0.5 * shift[1])
+
+
+def anchor_drift(state, curve):
+    """Distance between the two anchored reconstructions that
+    ``reconstruct_curve`` averaged into ``curve``: the average sits half of
+    it from the anchor at alpha = length/2.  Zero for a curve whose samples
+    gave the anchors (``state_from_curve``)."""
+    mid = state.n_nodes // 2
+    return 2.0 * float(np.hypot(state.ref_points[1, 0] - curve.x[mid],
+                                state.ref_points[1, 1] - curve.y[mid]))
 
 
 def enclosed_area(curve):

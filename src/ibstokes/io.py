@@ -223,7 +223,7 @@ def load_snapshot(path):
                            doc["interface_length"])
     u = None if doc["u"] is None else array("u")
     fluid = None if u is None else FluidState(u, array("v", u.shape))
-    curve = reconstruct_curve(iface, drift_tol=np.inf)
+    curve = reconstruct_curve(iface)
     return StepState(iface, curve, fluid, doc["t"], doc["step"], doc.get("speed_ref"),
                      doc.get("c_v"), doc.get("c_u"))
 

@@ -33,7 +33,6 @@ per unit force (``_interface_mobility``), up to DENSE_MAX nodes, else applied
 by GMRES as one grid solve per product, both to the relative residual
 LINEAR_TOL.
 """
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -61,7 +60,6 @@ ALL_SCHEMES = STEADY_SCHEMES + UNSTEADY_SCHEMES
 DENSE_MAX = 256       # dense stable-scheme systems up to this N_b, GMRES above
 LINEAR_TOL = 1e-10    # relative residual of the stable schemes' implicit solves
 BLOWUP_FACTOR = 1e6   # velocity growth over the first step's speed that counts as blowup
-DRIFT_TOL = 1e-2      # reconstruction anchor-mismatch warning level
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def _finish(state, cfg, s_new, phi_new, refs, fluid=None):
         elif speed > BLOWUP_FACTOR * speed_ref:
             raise BlowupError(k, f"velocity grew {BLOWUP_FACTOR:g}x at step {k}")
     iface = InterfaceState(s_new, phi_new, refs, state.interface.length)
-    curve = reconstruct_curve(iface, drift_tol=DRIFT_TOL)
+    curve = reconstruct_curve(iface)
     return StepState(iface, curve, fluid, state.t + cfg.dt, k, speed_ref, state.c_v, state.c_u)
 
 
@@ -206,7 +204,7 @@ def _area_balanced_stretch(s_new, phi_new, refs, length, target_area, step_index
     translation, so the shoelace area scales with the factor squared."""
     if not np.all(np.isfinite(s_new)) or np.any(s_new <= 0):
         return s_new  # _finish reports the collapse
-    trial = reconstruct_curve(InterfaceState(s_new, phi_new, refs, length), drift_tol=np.inf)
+    trial = reconstruct_curve(InterfaceState(s_new, phi_new, refs, length))
     ratio = target_area / enclosed_area(trial)
     if not ratio > 0:
         raise BlowupError(step_index, f"area balance has no positive stretch at step {step_index}")
@@ -288,8 +286,7 @@ def step_ifrk4_steady(state, phys, grid, cfg):
         if np.any(s <= 0) or not np.all(np.isfinite(s)):
             raise BlowupError(state.step + 1, "stage state degenerate inside RK4")
         stage_if = InterfaceState(s, phi, iface.ref_points, iface.length)
-        stage = replace(state, interface=stage_if,
-                        curve=reconstruct_curve(stage_if, drift_tol=np.inf))
+        stage = replace(state, interface=stage_if, curve=reconstruct_curve(stage_if))
         dth = theta_derivative(stage_if)
         u, _ = _step_map(stage, phys, grid, cfg)(elastic_force(s, dth, phys.elastic, iface.length))
         stage_vel.append(anchor_velocity(stage_if, u))
@@ -479,16 +476,14 @@ def step_stable(state, phys, grid, cfg):
     return _finish(state, cfg, s_new, phi_new, update_reference_points(iface, u1, dt), fluid1)
 
 
-def _rescaling_coefficient(stored, observed, leading, label):
+def _rescaling_coefficient(stored, observed, leading):
     """SSD rescaling coefficient C_V or C_U: the stored value, else the
-    first-step ratio max|observed| / max|leading()|, or 1 with a warning when
-    the leading term vanishes."""
+    first-step ratio max|observed| / max|leading()|, or 1 when the leading
+    term vanishes."""
     if stored is not None:
         return stored
     denom = float(np.max(np.abs(leading())))
     if denom < 1e-14 * max(1.0, float(np.max(np.abs(observed)))) or denom == 0.0:
-        warnings.warn(f"rescaling disabled for {label}: leading term is zero",
-                      RuntimeWarning, stacklevel=2)
         return 1.0
     return float(np.max(np.abs(observed))) / denom
 
@@ -524,12 +519,12 @@ def step_ssd1_unsteady(state, phys, grid, cfg):
     dv_star = spectral.derivative_1d(u_star[nb:], period=iface.length)
     rhs_s = dv_star - dth * u_star[:nb]
     c_v = _rescaling_coefficient(state.c_v, dv_star,
-                                 lambda: spectral.apply_symbol_1d(iface.s_alpha, t_hat), "C_V")
+                                 lambda: spectral.apply_symbol_1d(iface.s_alpha, t_hat))
     s_new = _semi_implicit(iface.s_alpha, rhs_s, c_v * t_hat, dt)
 
     u1, fluid1 = velocity(elastic_force(s_new, dth, phys.elastic, iface.length))
     c_u = _rescaling_coefficient(state.c_u, u1[:nb], lambda: _velocity_level_lead(
-        s_hat_sym, iface.phi, p.s_min, iface.length), "C_U")
+        s_hat_sym, iface.phi, p.s_min, iface.length))
     rhs_phi = _angle_rate(u1, dth, partial(spectral.derivative_1d, period=iface.length)) / s_new
     # the leading angle operator is S/min(s); the explicit counterpart must
     # carry the same factor or the homogeneous high-k multiplier becomes
@@ -569,7 +564,7 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
     # the stretch rate D V - theta_a U, written out because C_V reads D V
     dv_star = spectral.derivative_1d(u_star[nb:], period=iface.length)
     c_v = _rescaling_coefficient(
-        state.c_v, dv_star, lambda: t_mat @ s0 + pref * coef * (kd2 @ ((s0 - 1.0) * dth)), "C_V")
+        state.c_v, dv_star, lambda: t_mat @ s0 + pref * coef * (kd2 @ ((s0 - 1.0) * dth)))
     rhs_s = dv_star - dth * u_star[:nb]
     a_s = np.eye(nb) / dt - c_v * t2_lin
     b_s = s0 / dt + rhs_s - c_v * (t2_lin @ s0)
@@ -577,7 +572,7 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
 
     u1, fluid1 = velocity(elastic_force(s_new, dth, phys.elastic, iface.length))
     c_u = _rescaling_coefficient(state.c_u, u1[:nb], lambda: _velocity_level_lead(
-        s_hat_sym, iface.phi, p.s_min, iface.length), "C_U")
+        s_hat_sym, iface.phi, p.s_min, iface.length))
     # angle system: diagonal leading term plus implicit transport (V/s) D theta
     s_mat = _circulant_from_multiplier(c_u * s_hat_sym / float(np.min(s_new)))
     phi_new = _angle_transport_solve(iface, s_mat, u1, s_new, dt, state.step + 1)

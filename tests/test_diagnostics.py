@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ibstokes import diagnostics, schemes
-from ibstokes.diagnostics import (fit_rate, kinetic_energy, potential_energy,
-                                  run_convergence_study, stability_probe)
-from ibstokes.geometry import init_ellipse
+from ibstokes.diagnostics import (DiagnosticsRecord, fit_rate, kinetic_energy,
+                                  potential_energy, run_convergence_study, stability_probe)
+from ibstokes.geometry import CurveSamples, init_ellipse
 from ibstokes.grids import GridSpec
 from ibstokes.io import RunConfig
 from ibstokes.params import PhysParams
@@ -126,17 +126,38 @@ class TestStabilityProbe:
         assert final is not None and final.step == 2
         assert not records[-1].stable
         assert records[-1].total > 10 * records[0].total
-        assert diagnostics._curve_in_box(final.curve, 1.0)
+        assert diagnostics._curve_in_box(final.curve, (0.5, 0.5), 1.0)
 
-    def test_curve_out_of_box_is_unstable(self):
-        # a curve centred four lengths out of the box fails the box check at
-        # the first step, with its energy still falling
+    @staticmethod
+    def shift_each_step(monkeypatch, dx):
+        """Make every step's curve sit dx to the right of where the scheme put it."""
+        def shifted(state, phys, grid, cfg):
+            state = schemes.step(state, phys, grid, cfg)
+            state.curve = CurveSamples(state.curve.x + dx, state.curve.y)
+            return state
+        monkeypatch.setattr(diagnostics, "step", shifted)
+
+    def test_curve_out_of_box_is_unstable(self, monkeypatch):
+        # a curve carried 1.6 domain lengths from where it started fails the
+        # box check at the first step, with its energy still falling
+        self.shift_each_step(monkeypatch, 1.6)
         verdict, records, final = self.probe_run(scheme="ssd1_unsteady", n=16, dt=0.1,
                                                  t_end=1, center_x=5.0)
         assert verdict == "unstable"
         assert final is not None and final.step == 1
         assert not records[-1].stable
         assert records[-1].total < records[0].total
+
+    @pytest.mark.parametrize("dx", [0.0, 1.0])
+    def test_box_is_centred_on_the_start(self, dx, monkeypatch):
+        # a clean run centred four lengths out of the unit cell is judged
+        # from where it started: it stays stable, also carried one length on
+        self.shift_each_step(monkeypatch, dx)
+        verdict, records, final = self.probe_run(scheme="ssd1_unsteady", n=16, dt=0.1,
+                                                 t_end=1, center_x=5.0)
+        assert verdict == "stable"
+        assert final.step == 10
+        assert all(r.stable for r in records)
 
     def test_deterministic(self):
         v1, r1, _ = self.probe(0.1, steps=10)
@@ -154,3 +175,42 @@ def test_record_fields_consistent():
     assert rec.kinetic >= 0 and rec.potential >= 0
     assert rec.min_salpha == pytest.approx(1.2, abs=1e-9)
     assert rec.max_salpha == pytest.approx(1.6, abs=1e-9)
+
+
+def _records(scheme, steps=10, **settings):
+    config = RunConfig(scheme=scheme, n=32, **settings)
+    phys, grid = config.phys(), config.grid()
+    states = [config.initial_state()]
+    states += schemes.simulate(states[0], phys, grid, config.scheme_config(), steps)
+    return states, [diagnostics.record_state(s, phys, grid) for s in states]
+
+
+def test_stable_steady_records_anchor_drift():
+    # the sampled start state gave the anchors; the stable scheme's steps
+    # then move the anchors apart from the rebuilt curve
+    _, records = _records("stable_steady", dt=1.0, mu=1.0)
+    assert records[0].anchor_drift == 0.0
+    assert max(r.anchor_drift for r in records[1:]) > 1e-2
+    assert all((r.c_v, r.c_u) == (None, None) for r in records)
+
+
+@pytest.mark.parametrize("scheme", ["ssd1_unsteady", "stable_unsteady"])
+def test_records_carry_the_rescaling_coefficients(scheme):
+    states, records = _records(scheme, steps=3, dt=0.05)
+    assert [(r.c_v, r.c_u) for r in records] == [(s.c_v, s.c_u) for s in states]
+    assert (records[0].c_v, records[0].c_u) == (None, None)
+    if scheme == "ssd1_unsteady":
+        assert all(r.c_v > 0 and r.c_u > 0 for r in records[1:])
+    else:
+        assert all((r.c_v, r.c_u) == (None, None) for r in records)
+
+
+def test_csv_columns():
+    names = DiagnosticsRecord.CSV_HEADER.split(",")
+    assert names[8:] == ["max_salpha", "anchor_drift", "c_v", "c_u", "stable"]
+    _, records = _records("ssd1_unsteady", steps=1, dt=0.05)
+    row = records[1].csv_row().split(",")
+    assert [float(v) for v in row[9:12]] == [records[1].anchor_drift, records[1].c_v,
+                                             records[1].c_u]
+    failed = DiagnosticsRecord.failure(2).csv_row().split(",")
+    assert failed == ["2"] + ["nan"] * (len(names) - 2) + ["0"]

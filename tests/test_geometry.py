@@ -223,12 +223,23 @@ class TestReconstruct:
         assert abs(np.mean(state.s_alpha * np.cos(th))) <= 1e-10
         assert abs(gx[0] - 0.0) <= 1e-12
 
-    def test_drift_warning(self):
+    def test_inconsistent_anchors_drift(self):
+        # a circle of radius 0.27 rebuilt from (0.27, 0) reaches (-0.27, 0)
+        # at alpha = pi, where the second anchor says (0, 0): the two
+        # reconstructions are 0.27 apart and the curve takes their average
         n = 64
-        refs = np.array([[0.27, 0.0], [0.0, 0.0]])  # second anchor inconsistent
+        refs = np.array([[0.27, 0.0], [0.0, 0.0]])
         state = InterfaceState(np.full(n, 0.27), np.full(n, np.pi / 2), refs)
-        with pytest.warns(RuntimeWarning):
-            geometry.reconstruct_curve(state)
+        curve = geometry.reconstruct_curve(state)
+        assert geometry.anchor_drift(state, curve) == pytest.approx(0.27, abs=1e-12)
+        assert curve.x[n // 2] == pytest.approx(-0.135, abs=1e-12)
+        assert curve.x[0] == pytest.approx(0.405, abs=1e-12)
+
+    def test_consistent_anchors_have_no_drift(self):
+        state, curve = ellipse(64, rest_radius=0.2)
+        assert geometry.anchor_drift(state, curve) == 0.0
+        rebuilt = geometry.reconstruct_curve(state)
+        assert geometry.anchor_drift(state, rebuilt) <= 1e-14
 
     def test_state_curve_state_roundtrip(self):
         state, _ = ellipse(256, rest_radius=0.2)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ibstokes
-from ibstokes import cli, schemes, stokes
+from ibstokes import cli, diagnostics, schemes, stokes
 from ibstokes.errors import BlowupError, IBStokesError, ParameterError, SolverStallError
 from ibstokes.grids import GridSpec
 from ibstokes.io import (RunConfig, load_run_config, load_snapshot,
@@ -272,6 +272,22 @@ def test_step_snapshots_reload_the_straight_run(tmp_path):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("scheme, dt", [("ssd1_unsteady", 0.1), ("stable_steady", 1.0)])
+def test_reloaded_snapshot_gives_the_run_record(scheme, dt, tmp_path):
+    # the record of a reloaded state equals the run's, drift and C_V / C_U
+    # included: a scheme without coefficients records None, never NaN
+    config = RunConfig(scheme=scheme, n=16, dt=dt, t_end=2 * dt, snapshot_every=1,
+                       label="rec")
+    code, records = cli.execute_run(config, str(tmp_path))
+    assert code == 0
+    phys, grid = config.phys(), config.grid()
+    for name, step in (("step1", 1), ("step2", 2), ("final", 2)):
+        back = diagnostics.record_state(load_snapshot(str(tmp_path / f"rec-{name}.json")),
+                                        phys, grid)
+        assert back == records[step]
+    assert records[2].anchor_drift > 0
+
+
 # each error class of the package, with the exit code and the message prefix
 # that cli.main gives it
 EXIT_OF = {ParameterError: (64, "usage error: "), BlowupError: (2, "instability: "),
@@ -345,6 +361,24 @@ class TestCli:
         assert capsys.readouterr().err == "usage error: degenerate ellipse axes a=1e-13, b=0.24\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--set", "ellipse_a=1e-13"),
+        ("run", "--preset", "unsteady-fig5", "--set", "ellipse_b=1e-13"),
+        ("sweep", "--n-list", "16,15", "--dt-list", "0.1"),
+        ("sweep", "--n-list", "16", "--dt-list", "0.1", "--set", "ellipse_a=1e-13"),
+        ("cost", "--schemes", "ssd1_unsteady", "--n-list", "16", "--set", "ellipse_a=1e-13"),
+    ], ids=["run-axes", "preset-axes", "sweep-odd-n", "sweep-axes", "cost-axes"])
+    def test_refused_input_makes_no_output_directory(self, argv, tmp_path):
+        out = tmp_path / "out"
+        assert self.run_cli(*argv, "--out", str(out)) == 64
+        assert not out.exists()
+
+    def test_sweep_needs_a_dt_list(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run_cli("sweep", "--n-list", "16", "--out", str(out)) == 64
+        assert "--dt-list" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("label", ["yes", "007"])
     def test_label_is_kept_as_text(self, label, tmp_path):
         # a string field takes its value as written, never as a bool or a number
@@ -384,6 +418,28 @@ class TestCli:
         assert code == 2
         rows = (tmp_path / "boom.csv").read_text().splitlines()
         assert rows[-1].endswith(",0")  # final record flagged unstable
+
+    @pytest.mark.parametrize("scheme, settings", [
+        ("stable_steady", ("dt=1", "mu=1")),
+        # a circle start: C_U's leading term vanishes and C_U falls back to 1
+        ("ssd1_unsteady", ("dt=0.1", "ellipse_a=0.25", "ellipse_b=0.25")),
+    ], ids=["stable_steady", "ssd1_unsteady-circle"])
+    def test_run_records_drift_and_coefficients_without_warnings(self, scheme, settings,
+                                                                 tmp_path):
+        argv = [a for item in settings for a in ("--set", item)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_cli("run", "--set", f"scheme={scheme}", "--set", "n=16",
+                                "--set", "t_end=3", *argv, "--set", "label=rec",
+                                "--out", str(tmp_path)) == 0
+        header, *rows = [line.split(",") for line in
+                         (tmp_path / "rec.csv").read_text().splitlines()]
+        assert header[9:12] == ["anchor_drift", "c_v", "c_u"]
+        assert all(len(row) == len(header) for row in rows)
+        assert rows[0][9:12] == ["0", "", ""]
+        coefficients = {tuple(row[10:12]) for row in rows[1:]}
+        assert coefficients == ({("", "")} if scheme == "stable_steady"
+                                else {(rows[1][10], "1")})
 
     def test_run_reproducible_csv_bytes(self, tmp_path):
         args = ["run", "--set", "scheme=ssd1_unsteady", "--set", "n=32",
@@ -448,30 +504,27 @@ class TestCli:
         assert rows[-1].startswith("2,nan,") and rows[-1].endswith(",0")
         assert not (tmp_path / "stall-final.json").exists()
 
-    @pytest.mark.parametrize("patch, scheme, code, failed_step, error, match", [
+    @pytest.mark.parametrize("patch, scheme, code, failed_step, message", [
         ({"DENSE_MAX": 0, "LINEAR_TOL": 1e-300}, "stable_steady", 3, 1,
-         SolverStallError, "GMRES stalled"),
+         "solver failure: GMRES stalled (info="),
         ({"LINEAR_TOL": 1e-300}, "stable_steady", 3, 1,
-         SolverStallError, "dense solve residual"),
+         "solver failure: dense solve residual "),
         ({"BLOWUP_FACTOR": 1e-6}, "ssd1_unsteady", 2, 2,
-         BlowupError, "velocity grew 1e-06x at step 2"),
+         "instability: velocity grew 1e-06x at step 2"),
     ], ids=["gmres-stall", "dense-residual", "velocity-growth"])
-    def test_solver_failure_ends_run(self, patch, scheme, code, failed_step, error, match,
-                                     tmp_path, monkeypatch):
+    def test_solver_failure_ends_run(self, patch, scheme, code, failed_step, message,
+                                     tmp_path, monkeypatch, capsys):
         # the solvers' and the blowup guard's own checks, reached by tightening
-        # their limits: the run ends with the documented code, a NaN row
-        # flagged unstable and no final snapshot
+        # their limits: the run says why it ended and ends with the documented
+        # code, a NaN row flagged unstable and no final snapshot
         for name, value in patch.items():
             monkeypatch.setattr(schemes, name, value)
         settings = {"scheme": scheme, "n": 16, "dt": 0.1, "t_end": 0.4, "mu": 1.0,
                     "label": "fail"}
-        config = RunConfig(**settings)
-        with pytest.raises(error, match=match):
-            for _ in schemes.simulate(config.initial_state(), config.phys(), config.grid(),
-                                      config.scheme_config(), config.n_steps()):
-                pass
         argv = [a for key, value in settings.items() for a in ("--set", f"{key}={value}")]
         assert self.run_cli("run", *argv, "--out", str(tmp_path)) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"fail: {message}")
         rows = (tmp_path / "fail.csv").read_text().splitlines()
         assert len(rows) == failed_step + 2
         assert rows[-1].startswith(f"{failed_step},nan,") and rows[-1].endswith(",0")

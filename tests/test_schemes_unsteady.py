@@ -188,17 +188,17 @@ class TestSecondOrder:
 
 class TestRescaling:
     def test_equilibrium_start_disables_rescaling(self):
+        # a vanishing leading term gives C = 1, which the run's records show
         zero = np.zeros(8)
-        with pytest.warns(RuntimeWarning):
-            c = _rescaling_coefficient(None, zero, lambda: zero, "C_V")
-        assert c == 1.0
+        assert _rescaling_coefficient(None, zero, lambda: zero) == 1.0
+        assert _rescaling_coefficient(None, np.ones(8), lambda: 1e-16 * np.ones(8)) == 1.0
 
     def test_self_ratio_is_one(self):
         x = np.sin(np.arange(8))
-        assert _rescaling_coefficient(None, x, lambda: x, "C_V") == 1.0
+        assert _rescaling_coefficient(None, x, lambda: x) == 1.0
         # a stored coefficient wins, so a stored 1 runs unrescaled
-        assert _rescaling_coefficient(0.5, x, lambda: 2 * x, "C_V") == 0.5
-        assert _rescaling_coefficient(1.0, x, lambda: 2 * x, "C_V") == 1.0
+        assert _rescaling_coefficient(0.5, x, lambda: 2 * x) == 0.5
+        assert _rescaling_coefficient(1.0, x, lambda: 2 * x) == 1.0
 
     def test_coefficients_frozen_after_first_step(self):
         phys, grid = model(32, mu=0.01)

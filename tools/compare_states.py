@@ -25,11 +25,9 @@ import fingerprint  # noqa: E402
 
 # run in each tree: read the case configs from stdin, save the final arrays
 _WORKER = """
-import json, sys, warnings
+import json, sys
 import numpy as np
 import fingerprint
-warnings.filterwarnings("ignore", "reference-point reconstructions disagree", RuntimeWarning)
-warnings.filterwarnings("ignore", "rescaling disabled", RuntimeWarning)
 out = {}
 for i, config in enumerate(json.load(sys.stdin)):
     for name, a in fingerprint.final_arrays(config).items():
