@@ -37,8 +37,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.linalg import circulant
-from scipy.sparse.linalg import LinearOperator, gmres
+from numpy.lib.stride_tricks import as_strided
 
 from . import bessel, coupling, spectral, stokes
 from .bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_second_order, ssd_symbol_t
@@ -60,6 +59,9 @@ ALL_SCHEMES = STEADY_SCHEMES + UNSTEADY_SCHEMES
 DENSE_MAX = 256       # dense stable-scheme systems up to this N_b, GMRES above
 LINEAR_TOL = 1e-10    # relative residual of the stable schemes' implicit solves
 BLOWUP_FACTOR = 1e6   # velocity growth over the first step's speed that counts as blowup
+# an SSD leading term under ROUNDOFF times its operator's size (``_size``) is
+# round-off: circle starts read <= 4e-14 of their size at N <= 128, ellipses >= 1e-4
+ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -306,8 +308,15 @@ def step_ifrk4_steady(state, phys, grid, cfg):
 
 def _circulant_from_multiplier(mult):
     """Real circulant applying a conjugate-symmetric Fourier multiplier, gathered
-    from its first column: C[i, j] = c[(i - j) % n], c = real(ifft(mult))."""
-    return circulant(np.real(np.fft.ifft(mult)))
+    from its first column: C[i, j] = c[(i - j) % n], c = real(ifft(mult)).
+    Row i is the window [c[i], ..., c[0], c[n-1], ..., c[i+1]] of the reversed
+    column extended by its wrap, read with a negative row stride and copied
+    forward."""
+    c = np.real(np.fft.ifft(mult))
+    n = len(c)
+    ext = np.concatenate((c[::-1], c[:0:-1]))
+    step = ext.strides[0]
+    return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step)).copy()
 
 
 @lru_cache(maxsize=8)
@@ -378,6 +387,8 @@ def _solve_linear(lin, b, step_index):
     the assembled matrix A (dense solve) or the linear map x -> A x (GMRES)."""
     if isinstance(lin, np.ndarray):
         return _dense_solve(lin, b, step_index, rtol=LINEAR_TOL)
+    # imported here, its only use, so that importing the package loads no SciPy
+    from scipy.sparse.linalg import LinearOperator, gmres
     nb = len(b)
     op = LinearOperator((nb, nb), matvec=lin)
     restart = min(50, nb)
@@ -476,20 +487,29 @@ def step_stable(state, phys, grid, cfg):
     return _finish(state, cfg, s_new, phi_new, update_reference_points(iface, u1, dt), fluid1)
 
 
+def _size(*factors):
+    """The product of max|f| over a chain of multipliers, diagonals and the
+    input they act on: the scale against which a leading term is round-off."""
+    return float(np.prod([np.max(np.abs(f)) for f in factors]))
+
+
 def _rescaling_coefficient(stored, observed, leading):
     """SSD rescaling coefficient C_V or C_U: the stored value, else the
-    first-step ratio max|observed| / max|leading()|, or 1 when the leading
-    term vanishes."""
+    first-step ratio max|observed| / max|term| of ``leading() = (term, size)``,
+    or 1 when the term is round-off, under ROUNDOFF times the size of the
+    operator's action on its input (``_size``)."""
     if stored is not None:
         return stored
-    denom = float(np.max(np.abs(leading())))
-    if denom < 1e-14 * max(1.0, float(np.max(np.abs(observed)))) or denom == 0.0:
+    term, size = leading()
+    denom = float(np.max(np.abs(term)))
+    if denom <= ROUNDOFF * size:
         return 1.0
     return float(np.max(np.abs(observed))) / denom
 
 
 def _velocity_level_lead(symbol, phi, s_min, length):
-    """Leading-order normal velocity implied by an angle-equation symbol.
+    """Leading-order normal velocity implied by an angle-equation symbol, and
+    its size (``_size``).
 
     The angle equation reads theta_t = (1/s) D U + ..., so a leading term
     symbol(kappa) acting on phi corresponds to the velocity
@@ -500,7 +520,7 @@ def _velocity_level_lead(symbol, phi, s_min, length):
     out = np.zeros(len(phi), dtype=complex)
     nz = kappa != 0
     out[nz] = s_min * symbol[nz] * np.fft.fft(phi)[nz] / (1j * kappa[nz])
-    return np.real(np.fft.ifft(out))
+    return np.real(np.fft.ifft(out)), _size(s_min, symbol[nz] / kappa[nz], phi)
 
 
 def step_ssd1_unsteady(state, phys, grid, cfg):
@@ -518,8 +538,8 @@ def step_ssd1_unsteady(state, phys, grid, cfg):
     # the stretch rate D V - theta_a U, written out because C_V reads D V
     dv_star = spectral.derivative_1d(u_star[nb:], period=iface.length)
     rhs_s = dv_star - dth * u_star[:nb]
-    c_v = _rescaling_coefficient(state.c_v, dv_star,
-                                 lambda: spectral.apply_symbol_1d(iface.s_alpha, t_hat))
+    c_v = _rescaling_coefficient(state.c_v, dv_star, lambda: (
+        spectral.apply_symbol_1d(iface.s_alpha, t_hat), _size(t_hat, iface.s_alpha)))
     s_new = _semi_implicit(iface.s_alpha, rhs_s, c_v * t_hat, dt)
 
     u1, fluid1 = velocity(elastic_force(s_new, dth, phys.elastic, iface.length))
@@ -554,7 +574,7 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
         - stokes._log_kernel_multiplier(nb, iface.length)
     kd2 = _circulant_from_multiplier(mult * -kappa**2)
     t_mat = _circulant_from_multiplier(t_hat)
-    pref = -(phys.elastic * dt) / (2.0 * np.pi)
+    pref = -(phys.elastic * dt) / (2.0 * np.pi * phys.rho)
     coef = dth / iface.s_alpha**2
     s0 = iface.s_alpha
 
@@ -563,8 +583,9 @@ def step_ssd2_unsteady(state, phys, grid, cfg):
     t2_lin = t_mat + pref * (coef[:, None] * kd2 * dth[None, :])
     # the stretch rate D V - theta_a U, written out because C_V reads D V
     dv_star = spectral.derivative_1d(u_star[nb:], period=iface.length)
-    c_v = _rescaling_coefficient(
-        state.c_v, dv_star, lambda: t_mat @ s0 + pref * coef * (kd2 @ ((s0 - 1.0) * dth)))
+    c_v = _rescaling_coefficient(state.c_v, dv_star, lambda: (
+        t_mat @ s0 + pref * coef * (kd2 @ ((s0 - 1.0) * dth)),
+        _size(t_hat, s0) + _size(pref, coef, mult * kappa**2, (s0 - 1.0) * dth)))
     rhs_s = dv_star - dth * u_star[:nb]
     a_s = np.eye(nb) / dt - c_v * t2_lin
     b_s = s0 / dt + rhs_s - c_v * (t2_lin @ s0)

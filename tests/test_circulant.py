@@ -1,8 +1,15 @@
 """Circulant algebra behind the second-kind schemes' dense systems."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+from scipy.linalg import circulant
 
+import ibstokes
 from ibstokes import bessel, schemes, spectral, stokes
 from ibstokes.bessel import SsdSymbolParams
 from ibstokes.errors import SolverStallError
@@ -45,6 +52,36 @@ def test_circulant_applies_multiplier(n):
     x = np.random.default_rng(2).standard_normal(n)
     expect = np.real(np.fft.ifft(mult * np.fft.fft(x)))
     assert _rel(schemes._circulant_from_multiplier(mult) @ x, expect) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 255, 256])
+def test_circulant_build_is_scipy_circulant_bitwise(n):
+    mult = _random_multiplier(n, seed=3) if n > 1 else np.array([2.5 + 0j])
+    built = schemes._circulant_from_multiplier(mult)
+    assert built.flags.c_contiguous
+    assert built.tobytes() == circulant(np.real(np.fft.ifft(mult))).tobytes()
+
+
+def test_package_path_loads_no_scipy_linalg_or_sparse():
+    # a fresh process, since this file imports scipy.linalg: the CLI and one
+    # dense-path step of every scheme (N_b = 32 <= DENSE_MAX) need numpy alone
+    code = textwrap.dedent("""
+        import sys
+        import ibstokes.cli
+        from ibstokes import schemes
+        from ibstokes.io import RunConfig
+        for scheme in schemes.ALL_SCHEMES:
+            config = RunConfig(scheme=scheme, n=16, dt=0.01)
+            schemes.step(config.initial_state(), config.phys(), config.grid(),
+                         config.scheme_config())
+        print(sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse"))))
+        """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ibstokes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_product_of_circulants_is_circulant_of_product():

@@ -7,6 +7,7 @@ from ibstokes import diagnostics, schemes, spectral
 from ibstokes.bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_t
 from ibstokes.geometry import InterfaceState, reconstruct_curve
 from ibstokes.grids import GridSpec
+from ibstokes.io import RunConfig
 from ibstokes.params import PhysParams
 from ibstokes.schemes import SchemeConfig, StepState, _rescaling_coefficient
 from ibstokes.stokes import FluidState
@@ -190,15 +191,26 @@ class TestRescaling:
     def test_equilibrium_start_disables_rescaling(self):
         # a vanishing leading term gives C = 1, which the run's records show
         zero = np.zeros(8)
-        assert _rescaling_coefficient(None, zero, lambda: zero) == 1.0
-        assert _rescaling_coefficient(None, np.ones(8), lambda: 1e-16 * np.ones(8)) == 1.0
+        assert _rescaling_coefficient(None, zero, lambda: (zero, 0.0)) == 1.0
+        assert _rescaling_coefficient(None, np.ones(8), lambda: (1e-16 * np.ones(8), 1.0)) == 1.0
 
     def test_self_ratio_is_one(self):
         x = np.sin(np.arange(8))
-        assert _rescaling_coefficient(None, x, lambda: x) == 1.0
+        assert _rescaling_coefficient(None, x, lambda: (x, 1.0)) == 1.0
         # a stored coefficient wins, so a stored 1 runs unrescaled
-        assert _rescaling_coefficient(0.5, x, lambda: 2 * x) == 0.5
-        assert _rescaling_coefficient(1.0, x, lambda: 2 * x) == 1.0
+        assert _rescaling_coefficient(0.5, x, lambda: (2 * x, 1.0)) == 0.5
+        assert _rescaling_coefficient(1.0, x, lambda: (2 * x, 1.0)) == 1.0
+
+    @pytest.mark.parametrize("scheme", ["ssd1_unsteady", "ssd2_unsteady"])
+    @pytest.mark.parametrize("radius, n, dt", [(0.25, 16, 0.1), (0.3, 32, 0.05)])
+    def test_circle_start_is_unrescaled(self, scheme, radius, n, dt):
+        # a stretched circle has constant s_alpha and phi: both leading terms
+        # are round-off (C_V's 6e-12 and 4e-11 here), measured against the
+        # size of their operators, and must not set C_V or C_U
+        config = RunConfig(scheme=scheme, n=n, dt=dt, ellipse_a=radius, ellipse_b=radius)
+        state = schemes.step(config.initial_state(), config.phys(), config.grid(),
+                             config.scheme_config())
+        assert (state.c_v, state.c_u) == (1.0, 1.0)
 
     def test_coefficients_frozen_after_first_step(self):
         phys, grid = model(32, mu=0.01)
