@@ -15,23 +15,25 @@ and unsteady flow differ only in the fluid solve behind K and in the
 leading-order symbols, so the explicit and the stable schemes are one
 stepper each for both flows; steady flow keeps no fluid (``_finish``).
 
-The semi-implicit updates add the implicit leading-order term and subtract
-its explicit counterpart, so every scheme is consistent with the same
-dynamics; only the stability properties differ.  The integrating-factor
-scheme takes the continuum Hilbert rates as its factor: it is fourth order in
-time while the interface is no finer than the grid (N_b <= N/2), and loses
-that order at the default N_b = 2N, whose highest modes the 4-point delta
-cannot see.  Implicit leading operators are diagonal in Fourier space except
-for the second-kind and two-step schemes, which solve dense N_b x N_b
-systems; every diagonal update, backward Euler or Crank-Nicolson, goes
-through ``_semi_implicit``.  The second-kind circulants are gathered from
-their first columns, and a circulant product from the multipliers' product:
-O(N_b^2) assembly.  Both implicit systems of the two-step stable schemes
-read A = I - diag(scale) R K F_lin, with F_lin the linear part of F in the
-unknown and K the interface mobility: formed once per step, one fluid solve
-per unit force (``_interface_mobility``), up to DENSE_MAX nodes, else applied
-by GMRES as one grid solve per product, both to the relative residual
-LINEAR_TOL.
+The explicit and semi-implicit (SSD) schemes share one stepper,
+``step_semi_implicit``: x^{n+1} = x^n + Delta with (I - dt L) Delta = dt r
+(``_increment``), first for s_alpha, then for the angle, r the explicit rate
+R K F and L the implicit leading operator, so every scheme is consistent with
+the same dynamics; only the stability properties differ.  L is absent for
+forward Euler, a Fourier diagonal for the first kind, and for the second kind
+those circulants plus a dense correction in s_alpha and the transport (V/s) D
+in the angle; the trapezoidal scheme's Crank-Nicolson pair goes through
+``_increment`` too.  The integrating-factor scheme takes the continuum
+Hilbert rates as its factor: it is fourth order in time while the interface
+is no finer than the grid (N_b <= N/2), and loses that order at the default
+N_b = 2N, whose highest modes the 4-point delta cannot see.  The second-kind
+circulants are gathered from their first columns, and a circulant product
+from the multipliers' product: O(N_b^2) assembly.  Both implicit systems of
+the two-step stable schemes read A = I - diag(scale) R K F_lin, with F_lin
+the linear part of F in the unknown and K the interface mobility: formed once
+per step, one fluid solve per unit force (``_interface_mobility``), up to
+DENSE_MAX nodes, else applied by GMRES as one grid solve per product, both to
+the relative residual LINEAR_TOL.
 """
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -167,28 +169,50 @@ def _finish(state, cfg, s_new, phi_new, refs, fluid=None):
     return StepState(iface, curve, fluid, state.t + cfg.dt, k, speed_ref, state.c_v, state.c_u)
 
 
-def _semi_implicit(x, rhs, lead, dt, ref=None, theta=1.0):
-    """Small-scale-decomposition update of x' = rhs + lead * x: the
-    Fourier-diagonal leading term is taken theta-implicit (1 backward Euler,
-    1/2 Crank-Nicolson) and its explicit counterpart lead * ref, with ref = x
-    unless given, is subtracted:
-    (x^/dt + (1 - theta) lead x^ + r^ - lead ref^) / (1/dt - theta lead)."""
-    x_hat = np.fft.fft(x)
-    ref_hat = x_hat if ref is None else np.fft.fft(ref)
-    return np.real(np.fft.ifft((x_hat / dt + (1.0 - theta) * lead * x_hat + np.fft.fft(rhs)
-                                - lead * ref_hat) / (1.0 / dt - theta * lead)))
+def _circulant_from_multiplier(mult):
+    """Real circulant applying a conjugate-symmetric Fourier multiplier, gathered
+    from its first column: C[i, j] = c[(i - j) % n], c = real(ifft(mult)).
+    Row i is the window [c[i], ..., c[0], c[n-1], ..., c[i+1]] of the reversed
+    column extended by its wrap, read with a negative row stride and copied
+    forward."""
+    c = np.real(np.fft.ifft(mult))
+    n = len(c)
+    ext = np.concatenate((c[::-1], c[:0:-1]))
+    step = ext.strides[0]
+    return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step)).copy()
 
 
-def step_explicit(state, phys, grid, cfg):
-    """Forward Euler, in steady or unsteady flow."""
-    iface = state.interface
-    dth = theta_derivative(iface)
-    d = partial(spectral.derivative_1d, period=iface.length)
-    u, fluid1 = _step_map(state, phys, grid, cfg)(
-        elastic_force(iface.s_alpha, dth, phys.elastic, iface.length))
-    return _finish(state, cfg, iface.s_alpha + cfg.dt * _stretch_rate(u, dth, d),
-                   iface.phi + cfg.dt * (_angle_rate(u, dth, d) / iface.s_alpha),
-                   update_reference_points(iface, u, cfg.dt), fluid1)
+@lru_cache(maxsize=8)
+def _derivative_matrix(n, period):
+    """Spectral first-derivative circulant (Nyquist mode zeroed).  It depends
+    only on (N_b, L_b), so it is built once and cached, read-only."""
+    dmat = _circulant_from_multiplier(1j * spectral.odd_wavenumbers(n, period))
+    dmat.flags.writeable = False
+    return dmat
+
+
+def _dense_solve(a, b, step_index, rtol=1e-8):
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:       # an exactly singular system
+        raise SolverStallError(f"singular implicit system at step {step_index}") from None
+    resid = np.linalg.norm(a @ x - b)
+    if not np.isfinite(resid) or resid > rtol * max(np.linalg.norm(b), 1e-30):
+        if np.linalg.cond(a) >= 1e14:
+            raise SolverStallError(f"singular implicit system at step {step_index}")
+        raise SolverStallError(f"dense solve residual {resid:.2e} at step {step_index}")
+    return x
+
+
+def _increment(lead, r, dt, step_index):
+    """Delta = x^{n+1} - x^n of the step x^{n+1} = x^n + dt (r + L Delta), so
+    (I - dt L) Delta = dt r, for the leading operator L = ``lead`` absent
+    (forward Euler), a Fourier diagonal, or a matrix (dense solve)."""
+    if lead is None:
+        return dt * r
+    if lead.ndim == 1:
+        return np.real(np.fft.ifft(dt * np.fft.fft(r) / (1.0 - dt * lead)))
+    return _dense_solve(np.eye(len(r)) - dt * lead, dt * r, step_index)
 
 
 def _steady_rates(iface, phys):
@@ -213,17 +237,135 @@ def _area_balanced_stretch(s_new, phi_new, refs, length, target_area, step_index
     return s_new * np.sqrt(ratio)
 
 
-def step_ssd1_steady(state, phys, grid, cfg):
-    """First-kind semi-implicit steady step (small-scale decomposition).
+def _steady_leads(state, phys, grid, cfg, dth, dv, second_kind):
+    """(L_s, C_V, lead_phi), ``lead_phi(s_new, u) = (L_phi, C_U)``, of steady
+    flow: the Hilbert rates -eta and -gamma eta (``_steady_rates``), unrescaled,
+    as Fourier diagonals or (second kind) circulants, the second kind's L_s
+    plus the log-kernel part of the normal velocity."""
+    iface = state.interface
+    eta, xi, gamma = _steady_rates(iface, phys)
+    if not second_kind:
+        return -eta, None, lambda s_new, u: (-xi, None)
+    lam_abs = _circulant_from_multiplier(eta)         # (S_b/4mu)|kappa|
+    log_mat = _circulant_from_multiplier(     # the periodized ln|a - a'| convolution
+        -stokes._log_kernel_multiplier(iface.n_nodes, iface.length, grid.length))
+    c = phys.elastic / (4.0 * np.pi * phys.mu)
+    # ds/dt = -(S_b/4mu) H D s - theta_a * U_lead(s) + explicit rate, with
+    # U_lead(s) = -c * int ln|a-a'| (s-1) theta_a da'; the constant part of
+    # U_lead goes with the explicit rate, leaving L_s linear in s
+    lead_s = -lam_abs + c * (dth[:, None] * log_mat * dth[None, :])
+    lead_phi = -gamma * lam_abs
+    return lead_s, None, lambda s_new, u: (lead_phi, None)
 
-    s_alpha and the angle take the diagonal implicit update of their
-    Hilbert-transform leading terms (``_steady_rates``), as in
-    Hou-Lowengrub-Shelley, with two choices beyond that:
 
-    (a) Like the stable scheme (``step_stable``, Step 2) and
-        the unsteady twin (``step_ssd1_unsteady``), the angle and anchor
-        updates take the velocity of F(s^{n+1}, theta^n), which costs a
-        second grid solve per step.
+def _size(*factors):
+    """The product of max|f| over a chain of multipliers, diagonals and the
+    input they act on: the scale against which a leading term is round-off."""
+    return float(np.prod([np.max(np.abs(f)) for f in factors]))
+
+
+def _rescaling_coefficient(stored, observed, leading):
+    """SSD rescaling coefficient C_V or C_U: the stored value, else the
+    first-step ratio max|observed| / max|term| of ``leading() = (term, size)``,
+    or 1 when the term is round-off, under ROUNDOFF times the size of the
+    operator's action on its input (``_size``)."""
+    if stored is not None:
+        return stored
+    term, size = leading()
+    denom = float(np.max(np.abs(term)))
+    if denom <= ROUNDOFF * size:
+        return 1.0
+    return float(np.max(np.abs(observed))) / denom
+
+
+def _velocity_level_lead(symbol, phi, s_min, length):
+    """Leading-order normal velocity implied by an angle-equation symbol, and
+    its size (``_size``).
+
+    The angle equation reads theta_t = (1/s) D U + ..., so a leading term
+    symbol(kappa) acting on phi corresponds to the velocity
+    u_hat = s_min * symbol(kappa) * phi_hat / (i kappa), on an interface of
+    length ``length``.
+    """
+    kappa = spectral.odd_wavenumbers(len(phi), length)
+    out = np.zeros(len(phi), dtype=complex)
+    nz = kappa != 0
+    out[nz] = s_min * symbol[nz] * np.fft.fft(phi)[nz] / (1j * kappa[nz])
+    return np.real(np.fft.ifft(out)), _size(s_min, symbol[nz] / kappa[nz], phi)
+
+
+def _unsteady_leads(state, phys, grid, cfg, dth, dv, second_kind):
+    """(L_s, C_V, lead_phi), ``lead_phi(s_new, u) = (L_phi, C_U)``, of
+    unsteady flow: C_V T and C_U S/min(s^{n+1}), T and S the SSD symbols, as
+    Fourier diagonals or (second kind) circulants, the second kind's L_s plus
+    the smooth kernel on D^2((s - 1) theta_a).  The first step fixes C_V from
+    D V* (``dv``) and C_U from the normal velocity u."""
+    iface = state.interface
+    s0, nb = iface.s_alpha, iface.n_nodes
+    p = SsdSymbolParams.from_state(s0, phys.elastic, phys.mu, phys.rho, cfg.dt)
+    kappa = spectral.wavenumbers(nb, iface.length)
+    t_hat = ssd_symbol_t(kappa, p)
+    s_hat_sym = ssd_symbol_s(kappa, p)
+
+    def lead_phi(s_new, u):
+        c_u = _rescaling_coefficient(state.c_u, u[:nb], lambda: _velocity_level_lead(
+            s_hat_sym, iface.phi, p.s_min, iface.length))
+        # the leading angle operator is S/min(s), one Fourier diagonal that the
+        # increment form takes at phi^{n+1} and subtracts at phi^n alike; a
+        # pointwise 1/s on one side only makes the homogeneous high-k
+        # multiplier min(s) != 1, and the update amplifies node-scale modes
+        lead = c_u * s_hat_sym / float(np.min(s_new))
+        return (_circulant_from_multiplier(lead) if second_kind else lead), c_u
+
+    if not second_kind:
+        c_v = _rescaling_coefficient(state.c_v, dv, lambda: (
+            spectral.apply_symbol_1d(s0, t_hat), _size(t_hat, s0)))
+        return c_v * t_hat, c_v, lead_phi
+    # dense correction: the smooth K0(beta|d|) + ln|d| convolution (the log
+    # singularities cancel, as in the second fundamental solution) acting on
+    # D^2((s-1) theta_a), assembled as one circulant of the multipliers' product
+    mult = np.pi * bessel.k0_convolution_symbol(p.lam * p.s_min, kappa) \
+        - stokes._log_kernel_multiplier(nb, iface.length, grid.length)
+    kd2 = _circulant_from_multiplier(mult * -kappa**2)
+    t_mat = _circulant_from_multiplier(t_hat)
+    pref = -(phys.elastic * cfg.dt) / (2.0 * np.pi * phys.rho)
+    coef = dth / s0**2
+    # the leading term t_mat s + pref coef kd2 ((s - 1) theta_a) is affine in s;
+    # its constant part goes with the explicit rate, leaving L_s linear in s
+    c_v = _rescaling_coefficient(state.c_v, dv, lambda: (
+        t_mat @ s0 + pref * coef * (kd2 @ ((s0 - 1.0) * dth)),
+        _size(t_hat, s0) + _size(pref, coef, mult * kappa**2, (s0 - 1.0) * dth)))
+    return c_v * (t_mat + pref * (coef[:, None] * kd2 * dth[None, :])), c_v, lead_phi
+
+
+# scheme: (leading operators, none for forward Euler; second kind; angle and
+# anchors at U1 = K F(s^{n+1}, theta^n), else at U* = K F^n; area balance)
+_SEMI_IMPLICIT = {
+    "explicit_steady": (None, False, False, False),
+    "ssd1_steady": (_steady_leads, False, True, True),
+    "ssd2_steady": (_steady_leads, True, False, False),
+    "explicit_unsteady": (None, False, False, False),
+    "ssd1_unsteady": (_unsteady_leads, False, True, False),
+    "ssd2_unsteady": (_unsteady_leads, True, True, False),
+}
+
+
+def step_semi_implicit(state, phys, grid, cfg):
+    """One explicit or SSD step, steady or unsteady: x^{n+1} = x^n + Delta
+    with (I - dt L) Delta = dt r (``_increment``), for s_alpha, then the angle.
+
+    r_s = D V* - theta_a U* with U* = K F^n, and r_phi = (D U + theta_a V)/s:
+    forward Euler takes U* and s^n, the SSD schemes s^{n+1} and (but
+    ``ssd2_steady``) U1 = K F(s^{n+1}, theta^n).  The anchors and the fluid
+    follow U.  The second kind's L_phi holds the transport T = (V/s^{n+1}) D,
+    so r_phi stays whole: with R_w the angle rate on the winding 2 pi/L_b,
+    (I/dt - lead - T) Delta = R_w/s^{n+1} + T phi^n = r_phi.
+
+    ``ssd1_steady`` makes two choices beyond Hou-Lowengrub-Shelley:
+
+    (a) Like the stable scheme (``step_stable``, Step 2) and the unsteady
+        first kind, the angle and anchor updates take the velocity of
+        F(s^{n+1}, theta^n), which costs a second grid solve per step.
     (b) The mean of s_alpha (the perimeter over L_b) is the one mode the
         update leaves fully explicit, since eta(0) = 0; left so, it
         over-contracts at large dt.  It is instead set from the discrete
@@ -235,24 +377,33 @@ def step_ssd1_steady(state, phys, grid, cfg):
         does not say how the k = 0 mode is treated; this is the choice made
         here.
     """
+    leads, second_kind, at_u1, area_balance = _SEMI_IMPLICIT[cfg.scheme]
     iface = state.interface
-    dt = cfg.dt
+    dt, nb, length = cfg.dt, iface.n_nodes, iface.length
     dth = theta_derivative(iface)
-    d = partial(spectral.derivative_1d, period=iface.length)
+    d = partial(spectral.derivative_1d, period=length)
     velocity = _step_map(state, phys, grid, cfg)
-    u, _ = velocity(elastic_force(iface.s_alpha, dth, phys.elastic, iface.length))
-    eta, xi, _ = _steady_rates(iface, phys)
-    s_new = _semi_implicit(iface.s_alpha, _stretch_rate(u, dth, d), -eta, dt)
+    u_star, fluid = velocity(elastic_force(iface.s_alpha, dth, phys.elastic, length))
+    dv = d(u_star[nb:])     # D V*, read by C_V and by the stretch rate
+    lead_s, c_v, lead_phi = (None, None, lambda s_new, u: (None, None)) if leads is None \
+        else leads(state, phys, grid, cfg, dth, dv, second_kind)
+    s_new = iface.s_alpha + _increment(lead_s, dv - dth * u_star[:nb], dt, state.step + 1)
 
-    u1, _ = velocity(elastic_force(s_new, dth, phys.elastic, iface.length))
-    # the angle update divides the explicit terms by the new s_alpha
-    phi_new = _semi_implicit(iface.phi, _angle_rate(u1, dth, d) / s_new, -xi, dt)
-    refs = update_reference_points(iface, u1, dt)
-
-    flux = float(np.sum(u[:iface.n_nodes] * iface.s_alpha)) * iface.dalpha
-    target = enclosed_area(state.curve) - dt * flux
-    s_new = _area_balanced_stretch(s_new, phi_new, refs, iface.length, target, state.step + 1)
-    return _finish(state, cfg, s_new, phi_new, refs)
+    u = u_star
+    if at_u1:
+        u, fluid = velocity(elastic_force(s_new, dth, phys.elastic, length))
+    lead_phi, c_u = lead_phi(s_new, u)
+    s_rate = iface.s_alpha if leads is None else s_new   # forward Euler: all at t^n
+    if second_kind:
+        lead_phi = lead_phi + (u[nb:] / s_new)[:, None] * _derivative_matrix(nb, length)
+    phi_new = iface.phi + _increment(lead_phi, _angle_rate(u, dth, d) / s_rate, dt,
+                                     state.step + 1)
+    refs = update_reference_points(iface, u, dt)
+    if area_balance:
+        flux = float(np.sum(u_star[:nb] * iface.s_alpha)) * iface.dalpha
+        s_new = _area_balanced_stretch(s_new, phi_new, refs, length,
+                                       enclosed_area(state.curve) - dt * flux, state.step + 1)
+    return _finish(replace(state, c_v=c_v, c_u=c_u), cfg, s_new, phi_new, refs, fluid)
 
 
 def _ifrk4_diagonal(y0, rate, dt, n_func):
@@ -303,82 +454,6 @@ def step_ifrk4_steady(state, phys, grid, cfg):
     # reconstruction at the accuracy of the interface update
     k1, k2, k3, k4 = stage_vel
     refs = iface.ref_points + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _finish(state, cfg, s_new, phi_new, refs)
-
-
-def _circulant_from_multiplier(mult):
-    """Real circulant applying a conjugate-symmetric Fourier multiplier, gathered
-    from its first column: C[i, j] = c[(i - j) % n], c = real(ifft(mult)).
-    Row i is the window [c[i], ..., c[0], c[n-1], ..., c[i+1]] of the reversed
-    column extended by its wrap, read with a negative row stride and copied
-    forward."""
-    c = np.real(np.fft.ifft(mult))
-    n = len(c)
-    ext = np.concatenate((c[::-1], c[:0:-1]))
-    step = ext.strides[0]
-    return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step)).copy()
-
-
-@lru_cache(maxsize=8)
-def _derivative_matrix(n, period):
-    """Spectral first-derivative circulant (Nyquist mode zeroed).  It depends
-    only on (N_b, L_b), so it is built once and cached, read-only."""
-    dmat = _circulant_from_multiplier(1j * spectral.odd_wavenumbers(n, period))
-    dmat.flags.writeable = False
-    return dmat
-
-
-def _dense_solve(a, b, step_index, rtol=1e-8):
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:       # an exactly singular system
-        raise SolverStallError(f"singular implicit system at step {step_index}") from None
-    resid = np.linalg.norm(a @ x - b)
-    if not np.isfinite(resid) or resid > rtol * max(np.linalg.norm(b), 1e-30):
-        if np.linalg.cond(a) >= 1e14:
-            raise SolverStallError(f"singular implicit system at step {step_index}")
-        raise SolverStallError(f"dense solve residual {resid:.2e} at step {step_index}")
-    return x
-
-
-def _angle_transport_solve(iface, lead_mat, u, s_new, dt, step_index):
-    """Second-kind angle update: the leading term ``lead_mat`` and the
-    transport (V/s^{n+1}) D phi^{n+1} implicit, the rest of the angle rate
-    (its part on the winding 2 pi/L_b) explicit."""
-    nb = iface.n_nodes
-    dmat = _derivative_matrix(nb, iface.length)
-    rate = _angle_rate(u, TWO_PI / iface.length,
-                       partial(spectral.derivative_1d, period=iface.length))
-    a_p = np.eye(nb) / dt - lead_mat - (u[nb:] / s_new)[:, None] * dmat
-    b_p = iface.phi / dt + rate / s_new - lead_mat @ iface.phi
-    return _dense_solve(a_p, b_p, step_index)
-
-
-def step_ssd2_steady(state, phys, grid, cfg):
-    iface = state.interface
-    dt = cfg.dt
-    nb = iface.n_nodes
-    dth = theta_derivative(iface)
-    u, _ = _step_map(state, phys, grid, cfg)(
-        elastic_force(iface.s_alpha, dth, phys.elastic, iface.length))
-    eta, _, gamma = _steady_rates(iface, phys)
-    lam_abs = _circulant_from_multiplier(eta)         # (S_b/4mu)|kappa|
-    # periodized ln|a - a'| convolution
-    log_mat = _circulant_from_multiplier(-stokes._log_kernel_multiplier(nb, iface.length))
-    c = phys.elastic / (4.0 * np.pi * phys.mu)
-
-    # s system: ds/dt = -(S_b/4mu) H D s - theta_a * U_lead(s) + explicit pair
-    # with U_lead(s) = -c * int ln|a-a'| (s-1) theta_a da'; the constant parts
-    # of the implicit and explicit leading terms cancel, leaving t_lin s
-    t_lin = -lam_abs + c * (dth[:, None] * log_mat * dth[None, :])
-    rhs_expl = _stretch_rate(u, dth, partial(spectral.derivative_1d, period=iface.length))
-    a_s = np.eye(nb) / dt - t_lin
-    b_s = iface.s_alpha / dt + rhs_expl - t_lin @ iface.s_alpha
-    s_new = _dense_solve(a_s, b_s, state.step + 1)
-
-    # angle system: implicit -gamma|kappa| leading term plus implicit transport
-    phi_new = _angle_transport_solve(iface, -gamma * lam_abs, u, s_new, dt, state.step + 1)
-    refs = update_reference_points(iface, u, dt)
     return _finish(state, cfg, s_new, phi_new, refs)
 
 
@@ -487,120 +562,6 @@ def step_stable(state, phys, grid, cfg):
     return _finish(state, cfg, s_new, phi_new, update_reference_points(iface, u1, dt), fluid1)
 
 
-def _size(*factors):
-    """The product of max|f| over a chain of multipliers, diagonals and the
-    input they act on: the scale against which a leading term is round-off."""
-    return float(np.prod([np.max(np.abs(f)) for f in factors]))
-
-
-def _rescaling_coefficient(stored, observed, leading):
-    """SSD rescaling coefficient C_V or C_U: the stored value, else the
-    first-step ratio max|observed| / max|term| of ``leading() = (term, size)``,
-    or 1 when the term is round-off, under ROUNDOFF times the size of the
-    operator's action on its input (``_size``)."""
-    if stored is not None:
-        return stored
-    term, size = leading()
-    denom = float(np.max(np.abs(term)))
-    if denom <= ROUNDOFF * size:
-        return 1.0
-    return float(np.max(np.abs(observed))) / denom
-
-
-def _velocity_level_lead(symbol, phi, s_min, length):
-    """Leading-order normal velocity implied by an angle-equation symbol, and
-    its size (``_size``).
-
-    The angle equation reads theta_t = (1/s) D U + ..., so a leading term
-    symbol(kappa) acting on phi corresponds to the velocity
-    u_hat = s_min * symbol(kappa) * phi_hat / (i kappa), on an interface of
-    length ``length``.
-    """
-    kappa = spectral.odd_wavenumbers(len(phi), length)
-    out = np.zeros(len(phi), dtype=complex)
-    nz = kappa != 0
-    out[nz] = s_min * symbol[nz] * np.fft.fft(phi)[nz] / (1j * kappa[nz])
-    return np.real(np.fft.ifft(out)), _size(s_min, symbol[nz] / kappa[nz], phi)
-
-
-def step_ssd1_unsteady(state, phys, grid, cfg):
-    """First-kind SSD step: s_alpha through F^n, the angle through F(s^{n+1}, theta^n)."""
-    iface = state.interface
-    dt = cfg.dt
-    nb = iface.n_nodes
-    dth = theta_derivative(iface)
-    velocity = _step_map(state, phys, grid, cfg)
-    u_star, _ = velocity(elastic_force(iface.s_alpha, dth, phys.elastic, iface.length))
-    p = SsdSymbolParams.from_state(iface.s_alpha, phys.elastic, phys.mu, phys.rho, dt)
-    kappa = spectral.wavenumbers(nb, iface.length)
-    t_hat = ssd_symbol_t(kappa, p)
-    s_hat_sym = ssd_symbol_s(kappa, p)
-    # the stretch rate D V - theta_a U, written out because C_V reads D V
-    dv_star = spectral.derivative_1d(u_star[nb:], period=iface.length)
-    rhs_s = dv_star - dth * u_star[:nb]
-    c_v = _rescaling_coefficient(state.c_v, dv_star, lambda: (
-        spectral.apply_symbol_1d(iface.s_alpha, t_hat), _size(t_hat, iface.s_alpha)))
-    s_new = _semi_implicit(iface.s_alpha, rhs_s, c_v * t_hat, dt)
-
-    u1, fluid1 = velocity(elastic_force(s_new, dth, phys.elastic, iface.length))
-    c_u = _rescaling_coefficient(state.c_u, u1[:nb], lambda: _velocity_level_lead(
-        s_hat_sym, iface.phi, p.s_min, iface.length))
-    rhs_phi = _angle_rate(u1, dth, partial(spectral.derivative_1d, period=iface.length)) / s_new
-    # the leading angle operator is S/min(s); the explicit counterpart must
-    # carry the same factor or the homogeneous high-k multiplier becomes
-    # min(s) != 1 and the update amplifies node-scale modes
-    phi_new = _semi_implicit(iface.phi, rhs_phi, c_u * s_hat_sym / float(np.min(s_new)), dt)
-    refs = update_reference_points(iface, u1, dt)
-    return _finish(replace(state, c_v=c_v, c_u=c_u), cfg, s_new, phi_new, refs, fluid1)
-
-
-def step_ssd2_unsteady(state, phys, grid, cfg):
-    iface = state.interface
-    dt = cfg.dt
-    nb = iface.n_nodes
-    dth = theta_derivative(iface)
-    velocity = _step_map(state, phys, grid, cfg)
-    u_star, _ = velocity(elastic_force(iface.s_alpha, dth, phys.elastic, iface.length))
-    p = SsdSymbolParams.from_state(iface.s_alpha, phys.elastic, phys.mu, phys.rho, dt)
-    kappa = spectral.wavenumbers(nb, iface.length)
-    t_hat = ssd_symbol_t(kappa, p)
-    s_hat_sym = ssd_symbol_s(kappa, p)
-    beta = p.lam * p.s_min
-
-    # dense correction: the smooth K0(beta|d|) + ln|d| convolution (the log
-    # singularities cancel, as in the second fundamental solution) acting on
-    # D^2((s-1) theta_a), assembled as one circulant of the multipliers' product
-    mult = np.pi * bessel.k0_convolution_symbol(beta, kappa) \
-        - stokes._log_kernel_multiplier(nb, iface.length)
-    kd2 = _circulant_from_multiplier(mult * -kappa**2)
-    t_mat = _circulant_from_multiplier(t_hat)
-    pref = -(phys.elastic * dt) / (2.0 * np.pi * phys.rho)
-    coef = dth / iface.s_alpha**2
-    s0 = iface.s_alpha
-
-    # the leading term t_mat s + pref coef kd2 ((s - 1) theta_a) is affine in s;
-    # its constant part cancels between the implicit and explicit sides
-    t2_lin = t_mat + pref * (coef[:, None] * kd2 * dth[None, :])
-    # the stretch rate D V - theta_a U, written out because C_V reads D V
-    dv_star = spectral.derivative_1d(u_star[nb:], period=iface.length)
-    c_v = _rescaling_coefficient(state.c_v, dv_star, lambda: (
-        t_mat @ s0 + pref * coef * (kd2 @ ((s0 - 1.0) * dth)),
-        _size(t_hat, s0) + _size(pref, coef, mult * kappa**2, (s0 - 1.0) * dth)))
-    rhs_s = dv_star - dth * u_star[:nb]
-    a_s = np.eye(nb) / dt - c_v * t2_lin
-    b_s = s0 / dt + rhs_s - c_v * (t2_lin @ s0)
-    s_new = _dense_solve(a_s, b_s, state.step + 1)
-
-    u1, fluid1 = velocity(elastic_force(s_new, dth, phys.elastic, iface.length))
-    c_u = _rescaling_coefficient(state.c_u, u1[:nb], lambda: _velocity_level_lead(
-        s_hat_sym, iface.phi, p.s_min, iface.length))
-    # angle system: diagonal leading term plus implicit transport (V/s) D theta
-    s_mat = _circulant_from_multiplier(c_u * s_hat_sym / float(np.min(s_new)))
-    phi_new = _angle_transport_solve(iface, s_mat, u1, s_new, dt, state.step + 1)
-    refs = update_reference_points(iface, u1, dt)
-    return _finish(replace(state, c_v=c_v, c_u=c_u), cfg, s_new, phi_new, refs, fluid1)
-
-
 def step_second_order_unsteady(state, phys, grid, cfg):
     """Midpoint/trapezoidal scheme: a half step of the first-order method
     provides the midpoint state; the full step then advances through
@@ -611,7 +572,7 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     # fractional step to t + dt/2 with the first-order scheme; the midpoint
     # scheme runs unrescaled (the first-step rescaling heuristic under-damps
     # it and is unnecessary at second-order accuracy)
-    half = step_ssd1_unsteady(replace(state, c_v=1.0, c_u=1.0), phys, grid,
+    half = step_semi_implicit(replace(state, c_v=1.0, c_u=1.0), phys, grid,
                               replace(cfg, scheme="ssd1_unsteady", dt=dt / 2))
     iface_h = half.interface
     dth_h = theta_derivative(iface_h)
@@ -630,10 +591,14 @@ def step_second_order_unsteady(state, phys, grid, cfg):
                                             theta=0.5),
         average_with=state.fluid)
 
+    # each unknown takes the Crank-Nicolson pair of its leading term L, less
+    # the explicit counterpart at the midpoint state x^{n+1/2}:
+    # (I - dt L/2) Delta = dt (r + L (x^n - x^{n+1/2}))
     u_star, _ = centered_velocity(elastic_force(iface_h.s_alpha, dth_h, phys.elastic,
                                                 iface.length))
-    s_new = _semi_implicit(iface.s_alpha, _stretch_rate(u_star, dth_h, d), t2_hat, dt,
-                           ref=iface_h.s_alpha, theta=0.5)
+    s_new = iface.s_alpha + _increment(
+        0.5 * t2_hat, _stretch_rate(u_star, dth_h, d)
+        + spectral.apply_symbol_1d(iface.s_alpha - iface_h.s_alpha, t2_hat), dt, state.step + 1)
 
     s_bar = 0.5 * (s_new + iface.s_alpha)
     u_bar, fluid1 = centered_velocity(elastic_force(s_bar, dth_h, phys.elastic, iface.length))
@@ -641,9 +606,10 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     # the angle leading operator carries 1/min(s) on both the implicit
     # midpoint term and its explicit counterpart so the pair cancels to
     # O(dt^3); a pointwise 1/s on one side only would degrade the order
-    rhs_phi = _angle_rate(u_bar, dth_h, d) / iface_h.s_alpha
-    phi_new = _semi_implicit(iface.phi, rhs_phi, s2_hat / float(np.min(iface_h.s_alpha)), dt,
-                             ref=iface_h.phi, theta=0.5)
+    lead_phi = s2_hat / float(np.min(iface_h.s_alpha))
+    phi_new = iface.phi + _increment(
+        0.5 * lead_phi, _angle_rate(u_bar, dth_h, d) / iface_h.s_alpha
+        + spectral.apply_symbol_1d(iface.phi - iface_h.phi, lead_phi), dt, state.step + 1)
 
     # midpoint predictor for the anchors, velocities from the centered field
     refs = update_reference_points(iface_h, u_bar, dt)
@@ -651,15 +617,9 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     return _finish(state, cfg, s_new, phi_new, refs, fluid1)
 
 
-_STEPPERS = {
-    "explicit_steady": step_explicit,
-    "ssd1_steady": step_ssd1_steady,
-    "ssd2_steady": step_ssd2_steady,
+_STEPPERS = dict.fromkeys(_SEMI_IMPLICIT, step_semi_implicit) | {
     "ifrk4_steady": step_ifrk4_steady,
     "stable_steady": step_stable,
-    "explicit_unsteady": step_explicit,
-    "ssd1_unsteady": step_ssd1_unsteady,
-    "ssd2_unsteady": step_ssd2_unsteady,
     "stable_unsteady": step_stable,
     "second_order_unsteady": step_second_order_unsteady,
 }

@@ -156,15 +156,17 @@ def steady_stokes_grid_solve(force, mu, grid):
     return _spectral_solve(None, force, grid, None, _steady_symbol(grid.n, grid.length, mu))
 
 
-def _log_kernel_multiplier(n, interface_length):
-    """Multiplier of f -> int -ln((L_b/pi)|sin(pi (a-a')/L_b)|) f da'.
+def _log_kernel_multiplier(n, interface_length, domain_length):
+    """Multiplier of f -> int -ln((L_b/(pi L))|sin(pi (a-a')/L_b)|) f da', the
+    periodized log kernel with its distances in units of the domain length L,
+    the unit of the log in the periodic Green's function of the grid solves.
 
-    pi/|kappa| for kappa != 0 and -L_b ln(L_b/2pi) at kappa = 0 (which
-    vanishes for the 2*pi parameter domain).
+    pi/|kappa| for kappa != 0 and -L_b ln(L_b/(2 pi L)) at kappa = 0 (which
+    vanishes when L_b = 2 pi L).
     """
     kappa = spectral.wavenumbers(n, interface_length)
     mult = np.zeros(n)
     nz = kappa != 0
     mult[nz] = np.pi / np.abs(kappa[nz])
-    mult[0] = -interface_length * np.log(interface_length / (2.0 * np.pi))
+    mult[0] = -interface_length * np.log(interface_length / (2.0 * np.pi * domain_length))
     return mult

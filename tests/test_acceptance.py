@@ -2,7 +2,7 @@
 
 Criterion 9a (first-kind steady scheme, dt = 4, area loss <= 5%) holds
 because ssd1_steady sets its mean stretch mode from the discrete area
-balance; see the step_ssd1_steady docstring.
+balance; see choice (b) in the step_semi_implicit docstring.
 
 Beside them: criterion 3's energy bound on the stable schemes' GMRES path,
 a strict xfail that pins stable_steady's area loss at criterion 9a's

@@ -35,8 +35,8 @@ def _ssd2_unsteady_multipliers(n=32):
     kappa = spectral.wavenumbers(iface.n_nodes, iface.length)
     beta = p.lam * p.s_min
     mult = np.pi * bessel.k0_convolution_symbol(beta, kappa) \
-        - stokes._log_kernel_multiplier(iface.n_nodes, iface.length)
-    return mult, -kappa**2, kappa, beta, iface.length
+        - stokes._log_kernel_multiplier(iface.n_nodes, iface.length, config.domain_length)
+    return mult, -kappa**2, kappa, beta, iface.length, config.domain_length
 
 
 @pytest.mark.parametrize("n", [8, 256])
@@ -85,19 +85,19 @@ def test_package_path_loads_no_scipy_linalg_or_sparse():
 
 
 def test_product_of_circulants_is_circulant_of_product():
-    mult, d2, _, _, _ = _ssd2_unsteady_multipliers()
+    mult, d2, _, _, _, _ = _ssd2_unsteady_multipliers()
     circ = schemes._circulant_from_multiplier
     assert _rel(circ(mult * d2), circ(mult) @ circ(d2)) <= 1e-12
 
 
 def test_kernel_multiplier_is_k0_minus_log_symbol():
     # criterion 7's identity: pi/sqrt(beta^2 + kappa^2) - pi/|kappa|, and at
-    # kappa = 0 the mean pi/beta + L_b ln(L_b/2pi)
-    mult, _, kappa, beta, length = _ssd2_unsteady_multipliers()
+    # kappa = 0 the mean pi/beta + L_b ln(L_b/(2 pi L))
+    mult, _, kappa, beta, length, domain = _ssd2_unsteady_multipliers()
     nz = kappa != 0
     expect = np.empty_like(mult)
     expect[nz] = np.pi / np.sqrt(beta**2 + kappa[nz] ** 2) - np.pi / np.abs(kappa[nz])
-    expect[0] = np.pi / beta + length * np.log(length / (2.0 * np.pi))
+    expect[0] = np.pi / beta + length * np.log(length / (2.0 * np.pi * domain))
     assert np.max(np.abs(mult - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
@@ -107,6 +107,23 @@ def test_scaled_multiplier_is_scaled_circulant():
     assert gamma > 0
     circ = schemes._circulant_from_multiplier
     assert _rel(circ(-xi), -gamma * circ(eta)) <= 1e-14
+
+
+@pytest.mark.parametrize("lead", ["steady", "random"])
+def test_increment_diagonal_and_dense_branches_agree(lead):
+    # (I - dt L) Delta = dt r with L a Fourier diagonal, and with the same L
+    # as its circulant; without L the step is forward Euler, dt r exactly
+    if lead == "steady":
+        config = RunConfig(scheme="ssd1_steady", n=32, dt=0.1, mu=1.0)
+        mult = -schemes._steady_rates(config.initial_state().interface, config.phys())[0]
+    else:
+        mult = -np.abs(_random_multiplier(64, seed=5))
+    r = np.random.default_rng(6).standard_normal(len(mult))
+    dt = 0.3
+    diagonal = schemes._increment(mult, r, dt, 1)
+    dense = schemes._increment(schemes._circulant_from_multiplier(mult), r, dt, 1)
+    assert _rel(dense, diagonal) <= 1e-12
+    assert schemes._increment(None, r, dt, 1).tobytes() == (dt * r).tobytes()
 
 
 def test_derivative_matrix_is_cached_read_only():

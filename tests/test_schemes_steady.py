@@ -100,7 +100,7 @@ class TestSsd1Steady:
         eta, _, _ = schemes._steady_rates(iface, phys)
         dt = 0.1
         rhs = spectral.apply_symbol_1d(iface.s_alpha, -eta)
-        s_new = schemes._semi_implicit(iface.s_alpha, rhs, -eta, dt)
+        s_new = iface.s_alpha + schemes._increment(-eta, rhs, dt, 1)
         m32 = np.abs(np.fft.fft(s_new))[32] / nb
         expect = (eps / 2) / (1.0 + dt * 0.25 * 32)
         assert m32 == pytest.approx(expect, rel=0.05)
