@@ -74,15 +74,17 @@ def delta_stencils(curve, grid):
 def spread(stencils, values, grid, dalpha):
     """Scatter per-node values to the grid: sum_j g_j delta_h(x - X_j) dalpha.
 
-    values (N_b, ...) give a field (N, N, ...).  Accumulation runs per
-    component in fixed node-major order, so output is deterministic.
+    values (N_b, ...) give a field (N, N, ...).  One ``np.bincount`` over the
+    flat (cell, component) indices sums each grid value in fixed node-major
+    order, so output is deterministic.
     """
     values = np.asarray(values, dtype=float)
     cols = values.reshape(len(values), -1)
-    field = np.zeros((grid.n * grid.n, cols.shape[1]))
-    for c in range(cols.shape[1]):
-        contrib = stencils.w * (cols[:, c, None, None] * dalpha)
-        np.add.at(field[:, c], stencils.cells, contrib)
+    k = cols.shape[1]
+    # component-major, so each product runs over a node's 4x4 block
+    contrib = stencils.w * (cols.T * dalpha)[:, :, None, None]        # (k, N_b, 4, 4)
+    index = stencils.cells * k + np.arange(k)[:, None, None, None]
+    field = np.bincount(index.ravel(), weights=contrib.ravel(), minlength=grid.n * grid.n * k)
     return field.reshape((grid.n, grid.n) + values.shape[1:])
 
 

@@ -3,10 +3,16 @@
 The config format is a flat key = value document: one assignment per line,
 '#' starts a comment, and each unquoted value is read as its key's declared
 type (int, float or str).  Command-line flags override file values.
-Snapshots are versioned JSON documents.  Format 3 holds each array as a
+Snapshots are versioned JSON documents.  Format 4 holds each array as a
 record of its dtype, shape and raw little-endian float64 bytes in base64,
-and its scalars as JSON numbers (shortest repr, exact), so save/load is
-lossless.  Formats 1 and 2, whose arrays are JSON float lists, still load.
+and its scalars as JSON numbers (shortest repr, exact).  The fluid is
+stored as its rfft2 half spectrum (``u_hat``, ``v_hat``, real and imaginary
+parts on a last axis of 2), the spectrum the run carries; a reloaded fluid
+keeps it and forms u, v with the solves' own inverse transform when first
+read, so save/load is lossless and a resumed run retraces the straight one
+bit for bit.  Format 3 (the same records, with the grid fields u, v) and
+formats 1 and 2 (arrays as JSON float lists) still load: their u, v come in
+as written, and their spectrum is formed when first needed.
 """
 
 import base64
@@ -25,8 +31,9 @@ from .schemes import SchemeConfig, StepState, initial_state
 from .stokes import FluidState
 
 # format 2 adds the SSD rescaling coefficients c_v / c_u; format 3 writes
-# arrays as base64 float64 records; formats 1 and 2 still load
-SNAPSHOT_FORMAT_VERSION = 3
+# arrays as base64 float64 records; format 4 writes the fluid's half
+# spectrum in place of u, v; formats 1-3 still load
+SNAPSHOT_FORMAT_VERSION = 4
 
 TWO_PI = 2.0 * np.pi
 
@@ -146,7 +153,7 @@ def load_run_config(path=None, overrides=None):
 
 
 def _encode_array(a):
-    """The format-3 record of a float64 array: its dtype, its shape and its
+    """The record of a float64 array: its dtype, its shape and its
     raw little-endian bytes in base64."""
     a = np.ascontiguousarray(a, dtype="<f8")
     return {"dtype": "<f8", "shape": list(a.shape),
@@ -154,7 +161,7 @@ def _encode_array(a):
 
 
 def _decode_array(name, record):
-    """The writable, C-contiguous float64 array of the format-3 record of
+    """The writable, C-contiguous float64 array of the record of
     snapshot field ``name``; ParameterError naming the field when the record
     is malformed or its payload does not hold exactly its shape's values."""
     try:
@@ -167,6 +174,26 @@ def _decode_array(name, record):
         raise ParameterError(f"snapshot field {name}: {len(raw)} bytes of {dtype!r} do not "
                              f"make a float64 array of shape {list(shape)}")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+def _encode_spectrum(a):
+    """The record of a complex half spectrum (N, N/2 + 1), as float64 (real,
+    imaginary) pairs on a last axis."""
+    return _encode_array(np.stack((a.real, a.imag), axis=-1))
+
+
+def _decode_fluid(array):
+    """The FluidState of a format-4 document's ``u_hat`` / ``v_hat`` records,
+    read through ``array(name, shape)``; ParameterError naming the field when
+    ``u_hat`` is not the (N, N/2 + 1, 2) half spectrum of an even N, or
+    ``v_hat`` is not shaped like it."""
+    u_hat = array("u_hat")
+    n = u_hat.shape[0] if u_hat.ndim == 3 else 0
+    if not (n > 0 and n % 2 == 0 and u_hat.shape == (n, n // 2 + 1, 2)):
+        raise ParameterError(f"snapshot field u_hat: shape {list(u_hat.shape)} is not "
+                             "the half spectrum (N, N/2 + 1, 2) of an even N")
+    v_hat = array("v_hat", u_hat.shape)
+    return FluidState(spectrum=(u_hat.view(complex)[..., 0], v_hat.view(complex)[..., 0]))
 
 
 def save_snapshot(path, state, run_config=None):
@@ -182,8 +209,8 @@ def save_snapshot(path, state, run_config=None):
         "s_alpha": _encode_array(iface.s_alpha),
         "phi": _encode_array(iface.phi),
         "ref_points": _encode_array(iface.ref_points),
-        "u": _encode_array(fluid.u) if fluid is not None else None,
-        "v": _encode_array(fluid.v) if fluid is not None else None,
+        "u_hat": None if fluid is None else _encode_spectrum(fluid.spectrum[0]),
+        "v_hat": None if fluid is None else _encode_spectrum(fluid.spectrum[1]),
         "speed_ref": state.speed_ref,
         "c_v": state.c_v,
         "c_u": state.c_u,
@@ -205,11 +232,11 @@ def load_snapshot(path):
     with open(path) as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
-    if version not in (1, 2, SNAPSHOT_FORMAT_VERSION):
+    if version not in (1, 2, 3, SNAPSHOT_FORMAT_VERSION):
         raise ParameterError(f"unsupported snapshot format {version}")
 
     def array(name, shape=None):
-        if version == SNAPSHOT_FORMAT_VERSION:
+        if version >= 3:
             a = _decode_array(name, doc[name])
         else:
             a = np.array(doc[name])     # formats 1 and 2: JSON float lists
@@ -221,8 +248,11 @@ def load_snapshot(path):
     s_alpha = array("s_alpha")
     iface = InterfaceState(s_alpha, array("phi", s_alpha.shape), array("ref_points", (2, 2)),
                            doc["interface_length"])
-    u = None if doc["u"] is None else array("u")
-    fluid = None if u is None else FluidState(u, array("v", u.shape))
+    if version == SNAPSHOT_FORMAT_VERSION:
+        fluid = None if doc["u_hat"] is None else _decode_fluid(array)
+    else:
+        u = None if doc["u"] is None else array("u")
+        fluid = None if u is None else FluidState(u, array("v", u.shape))
     curve = reconstruct_curve(iface)
     return StepState(iface, curve, fluid, doc["t"], doc["step"], doc.get("speed_ref"),
                      doc.get("c_v"), doc.get("c_u"))

@@ -90,8 +90,10 @@ class StepState:
     c_u: float = None             # a start state with c_v = c_u = 1 runs unrescaled
 
 
-def _grid_uv(fluid):
-    return np.stack([fluid.u, fluid.v], axis=-1)
+def _node_velocity(stencils, fluid, grid):
+    """J u: the fluid's xy velocity interpolated at the nodes, (N_b, 2)."""
+    return np.stack([coupling.interpolate(stencils, fluid.u, grid),
+                     coupling.interpolate(stencils, fluid.v, grid)], axis=-1)
 
 
 def _fluid_solve(fluid, phys, grid, cfg):
@@ -107,18 +109,18 @@ def _velocity_map(stencils, iface, grid, solve, average_with=None):
     and velocity blocks [normal; tangential] in its node frames: the force is
     rotated to xy, spread through ``stencils`` with the interface's spacing,
     solved for by ``solve(f_grid)``, interpolated and rotated back.  The
-    trapezoidal scheme interpolates the mean of the solved fluid and
-    ``average_with``."""
+    trapezoidal scheme takes the mean of that and the node velocity of
+    ``average_with``, interpolated once per map."""
     tau, nrm = tangent_normal(iface)
     nb = len(tau)
+    uv_with = None if average_with is None else _node_velocity(stencils, average_with, grid)
 
     def velocity(force):
         fluid = solve(coupling.spread(stencils, force[:nb, None] * nrm + force[nb:, None] * tau,
                                       grid, iface.dalpha))
-        uv = _grid_uv(fluid)
-        if average_with is not None:
-            uv = 0.5 * (uv + _grid_uv(average_with))
-        uv = coupling.interpolate(stencils, uv, grid)
+        uv = _node_velocity(stencils, fluid, grid)
+        if uv_with is not None:
+            uv = 0.5 * (uv + uv_with)
         return np.concatenate([np.sum(uv * nrm, axis=1), np.sum(uv * tau, axis=1)]), fluid
     return velocity
 
@@ -391,6 +393,7 @@ def step_semi_implicit(state, phys, grid, cfg):
 
     u = u_star
     if at_u1:
+        fluid = None    # U*'s fluid is not kept: free it before the next solve
         u, fluid = velocity(elastic_force(s_new, dth, phys.elastic, length))
     lead_phi, c_u = lead_phi(s_new, u)
     s_rate = iface.s_alpha if leads is None else s_new   # forward Euler: all at t^n
@@ -489,8 +492,7 @@ def _interface_mobility(stencils, iface, grid, solve):
         units = np.stack([nrm[j], tau[j]], axis=-1)[None]    # (1, xy, a)
         fields = coupling.spread(stencils[j:j + 1], units, grid, iface.dalpha)  # (N, N, xy, a)
         for a in range(2):
-            uv[..., a * nb + j] = coupling.interpolate(stencils, _grid_uv(solve(fields[..., a])),
-                                                       grid)
+            uv[..., a * nb + j] = _node_velocity(stencils, solve(fields[..., a]), grid)
     return np.concatenate([np.sum(uv * nrm[..., None], axis=1),
                            np.sum(uv * tau[..., None], axis=1)])
 
@@ -574,7 +576,8 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     # it and is unnecessary at second-order accuracy)
     half = step_semi_implicit(replace(state, c_v=1.0, c_u=1.0), phys, grid,
                               replace(cfg, scheme="ssd1_unsteady", dt=dt / 2))
-    iface_h = half.interface
+    iface_h, curve_h = half.interface, half.curve
+    del half    # its fluid is not kept: free it before the next solve
     dth_h = theta_derivative(iface_h)
     d = partial(spectral.derivative_1d, period=iface.length)
 
@@ -586,7 +589,7 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     # trapezoidal solves on the midpoint curve; the velocity is that of the
     # centred fluid (u^n + u^{n+1})/2
     centered_velocity = _velocity_map(
-        coupling.delta_stencils(half.curve, grid), iface_h, grid,
+        coupling.delta_stencils(curve_h, grid), iface_h, grid,
         lambda f_grid: unsteady_stokes_step(state.fluid, f_grid, phys.rho, phys.mu, dt, grid,
                                             theta=0.5),
         average_with=state.fluid)
@@ -594,8 +597,8 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     # each unknown takes the Crank-Nicolson pair of its leading term L, less
     # the explicit counterpart at the midpoint state x^{n+1/2}:
     # (I - dt L/2) Delta = dt (r + L (x^n - x^{n+1/2}))
-    u_star, _ = centered_velocity(elastic_force(iface_h.s_alpha, dth_h, phys.elastic,
-                                                iface.length))
+    u_star = centered_velocity(elastic_force(iface_h.s_alpha, dth_h, phys.elastic,
+                                             iface.length))[0]
     s_new = iface.s_alpha + _increment(
         0.5 * t2_hat, _stretch_rate(u_star, dth_h, d)
         + spectral.apply_symbol_1d(iface.s_alpha - iface_h.s_alpha, t2_hat), dt, state.step + 1)

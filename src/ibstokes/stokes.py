@@ -10,15 +10,17 @@ multipliers.
 The per-grid operators (wavenumbers, and the symbol's three components
 Gxx, Gxy, Gyy with the unsteady keep factor, keyed on the steady or
 unsteady scalars) are built once and cached as read-only arrays, so a
-solve is four FFTs plus one 2x2 symbol product per mode, and an advancing
-solve adds the fluid's own two, formed once per fluid state.  The
-module also holds the Fourier multiplier of the periodized log kernel on
-the interface, which the second-kind schemes' leading terms use.  Beyond
-those read-only caches it keeps no state: ``ibstokes cost`` counts the
-solves from outside.
+solve is four FFTs (one rfft2 and one irfft2 per component) plus one 2x2
+symbol product per mode, written into the output spectra through one
+scratch array.  Each solve's fluid keeps the half spectrum it
+inverse-transformed, and the fluid at rest a zero one, so a solve that
+advances from either transforms only the force.  The module also holds
+the Fourier multiplier of the periodized log kernel on the interface,
+which the second-kind schemes' leading terms use.  Beyond those read-only
+caches it keeps no state: ``ibstokes cost`` counts the solves from
+outside.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -26,26 +28,51 @@ import numpy as np
 from . import spectral
 from .errors import ParameterError
 
-@dataclass
-class FluidState:
-    """Velocity components on the N x N periodic grid.  The fields are never
-    written in place, so their rfft2 half spectrum is formed once per state
-    and shared by every solve that advances from it."""
 
-    u: np.ndarray
-    v: np.ndarray
+class FluidState:
+    """Velocity components u, v on the N x N periodic grid and their rfft2
+    half spectrum ``spectrum`` = (rfft2(u), rfft2(v)), read-only.  A fluid
+    is built from either or both and forms what it lacks once, when first
+    needed; the fields are never written in place.  A solve's fluid carries
+    both (its spectrum is the one it inverse-transformed), the fluid at rest
+    a zero spectrum and a reloaded snapshot's fluid its spectrum alone, so a
+    solve that advances from any of them transforms only the force, and a
+    reloaded fluid is the run's bit for bit."""
+
+    def __init__(self, u=None, v=None, spectrum=None):
+        if u is not None:
+            self.u, self.v = u, v
+        if spectrum is not None:
+            self.spectrum = tuple(_read_only(a) for a in spectrum)
 
     @classmethod
     def rest(cls, n):
-        return cls(np.zeros((n, n)), np.zeros((n, n)))
+        zero = np.zeros((n, n // 2 + 1), dtype=complex)
+        return cls(np.zeros((n, n)), np.zeros((n, n)), (zero, zero))
 
     def max_speed(self):
-        return float(np.sqrt(np.max(self.u**2 + self.v**2)))
+        speed2 = self.u * self.u
+        speed2 += self.v * self.v
+        return float(np.sqrt(np.max(speed2)))
+
+    @cached_property
+    def u(self):
+        return _irfft2(self.spectrum[0])
+
+    @cached_property
+    def v(self):
+        return _irfft2(self.spectrum[1])
 
     @cached_property
     def spectrum(self):
-        """(rfft2(u), rfft2(v))."""
         return _read_only(np.fft.rfft2(self.u)), _read_only(np.fft.rfft2(self.v))
+
+
+def _irfft2(a):
+    """The N x N grid field of the (N, N/2 + 1) half spectrum ``a``: the one
+    inverse transform of the solves and of the reloaded snapshots."""
+    n = len(a)
+    return np.fft.irfft2(a, s=(n, n))
 
 
 def _read_only(a):
@@ -108,23 +135,28 @@ def divergence_inf_norm(fluid, length=1.0):
 
 
 def _spectral_solve(fluid, force, grid, keep, symbol):
-    """Per rfft2 mode, u_hat_new = keep u_hat + G f_hat, with ``keep`` and
+    """Per rfft2 mode, u_hat_new = G f_hat + keep u_hat, with ``keep`` and
     the symbol G = (Gxx, Gxy, Gyy) arrays on the half spectrum.  ``fluid``
-    None is a fluid at rest: its transform and ``keep`` are skipped."""
+    None is a fluid at rest: its term is skipped.  The new fluid keeps
+    u_hat_new as its spectrum."""
     n = grid.n
-    if force.shape != (n, n, 2) or (fluid is not None and fluid.u.shape != (n, n)):
+    # a reloaded fluid may hold its spectrum alone: its u is not formed here
+    if force.shape != (n, n, 2) or (fluid is not None and (
+            fluid.spectrum[0].shape != (n, n // 2 + 1)
+            or "u" in vars(fluid) and fluid.u.shape != (n, n))):
         raise ParameterError("field shapes inconsistent with grid")
     gxx, gxy, gyy = symbol
     fu, fv = np.fft.rfft2(force[..., 0]), np.fft.rfft2(force[..., 1])
-    un = gxx * fu
-    un += gxy * fv
-    vn = gxy * fu
-    vn += gyy * fv
+    un = np.multiply(gxx, fu)
+    vn = np.multiply(gxy, fu)
+    scratch = fu        # spent: each remaining product goes through it
+    un += np.multiply(gxy, fv, out=scratch)
+    vn += np.multiply(gyy, fv, out=scratch)
     if fluid is not None:
         fluid_u, fluid_v = fluid.spectrum
-        un += keep * fluid_u
-        vn += keep * fluid_v
-    return FluidState(np.fft.irfft2(un, s=(n, n)), np.fft.irfft2(vn, s=(n, n)))
+        un += np.multiply(keep, fluid_u, out=scratch)
+        vn += np.multiply(keep, fluid_v, out=scratch)
+    return FluidState(_irfft2(un), _irfft2(vn), (un, vn))
 
 
 def unsteady_stokes_step(fluid, force, rho, mu, dt, grid, theta=1.0):

@@ -161,6 +161,24 @@ class TestSpreadInterpolate:
         b = coupling.spread(coupling.delta_stencils(curve, grid), g, grid, spacing(curve))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("trailing", [(), (2,), (3,), (2, 2)])
+    def test_spread_equals_add_at_reference_bitwise(self, trailing):
+        # the bincount sums each grid value in the node-major order of an
+        # np.add.at scatter per component, so the fields agree bit for bit
+        grid = GridSpec.make(64)
+        rng = np.random.default_rng(7)
+        curve = random_curve(rng, 128)
+        stencils = coupling.delta_stencils(curve, grid)
+        values = rng.standard_normal((128,) + trailing)
+        dalpha = spacing(curve)
+        cols = values.reshape(128, -1)
+        want = np.zeros((64 * 64, cols.shape[1]))
+        for c in range(cols.shape[1]):
+            np.add.at(want[:, c], stencils.cells, stencils.w * (cols[:, c, None, None] * dalpha))
+        got = coupling.spread(stencils, values, grid, dalpha)
+        assert got.shape == (64, 64) + trailing
+        assert np.array_equal(got, want.reshape((64, 64) + trailing))
+
 
 class TestInnerProducts:
     def test_constant_interface(self):

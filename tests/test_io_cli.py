@@ -96,6 +96,9 @@ class TestSnapshots:
         assert np.array_equal(back.interface.phi, state.interface.phi)
         assert np.array_equal(back.interface.ref_points, state.interface.ref_points)
         assert np.array_equal(back.fluid.u, state.fluid.u)
+        assert np.array_equal(back.fluid.v, state.fluid.v)
+        for a, b in zip(back.fluid.spectrum, state.fluid.spectrum):
+            assert np.array_equal(a, b) and not a.flags.writeable
         assert back.t == state.t and back.step == state.step
 
     def test_save_load_step_equals_step(self, tmp_path):
@@ -120,16 +123,34 @@ class TestSnapshots:
         path = tmp_path / "snap.json"
         save_snapshot(str(path), state, config)
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 3
-        for name, a in zip(ARRAY_FIELDS, _state_arrays(state)):
+        assert doc["format_version"] == 4
+        assert "u" not in doc and "v" not in doc
+        half = [32, 32 // 2 + 1, 2]     # the fluid's rfft2 half spectrum, (re, im) pairs
+        shapes = [list(a.shape) for a in _state_arrays(state)[:3]] + [half, half]
+        for name, shape in zip(SPECTRUM_FIELDS, shapes):
             assert set(doc[name]) == {"dtype", "shape", "base64"}
-            assert doc[name]["dtype"] == "<f8" and doc[name]["shape"] == list(a.shape)
+            assert doc[name]["dtype"] == "<f8" and doc[name]["shape"] == shape
         scalars = {"t": state.t, "step": state.step, "interface_length": state.interface.length,
                    "speed_ref": state.speed_ref, "c_v": state.c_v, "c_u": state.c_u}
         assert {name: doc[name] for name in scalars} == scalars
         back = load_snapshot(str(path))
         for a in _state_arrays(back):
             assert a.dtype == np.float64 and a.flags.writeable and a.flags.c_contiguous
+
+    def test_format_3_records_load_bitwise(self, tmp_path):
+        # format 3 stored the grid fields u, v; they load as written, and the
+        # spectrum is formed from them when first needed
+        config, phys, grid, state = self.make_state()
+        path = tmp_path / "v3.json"
+        save_snapshot(str(path), state, config)
+        path.write_text(json.dumps(_format_3_document(json.loads(path.read_text()), state)))
+        back = load_snapshot(str(path))
+        for a, b in zip(_state_arrays(state), _state_arrays(back)):
+            assert np.array_equal(a, b)
+        assert (back.t, back.step, back.speed_ref, back.c_v, back.c_u) \
+            == (state.t, state.step, state.speed_ref, state.c_v, state.c_u)
+        for a, b in zip(back.fluid.spectrum, state.fluid.spectrum):
+            assert np.allclose(a, b, rtol=0, atol=1e-14 * np.max(np.abs(b)))
 
     def test_format_2_lists_load_bitwise(self, tmp_path):
         config, phys, grid, state = self.make_state()
@@ -160,17 +181,27 @@ class TestSnapshots:
         ("u", lambda r: {**r, "shape": [r["shape"][0], r["shape"][1] + 1]}),
         ("ref_points", lambda r: {**r, "shape": [-1]}),
         ("v", lambda r: {**r, "dtype": "<f4"}),
+        pytest.param("u_hat", lambda r: {**r, "base64": r["base64"][:-4]}, id="u_hat-short"),
         # well-formed records whose shapes disagree with the other fields
         pytest.param("phi", lambda r: _first_values(r, r["shape"][0] - 2), id="phi-short"),
         pytest.param("ref_points", lambda r: _first_values(r, 3), id="ref_points-three"),
         pytest.param("v", lambda r: {**r, "shape": [r["shape"][0] // 2, r["shape"][1] * 2]},
                      id="v-not-shaped-as-u"),
+        # not the (N, N/2 + 1, 2) half spectrum of an even N
+        pytest.param("u_hat", lambda r: {**r, "shape": [r["shape"][1], r["shape"][0], 2]},
+                     id="u_hat-odd-n"),
+        pytest.param("u_hat", lambda r: {**r, "shape": [r["shape"][0], r["shape"][1] * 2]},
+                     id="u_hat-no-pairs"),
+        pytest.param("v_hat", lambda r: {**r, "shape": [r["shape"][0] // 2, r["shape"][1] * 2, 2]},
+                     id="v_hat-not-shaped-as-u_hat"),
     ])
     def test_damaged_array_names_field(self, tmp_path, field, damage):
         config, phys, grid, state = self.make_state()
         path = tmp_path / "snap.json"
         save_snapshot(str(path), state, config)
         doc = json.loads(path.read_text())
+        if field in ("u", "v"):     # the grid fields of format 3
+            doc = _format_3_document(doc, state)
         doc[field] = damage(doc[field])
         path.write_text(json.dumps(doc))
         with pytest.raises(ParameterError, match=f"snapshot field {field}:"):
@@ -198,10 +229,25 @@ class TestSnapshots:
 
 
 ARRAY_FIELDS = ("s_alpha", "phi", "ref_points", "u", "v")
+SPECTRUM_FIELDS = ARRAY_FIELDS[:3] + ("u_hat", "v_hat")
+
+
+def _record(a):
+    """The base64 float64 record of array ``a``, as formats 3 and 4 write it."""
+    return {"dtype": "<f8", "shape": list(a.shape),
+            "base64": base64.b64encode(np.ascontiguousarray(a, "<f8").tobytes()).decode("ascii")}
+
+
+def _format_3_document(doc, state):
+    """The format-4 document ``doc`` of ``state`` as format 3 wrote it: the
+    fluid as the grid fields u, v in place of its half spectrum."""
+    doc = {k: v for k, v in doc.items() if k not in ("u_hat", "v_hat")}
+    doc.update(format_version=3, u=_record(state.fluid.u), v=_record(state.fluid.v))
+    return doc
 
 
 def _first_values(record, count):
-    """A well-formed format-3 record of the first ``count`` values of ``record``."""
+    """A well-formed record of the first ``count`` values of ``record``."""
     raw = base64.b64decode(record["base64"])[:8 * count]
     return {"dtype": "<f8", "shape": [count], "base64": base64.b64encode(raw).decode("ascii")}
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ibstokes import diagnostics, schemes, spectral
+from ibstokes import diagnostics, schemes, spectral, stokes
 from ibstokes.bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_t
 from ibstokes.geometry import InterfaceState, reconstruct_curve
 from ibstokes.grids import GridSpec
@@ -245,3 +245,31 @@ def test_ssd_symbols_recomputed_per_step():
     assert p.s_max_excess == pytest.approx(0.4)
     assert ssd_symbol_t(3.0, p) < 0
     assert ssd_symbol_s(3.0, p) < 0
+
+
+@pytest.mark.parametrize("scheme", UNSTEADY)
+def test_each_fluid_solve_transforms_only_the_force(scheme, monkeypatch):
+    # one rfft2 and one irfft2 per component per fluid solve, on every step
+    # from the fluid at rest on: each fluid carries its half spectrum into
+    # the next solve, so none is transformed again
+    config = RunConfig(scheme=scheme, n=16, mu=0.01,
+                       dt=0.005 if scheme == "explicit_unsteady" else 0.05)
+    phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
+    counts = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((np.fft, "rfft2"), (np.fft, "irfft2"), (stokes, "_spectral_solve")):
+        count(owner, name)
+    state = config.initial_state()
+    for _ in range(3):
+        counts.update(rfft2=0, irfft2=0, _spectral_solve=0)
+        state = schemes.step(state, phys, grid, cfg)
+        assert counts["_spectral_solve"] > 0
+        assert counts["rfft2"] == counts["irfft2"] == 2 * counts["_spectral_solve"], counts

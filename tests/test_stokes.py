@@ -171,6 +171,18 @@ class TestUnsteadyStep:
             stokes.unsteady_stokes_step(FluidState.rest(16), np.zeros((16, 16, 2)),
                                         1.0, 1.0, 0.0, grid)
 
+    @pytest.mark.parametrize("force_shape, fluid", [
+        ((16, 17, 2), FluidState.rest(16)),
+        ((16, 16, 2), FluidState.rest(8)),
+        # rfft2 of a (16, 17) field is (16, 9), the half spectrum of N = 16
+        ((16, 16, 2), FluidState(np.zeros((16, 17)), np.zeros((16, 17)))),
+        ((16, 16, 2), FluidState(spectrum=(np.zeros((16, 8), complex),) * 2)),
+    ], ids=["force", "fluid-n8", "fluid-u-16x17", "fluid-spectrum-16x8"])
+    def test_shapes_inconsistent_with_grid(self, force_shape, fluid):
+        grid = GridSpec.make(16)
+        with pytest.raises(ParameterError, match="inconsistent with grid"):
+            stokes.unsteady_stokes_step(fluid, np.zeros(force_shape), 1.0, 0.01, 0.05, grid)
+
 
 class TestSteadyGridSolve:
     def test_zero_force(self):
