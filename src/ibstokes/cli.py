@@ -205,7 +205,8 @@ def _counted_calls():
     transforms the package calls ("fft"), the fluid solves and the dense
     solves.  Each is wrapped where the package looks it up, and every
     original is restored on exit.  Yields the counts."""
-    counted = {"fft": [(np.fft, name) for name in ("fft", "ifft", "rfft2", "irfft2")],
+    counted = {"fft": [(np.fft, name) for name in ("fft", "ifft", "rfft", "irfft", "rfft2",
+                                                   "irfft2")],
                "fluid_solves": [(stokes, "_spectral_solve")],
                "dense_solves": [(schemes, "_dense_solve")]}
     counts = dict.fromkeys(counted, 0)

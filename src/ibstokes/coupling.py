@@ -43,17 +43,19 @@ class Stencils:
 
     w: weights (N_b, 4, 4) with w[j, p, q] = phi(dx_p) phi(dy_q) / h^2;
     cells: the flat grid index ix[j, p] * N + iy[j, q] of each weight, with
-    ix, iy the periodic grid indices of the node's 4x4 block per axis.
+    ix, iy the periodic grid indices of the node's 4x4 block per axis;
+    wh2: the interpolation weights w * h^2, formed once.
     """
 
     w: np.ndarray
     cells: np.ndarray
+    wh2: np.ndarray
 
     def __getitem__(self, nodes):
         """The stencils of a slice of the nodes, e.g. ``stencils[j:j + 1]``
         for node j alone: spreading through it equals spreading values that
         vanish off those nodes through the whole curve's object."""
-        return Stencils(self.w[nodes], self.cells[nodes])
+        return Stencils(self.w[nodes], self.cells[nodes], self.wh2[nodes])
 
 
 def delta_stencils(curve, grid):
@@ -68,7 +70,7 @@ def delta_stencils(curve, grid):
     cy = np.floor(gy).astype(int) + offs
     ix, iy = cx % n, cy % n
     w = peskin_phi(gx - cx)[:, :, None] * peskin_phi(gy - cy)[:, None, :] / h**2
-    return Stencils(w, ix[:, :, None] * n + iy[:, None, :])
+    return Stencils(w, ix[:, :, None] * n + iy[:, None, :], w * h**2)
 
 
 def spread(stencils, values, grid, dalpha):
@@ -91,15 +93,21 @@ def spread(stencils, values, grid, dalpha):
 def interpolate(stencils, field, grid):
     """Gather a grid field at the interface: sum_x u(x) delta_h(x - X_j) h^2.
 
-    field (N, N, ...) gives node values (N_b, ...).
+    field (N, N, ...) gives node values (N_b, ...); a tuple of (N, N)
+    components, such as (u, v), gives (N_b, len(field)) without stacking them.
     """
-    field = np.asarray(field, dtype=float)
-    cols = field.reshape(grid.n * grid.n, -1)
-    wh2 = stencils.w * grid.h**2
-    out = np.empty((len(wh2), cols.shape[1]))
-    for c in range(cols.shape[1]):
-        out[:, c] = np.einsum("jpq,jpq->j", wh2, cols[:, c][stencils.cells])
-    return out.reshape(out.shape[:1] + field.shape[2:])
+    if isinstance(field, tuple):
+        comps = [np.asarray(c, dtype=float).reshape(-1) for c in field]
+        trailing = (len(comps),)
+    else:
+        field = np.asarray(field, dtype=float)
+        cols = field.reshape(grid.n * grid.n, -1)
+        comps = [cols[:, c] for c in range(cols.shape[1])]
+        trailing = field.shape[2:]
+    out = np.empty((len(stencils.wh2), len(comps)))
+    for c, comp in enumerate(comps):
+        out[:, c] = np.einsum("jpq,jpq->j", stencils.wh2, comp[stencils.cells])
+    return out.reshape(out.shape[:1] + trailing)
 
 
 def inner_product_gamma(f, g, dalpha):

@@ -20,21 +20,25 @@ The explicit and semi-implicit (SSD) schemes share one stepper,
 (``_increment``), first for s_alpha, then for the angle, r the explicit rate
 R K F and L the implicit leading operator, so every scheme is consistent with
 the same dynamics; only the stability properties differ.  L is absent for
-forward Euler, a Fourier diagonal for the first kind, and for the second kind
-those circulants plus a dense correction in s_alpha and the transport (V/s) D
-in the angle; the trapezoidal scheme's Crank-Nicolson pair goes through
-``_increment`` too.  The integrating-factor scheme takes the continuum
-Hilbert rates as its factor: it is fourth order in time while the interface
-is no finer than the grid (N_b <= N/2), and loses that order at the default
-N_b = 2N, whose highest modes the 4-point delta cannot see.  The second-kind
-circulants are gathered from their first columns, and a circulant product
-from the multipliers' product: O(N_b^2) assembly.  Both implicit systems of
-the two-step stable schemes read A = I - diag(scale) R K F_lin, with F_lin
-the linear part of F in the unknown and K the interface mobility: formed once
-per step, one fluid solve per unit force (``_interface_mobility``), up to
-DENSE_MAX nodes, else applied by GMRES as one grid solve per product, both to
-the relative residual LINEAR_TOL.
+forward Euler and a Fourier diagonal for the first kind.  The second kind's
+L is the first kind's diagonal plus a correction, applied by 1-D FFT
+convolution: the log-kernel (steady) or smooth-kernel (unsteady) part of the
+normal velocity in s_alpha, the transport (V/s) D in the angle.  Its
+increments are solved matrix-free by GMRES (``_gmres``), right-preconditioned
+by the first kind's own Fourier solve, to SECOND_KIND_TOL: O(N_b log N_b) per
+iteration and no N_b x N_b array.  The trapezoidal scheme's Crank-Nicolson
+pair goes through ``_increment`` too.  The integrating-factor scheme takes
+the continuum Hilbert rates as its factor: it is fourth order in time while
+the interface is no finer than the grid (N_b <= N/2), and loses that order
+at the default N_b = 2N, whose highest modes the 4-point delta cannot see.
+Both implicit systems of the two-step stable schemes read
+A = I - diag(scale) R K F_lin, with F_lin the linear part of F in the unknown
+and K the interface mobility: formed once per step, one fluid solve per unit
+force (``_interface_mobility``), up to DENSE_MAX nodes, else applied by the
+same GMRES as one grid solve per product, both to the relative residual
+LINEAR_TOL.
 """
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -60,6 +64,7 @@ ALL_SCHEMES = STEADY_SCHEMES + UNSTEADY_SCHEMES
 
 DENSE_MAX = 256       # dense stable-scheme systems up to this N_b, GMRES above
 LINEAR_TOL = 1e-10    # relative residual of the stable schemes' implicit solves
+SECOND_KIND_TOL = 1e-13  # relative residual of the second-kind increments, the LU's round-off
 BLOWUP_FACTOR = 1e6   # velocity growth over the first step's speed that counts as blowup
 # an SSD leading term under ROUNDOFF times its operator's size (``_size``) is
 # round-off: circle starts read <= 4e-14 of their size at N <= 128, ellipses >= 1e-4
@@ -92,8 +97,7 @@ class StepState:
 
 def _node_velocity(stencils, fluid, grid):
     """J u: the fluid's xy velocity interpolated at the nodes, (N_b, 2)."""
-    return np.stack([coupling.interpolate(stencils, fluid.u, grid),
-                     coupling.interpolate(stencils, fluid.v, grid)], axis=-1)
+    return coupling.interpolate(stencils, (fluid.u, fluid.v), grid)
 
 
 def _fluid_solve(fluid, phys, grid, cfg):
@@ -206,15 +210,83 @@ def _dense_solve(a, b, step_index, rtol=1e-8):
     return x
 
 
+def _fourier_map(mult):
+    """x -> real(ifft(mult * fft(x))) for a conjugate-symmetric multiplier,
+    through the real transforms and mult's half spectrum."""
+    n = len(mult)
+    half = mult[:n // 2 + 1]
+    return lambda x: np.fft.irfft(half * np.fft.rfft(x), n)
+
+
+def _kernel_map(left, mult, right):
+    """x -> left * conv(mult, right * x): a diagonal, the circulant of the
+    conjugate-symmetric Fourier multiplier ``mult`` and a diagonal, applied
+    by two real FFTs."""
+    conv = _fourier_map(mult)
+    return lambda x: left * conv(right * x)
+
+
+def _gmres(apply, b, tol, step_index):
+    """Solve apply(x) = b to the relative residual ``tol`` by GMRES from x = 0:
+    unrestarted and at most len(b) iterations, the Krylov basis orthogonalised
+    by classical Gram-Schmidt with one re-orthogonalisation, and the
+    Hessenberg least-squares problem reduced by Givens rotations as it grows,
+    so each iteration reads its residual norm off the rotated right-hand side."""
+    n = len(b)
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros(n)
+    basis = np.empty((n + 1, n))     # only the rows the iterations reach are touched
+    basis[0] = b / beta
+    rotations, cols, g = [], [], [beta]  # (cos, sin); the triangle's columns; rotated rhs
+    for k in range(n):
+        w = apply(basis[k])
+        q = basis[:k + 1]
+        h = q @ w
+        w -= h @ q
+        h2 = q @ w
+        w -= h2 @ q
+        col = (h + h2).tolist()
+        h_next = float(np.linalg.norm(w))
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        rho = math.hypot(col[k], h_next)
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise SolverStallError(f"GMRES stalled on a singular or non-finite Krylov step "
+                                   f"at step {step_index}")
+        c, s = col[k] / rho, h_next / rho
+        col[k] = rho
+        rotations.append((c, s))
+        cols.append(col)
+        g.append(-s * g[k])
+        g[k] *= c
+        if abs(g[k + 1]) <= tol * beta:
+            break
+        basis[k + 1] = w / h_next
+    else:
+        raise SolverStallError(f"GMRES stalled at relative residual {abs(g[n]) / beta:.2e} "
+                               f"after {n} iterations at step {step_index}")
+    y = np.zeros(len(cols))
+    for i in range(len(cols) - 1, -1, -1):     # back substitution on the triangle
+        y[i] = (g[i] - sum(cols[j][i] * y[j] for j in range(i + 1, len(cols)))) / cols[i][i]
+    return y @ basis[:len(cols)]
+
+
 def _increment(lead, r, dt, step_index):
     """Delta = x^{n+1} - x^n of the step x^{n+1} = x^n + dt (r + L Delta), so
     (I - dt L) Delta = dt r, for the leading operator L = ``lead`` absent
-    (forward Euler), a Fourier diagonal, or a matrix (dense solve)."""
+    (forward Euler), a Fourier diagonal, or a pair (diagonal, correction map)
+    of the second kind, L = L_diag + C.  The pair is solved matrix-free by
+    GMRES to SECOND_KIND_TOL, right-preconditioned by M = (I - dt L_diag)^-1,
+    the first kind's own Fourier solve: (I - dt C M) y = dt r, Delta = M y."""
     if lead is None:
         return dt * r
-    if lead.ndim == 1:
+    if not isinstance(lead, tuple):
         return np.real(np.fft.ifft(dt * np.fft.fft(r) / (1.0 - dt * lead)))
-    return _dense_solve(np.eye(len(r)) - dt * lead, dt * r, step_index)
+    diagonal, correction = lead
+    precondition = _fourier_map(1.0 / (1.0 - dt * diagonal))
+    return precondition(_gmres(lambda y: y - dt * correction(precondition(y)), dt * r,
+                               SECOND_KIND_TOL, step_index))
 
 
 def _steady_rates(iface, phys):
@@ -242,22 +314,19 @@ def _area_balanced_stretch(s_new, phi_new, refs, length, target_area, step_index
 def _steady_leads(state, phys, grid, cfg, dth, dv, second_kind):
     """(L_s, C_V, lead_phi), ``lead_phi(s_new, u) = (L_phi, C_U)``, of steady
     flow: the Hilbert rates -eta and -gamma eta (``_steady_rates``), unrescaled,
-    as Fourier diagonals or (second kind) circulants, the second kind's L_s
-    plus the log-kernel part of the normal velocity."""
+    as Fourier diagonals, the second kind's L_s paired with the log-kernel
+    part of the normal velocity."""
     iface = state.interface
-    eta, xi, gamma = _steady_rates(iface, phys)
-    if not second_kind:
-        return -eta, None, lambda s_new, u: (-xi, None)
-    lam_abs = _circulant_from_multiplier(eta)         # (S_b/4mu)|kappa|
-    log_mat = _circulant_from_multiplier(     # the periodized ln|a - a'| convolution
-        -stokes._log_kernel_multiplier(iface.n_nodes, iface.length, grid.length))
-    c = phys.elastic / (4.0 * np.pi * phys.mu)
-    # ds/dt = -(S_b/4mu) H D s - theta_a * U_lead(s) + explicit rate, with
-    # U_lead(s) = -c * int ln|a-a'| (s-1) theta_a da'; the constant part of
-    # U_lead goes with the explicit rate, leaving L_s linear in s
-    lead_s = -lam_abs + c * (dth[:, None] * log_mat * dth[None, :])
-    lead_phi = -gamma * lam_abs
-    return lead_s, None, lambda s_new, u: (lead_phi, None)
+    eta, xi, _ = _steady_rates(iface, phys)
+    lead_s = -eta
+    if second_kind:
+        # ds/dt = -(S_b/4mu) H D s - theta_a * U_lead(s) + explicit rate, with
+        # U_lead(s) = -c * int ln|a-a'| (s-1) theta_a da'; the constant part of
+        # U_lead goes with the explicit rate, leaving L_s linear in s
+        c = phys.elastic / (4.0 * np.pi * phys.mu)
+        lead_s = (lead_s, _kernel_map(c * dth, -stokes._log_kernel_multiplier(
+            iface.n_nodes, iface.length, grid.length), dth))
+    return lead_s, None, lambda s_new, u: (-xi, None)
 
 
 def _size(*factors):
@@ -299,8 +368,8 @@ def _velocity_level_lead(symbol, phi, s_min, length):
 def _unsteady_leads(state, phys, grid, cfg, dth, dv, second_kind):
     """(L_s, C_V, lead_phi), ``lead_phi(s_new, u) = (L_phi, C_U)``, of
     unsteady flow: C_V T and C_U S/min(s^{n+1}), T and S the SSD symbols, as
-    Fourier diagonals or (second kind) circulants, the second kind's L_s plus
-    the smooth kernel on D^2((s - 1) theta_a).  The first step fixes C_V from
+    Fourier diagonals, the second kind's L_s paired with the smooth kernel on
+    D^2((s - 1) theta_a).  The first step fixes C_V from
     D V* (``dv``) and C_U from the normal velocity u."""
     iface = state.interface
     s0, nb = iface.s_alpha, iface.n_nodes
@@ -316,28 +385,26 @@ def _unsteady_leads(state, phys, grid, cfg, dth, dv, second_kind):
         # increment form takes at phi^{n+1} and subtracts at phi^n alike; a
         # pointwise 1/s on one side only makes the homogeneous high-k
         # multiplier min(s) != 1, and the update amplifies node-scale modes
-        lead = c_u * s_hat_sym / float(np.min(s_new))
-        return (_circulant_from_multiplier(lead) if second_kind else lead), c_u
+        return c_u * s_hat_sym / float(np.min(s_new)), c_u
 
     if not second_kind:
         c_v = _rescaling_coefficient(state.c_v, dv, lambda: (
             spectral.apply_symbol_1d(s0, t_hat), _size(t_hat, s0)))
         return c_v * t_hat, c_v, lead_phi
-    # dense correction: the smooth K0(beta|d|) + ln|d| convolution (the log
+    # correction: the smooth K0(beta|d|) + ln|d| convolution (the log
     # singularities cancel, as in the second fundamental solution) acting on
-    # D^2((s-1) theta_a), assembled as one circulant of the multipliers' product
+    # D^2((s - 1) theta_a), one multiplier, the kernel's times -kappa^2
     mult = np.pi * bessel.k0_convolution_symbol(p.lam * p.s_min, kappa) \
         - stokes._log_kernel_multiplier(nb, iface.length, grid.length)
-    kd2 = _circulant_from_multiplier(mult * -kappa**2)
-    t_mat = _circulant_from_multiplier(t_hat)
+    d2_mult = mult * -kappa**2
     pref = -(phys.elastic * cfg.dt) / (2.0 * np.pi * phys.rho)
     coef = dth / s0**2
-    # the leading term t_mat s + pref coef kd2 ((s - 1) theta_a) is affine in s;
+    # the leading term T s + pref coef conv((s - 1) theta_a) is affine in s;
     # its constant part goes with the explicit rate, leaving L_s linear in s
     c_v = _rescaling_coefficient(state.c_v, dv, lambda: (
-        t_mat @ s0 + pref * coef * (kd2 @ ((s0 - 1.0) * dth)),
-        _size(t_hat, s0) + _size(pref, coef, mult * kappa**2, (s0 - 1.0) * dth)))
-    return c_v * (t_mat + pref * (coef[:, None] * kd2 * dth[None, :])), c_v, lead_phi
+        spectral.apply_symbol_1d(s0, t_hat) + _kernel_map(pref * coef, d2_mult, dth)(s0 - 1.0),
+        _size(t_hat, s0) + _size(pref, coef, d2_mult, (s0 - 1.0) * dth)))
+    return (c_v * t_hat, _kernel_map(c_v * pref * coef, d2_mult, dth)), c_v, lead_phi
 
 
 # scheme: (leading operators, none for forward Euler; second kind; angle and
@@ -397,8 +464,9 @@ def step_semi_implicit(state, phys, grid, cfg):
         u, fluid = velocity(elastic_force(s_new, dth, phys.elastic, length))
     lead_phi, c_u = lead_phi(s_new, u)
     s_rate = iface.s_alpha if leads is None else s_new   # forward Euler: all at t^n
-    if second_kind:
-        lead_phi = lead_phi + (u[nb:] / s_new)[:, None] * _derivative_matrix(nb, length)
+    if second_kind:     # the transport (V/s^{n+1}) D
+        lead_phi = (lead_phi, _kernel_map(u[nb:] / s_new,
+                                          1j * spectral.odd_wavenumbers(nb, length), 1.0))
     phi_new = iface.phi + _increment(lead_phi, _angle_rate(u, dth, d) / s_rate, dt,
                                      state.step + 1)
     refs = update_reference_points(iface, u, dt)
@@ -465,16 +533,7 @@ def _solve_linear(lin, b, step_index):
     the assembled matrix A (dense solve) or the linear map x -> A x (GMRES)."""
     if isinstance(lin, np.ndarray):
         return _dense_solve(lin, b, step_index, rtol=LINEAR_TOL)
-    # imported here, its only use, so that importing the package loads no SciPy
-    from scipy.sparse.linalg import LinearOperator, gmres
-    nb = len(b)
-    op = LinearOperator((nb, nb), matvec=lin)
-    restart = min(50, nb)
-    maxiter = max(1, (10 * nb) // restart)
-    x, info = gmres(op, b, rtol=LINEAR_TOL, atol=0.0, restart=restart, maxiter=maxiter)
-    if info != 0:
-        raise SolverStallError(f"GMRES stalled (info={info}) at step {step_index}")
-    return x
+    return _gmres(lin, b, LINEAR_TOL, step_index)
 
 
 def _interface_mobility(stencils, iface, grid, solve):

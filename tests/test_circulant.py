@@ -1,4 +1,5 @@
-"""Circulant algebra behind the second-kind schemes' dense systems."""
+"""Circulant algebra behind the stable schemes' dense systems, and the
+matrix-free second-kind solves checked against it."""
 
 import os
 import subprocess
@@ -11,7 +12,8 @@ from scipy.linalg import circulant
 
 import ibstokes
 from ibstokes import bessel, schemes, spectral, stokes
-from ibstokes.bessel import SsdSymbolParams
+from ibstokes.bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_t
+from ibstokes.geometry import elastic_force, theta_derivative
 from ibstokes.errors import SolverStallError
 from ibstokes.io import RunConfig
 
@@ -63,18 +65,26 @@ def test_circulant_build_is_scipy_circulant_bitwise(n):
 
 
 def test_package_path_loads_no_scipy_linalg_or_sparse():
-    # a fresh process, since this file imports scipy.linalg: the CLI and one
-    # dense-path step of every scheme (N_b = 32 <= DENSE_MAX) need numpy alone
+    # a fresh process, since this file imports scipy.linalg: the CLI, one
+    # dense-path step of every scheme (N_b = 32 <= DENSE_MAX) and one GMRES
+    # step of each stable scheme (DENSE_MAX = 0) need numpy alone
     code = textwrap.dedent("""
         import sys
         import ibstokes.cli
         from ibstokes import schemes
         from ibstokes.io import RunConfig
-        for scheme in schemes.ALL_SCHEMES:
+
+        def one_step(scheme):
             config = RunConfig(scheme=scheme, n=16, dt=0.01)
             schemes.step(config.initial_state(), config.phys(), config.grid(),
                          config.scheme_config())
-        print(sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse"))))
+
+        for scheme in schemes.ALL_SCHEMES:
+            one_step(scheme)
+        schemes.DENSE_MAX = 0
+        one_step("stable_steady")
+        one_step("stable_unsteady")
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(ibstokes.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -111,8 +121,9 @@ def test_scaled_multiplier_is_scaled_circulant():
 
 @pytest.mark.parametrize("lead", ["steady", "random"])
 def test_increment_diagonal_and_dense_branches_agree(lead):
-    # (I - dt L) Delta = dt r with L a Fourier diagonal, and with the same L
-    # as its circulant; without L the step is forward Euler, dt r exactly
+    # (I - dt L) Delta = dt r with L a Fourier diagonal, against a dense solve
+    # of the same L as its circulant; without L the step is forward Euler,
+    # dt r exactly
     if lead == "steady":
         config = RunConfig(scheme="ssd1_steady", n=32, dt=0.1, mu=1.0)
         mult = -schemes._steady_rates(config.initial_state().interface, config.phys())[0]
@@ -121,9 +132,84 @@ def test_increment_diagonal_and_dense_branches_agree(lead):
     r = np.random.default_rng(6).standard_normal(len(mult))
     dt = 0.3
     diagonal = schemes._increment(mult, r, dt, 1)
-    dense = schemes._increment(schemes._circulant_from_multiplier(mult), r, dt, 1)
-    assert _rel(dense, diagonal) <= 1e-12
+    dense = np.linalg.solve(np.eye(len(r)) - dt * schemes._circulant_from_multiplier(mult), dt * r)
+    assert _rel(diagonal, dense) <= 1e-12
     assert schemes._increment(None, r, dt, 1).tobytes() == (dt * r).tobytes()
+
+
+def _dense_second_kind(scheme, state, phys, grid, dt, s_new, u, c_v, c_u):
+    """The second kind's leading operators L_s and L_phi as dense matrices,
+    assembled from circulants: the Fourier diagonal plus the kernel
+    correction for s_alpha, plus the transport (V/s^{n+1}) D for the angle."""
+    iface = state.interface
+    nb, length = iface.n_nodes, iface.length
+    circ = schemes._circulant_from_multiplier
+    dth = theta_derivative(iface)
+    transport = (u[nb:] / s_new)[:, None] * schemes._derivative_matrix(nb, length)
+    log_mult = stokes._log_kernel_multiplier(nb, length, grid.length)
+    if scheme == "ssd2_steady":
+        eta, _, gamma = schemes._steady_rates(iface, phys)
+        c = phys.elastic / (4.0 * np.pi * phys.mu)
+        lead_s = -circ(eta) + c * (dth[:, None] * circ(-log_mult) * dth[None, :])
+        return lead_s, -gamma * circ(eta) + transport
+    s0 = iface.s_alpha
+    p = SsdSymbolParams.from_state(s0, phys.elastic, phys.mu, phys.rho, dt)
+    kappa = spectral.wavenumbers(nb, length)
+    mult = np.pi * bessel.k0_convolution_symbol(p.lam * p.s_min, kappa) - log_mult
+    pref = -(phys.elastic * dt) / (2.0 * np.pi * phys.rho)
+    lead_s = c_v * (circ(ssd_symbol_t(kappa, p))
+                    + pref * ((dth / s0**2)[:, None] * circ(mult * -kappa**2) * dth[None, :]))
+    return lead_s, circ(c_u * ssd_symbol_s(kappa, p) / np.min(s_new)) + transport
+
+
+@pytest.mark.parametrize("dt", [0.05, 1.0])
+@pytest.mark.parametrize("scheme", ["ssd2_steady", "ssd2_unsteady"])
+def test_second_kind_increment_matches_dense_solve(scheme, dt, monkeypatch):
+    # both increments of a first second-kind step, the s_alpha and the angle
+    # system, against np.linalg.solve of (I - dt L) Delta = dt r with L
+    # assembled densely; dt = 1 is criterion 5's
+    steady = scheme == "ssd2_steady"
+    config = RunConfig(scheme=scheme, n=32, dt=dt, mu=1.0 if steady else 0.01)
+    phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
+    state = config.initial_state()
+    calls = []
+    increment = schemes._increment
+
+    def recording(lead, r, dt_, step_index):
+        delta = increment(lead, r, dt_, step_index)
+        calls.append((lead, r, delta))
+        return delta
+
+    monkeypatch.setattr(schemes, "_increment", recording)
+    new = schemes.step(state, phys, grid, cfg)
+    (lead_s, r_s, delta_s), (lead_phi, r_phi, delta_phi) = calls
+    assert isinstance(lead_s, tuple) and isinstance(lead_phi, tuple)
+    iface = state.interface
+    s_new = iface.s_alpha + delta_s
+    velocity = schemes._step_map(state, phys, grid, cfg)
+    dth = theta_derivative(iface)
+    u = velocity(elastic_force(iface.s_alpha if steady else s_new, dth, phys.elastic,
+                               iface.length))[0]
+    dense_s, dense_phi = _dense_second_kind(scheme, state, phys, grid, dt, s_new, u,
+                                            new.c_v, new.c_u)
+    eye = np.eye(iface.n_nodes)
+    assert _rel(delta_s, np.linalg.solve(eye - dt * dense_s, dt * r_s)) <= 1e-12
+    assert _rel(delta_phi, np.linalg.solve(eye - dt * dense_phi, dt * r_phi)) <= 1e-12
+
+
+def test_gmres_solves_a_nonsymmetric_system_and_stalls_out_of_reach():
+    rng = np.random.default_rng(7)
+    n = 40
+    a = 2.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+    assert np.max(np.abs(a - a.T)) > 0.1
+    b = rng.standard_normal(n)
+    x = schemes._gmres(a.__matmul__, b, 1e-13, 1)
+    assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert _rel(x, np.linalg.solve(a, b)) <= 1e-11
+    assert not np.any(schemes._gmres(a.__matmul__, np.zeros(n), 1e-13, 1))
+    with pytest.raises(SolverStallError, match="GMRES stalled at relative residual .* "
+                                               f"after {n} iterations at step 9"):
+        schemes._gmres(a.__matmul__, b, 1e-300, 9)
 
 
 def test_derivative_matrix_is_cached_read_only():

@@ -144,6 +144,15 @@ class TestSpreadInterpolate:
                                   coupling.spread(stencils, g[:, c], grid, spacing(curve)))
             assert np.array_equal(vals[:, c], coupling.interpolate(stencils, u[..., c], grid))
 
+    def test_component_tuple_interpolates_as_the_stacked_field(self):
+        grid = GridSpec.make(32)
+        rng = np.random.default_rng(8)
+        stencils = coupling.delta_stencils(random_curve(rng, 64), grid)
+        u = rng.standard_normal((32, 32, 2))
+        stacked = coupling.interpolate(stencils, u, grid)
+        assert np.array_equal(coupling.interpolate(stencils, (u[..., 0], u[..., 1]), grid),
+                              stacked)
+
     def test_periodic_wrap(self):
         # a node just outside the box spreads onto wrapped cells with full mass
         grid = GridSpec.make(16)
