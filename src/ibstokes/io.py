@@ -84,6 +84,9 @@ class RunConfig:
             v = getattr(self, name)
             if not finite_real(v):
                 raise ParameterError(f"{name}: must be finite, got {v!r}")
+        # the label is the stem of every output file: it names no other directory
+        if any(sep and sep in self.label for sep in ("/", os.sep, os.altsep)):
+            raise ParameterError(f"label: must not contain a path separator, got {self.label!r}")
         self.scheme_config()
 
     def interface_length(self):
@@ -228,18 +231,28 @@ def save_snapshot(path, state, run_config=None):
 
 
 def load_snapshot(path):
-    """Rebuild a StepState from a snapshot file of any supported format."""
+    """Rebuild a StepState from a snapshot file of any supported format;
+    ParameterError for a file that is not a JSON object or lacks a field."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:       # JSONDecodeError, UnicodeDecodeError
+            raise ParameterError(f"snapshot {path}: not a JSON document ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ParameterError(f"snapshot {path}: not a JSON object")
     version = doc.get("format_version")
     if version not in (1, 2, 3, SNAPSHOT_FORMAT_VERSION):
         raise ParameterError(f"unsupported snapshot format {version}")
 
+    def field(name):
+        try:
+            return doc[name]
+        except KeyError:
+            raise ParameterError(f"snapshot field {name}: missing") from None
+
     def array(name, shape=None):
-        if version >= 3:
-            a = _decode_array(name, doc[name])
-        else:
-            a = np.array(doc[name])     # formats 1 and 2: JSON float lists
+        # formats 1 and 2 hold JSON float lists
+        a = _decode_array(name, field(name)) if version >= 3 else np.array(field(name))
         if shape is not None and a.shape != shape:
             raise ParameterError(f"snapshot field {name}: shape {list(a.shape)}, "
                                  f"expected {list(shape)}")
@@ -247,15 +260,15 @@ def load_snapshot(path):
 
     s_alpha = array("s_alpha")
     iface = InterfaceState(s_alpha, array("phi", s_alpha.shape), array("ref_points", (2, 2)),
-                           doc["interface_length"])
+                           field("interface_length"))
     if version == SNAPSHOT_FORMAT_VERSION:
-        fluid = None if doc["u_hat"] is None else _decode_fluid(array)
+        fluid = None if field("u_hat") is None else _decode_fluid(array)
     else:
-        u = None if doc["u"] is None else array("u")
+        u = None if field("u") is None else array("u")
         fluid = None if u is None else FluidState(u, array("v", u.shape))
-    curve = reconstruct_curve(iface)
-    return StepState(iface, curve, fluid, doc["t"], doc["step"], doc.get("speed_ref"),
-                     doc.get("c_v"), doc.get("c_u"))
+    c_v, c_u = (field("c_v"), field("c_u")) if version >= 2 else (None, None)  # format 1: none
+    return StepState(iface, reconstruct_curve(iface), fluid, field("t"), field("step"),
+                     field("speed_ref"), c_v, c_u)
 
 
 def write_diagnostics_csv(path, records):

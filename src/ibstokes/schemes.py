@@ -21,9 +21,10 @@ The explicit and semi-implicit (SSD) schemes share one stepper,
 R K F and L the implicit leading operator, so every scheme is consistent with
 the same dynamics; only the stability properties differ.  L is absent for
 forward Euler and a Fourier diagonal for the first kind.  The second kind's
-L is the first kind's diagonal plus a correction, applied by 1-D FFT
-convolution: the log-kernel (steady) or smooth-kernel (unsteady) part of the
-normal velocity in s_alpha, the transport (V/s) D in the angle.  Its
+L is the first kind's diagonal plus a correction, a convolution: the
+log-kernel (steady) or smooth-kernel (unsteady) part of the normal velocity
+in s_alpha, the transport (V/s) D in the angle.  Diagonal and convolution
+alike are applied by ``spectral.fourier_map``.  The second kind's
 increments are solved matrix-free by GMRES (``_gmres``), right-preconditioned
 by the first kind's own Fourier solve, to SECOND_KIND_TOL: O(N_b log N_b) per
 iteration and no N_b x N_b array.  The trapezoidal scheme's Crank-Nicolson
@@ -34,13 +35,14 @@ at the default N_b = 2N, whose highest modes the 4-point delta cannot see.
 Both implicit systems of the two-step stable schemes read
 A = I - diag(scale) R K F_lin, with F_lin the linear part of F in the unknown
 and K the interface mobility: formed once per step, one fluid solve per unit
-force (``_interface_mobility``), up to DENSE_MAX nodes, else applied by the
+force (``_interface_mobility``), up to DENSE_MAX nodes, with D as the
+derivative's circulant (``_circulant_from_multiplier``), else applied by the
 same GMRES as one grid solve per product, both to the relative residual
 LINEAR_TOL.
 """
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -188,15 +190,6 @@ def _circulant_from_multiplier(mult):
     return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step)).copy()
 
 
-@lru_cache(maxsize=8)
-def _derivative_matrix(n, period):
-    """Spectral first-derivative circulant (Nyquist mode zeroed).  It depends
-    only on (N_b, L_b), so it is built once and cached, read-only."""
-    dmat = _circulant_from_multiplier(1j * spectral.odd_wavenumbers(n, period))
-    dmat.flags.writeable = False
-    return dmat
-
-
 def _dense_solve(a, b, step_index, rtol=1e-8):
     try:
         x = np.linalg.solve(a, b)
@@ -210,19 +203,11 @@ def _dense_solve(a, b, step_index, rtol=1e-8):
     return x
 
 
-def _fourier_map(mult):
-    """x -> real(ifft(mult * fft(x))) for a conjugate-symmetric multiplier,
-    through the real transforms and mult's half spectrum."""
-    n = len(mult)
-    half = mult[:n // 2 + 1]
-    return lambda x: np.fft.irfft(half * np.fft.rfft(x), n)
-
-
 def _kernel_map(left, mult, right):
     """x -> left * conv(mult, right * x): a diagonal, the circulant of the
     conjugate-symmetric Fourier multiplier ``mult`` and a diagonal, applied
     by two real FFTs."""
-    conv = _fourier_map(mult)
+    conv = spectral.fourier_map(mult)
     return lambda x: left * conv(right * x)
 
 
@@ -281,10 +266,10 @@ def _increment(lead, r, dt, step_index):
     the first kind's own Fourier solve: (I - dt C M) y = dt r, Delta = M y."""
     if lead is None:
         return dt * r
-    if not isinstance(lead, tuple):
-        return np.real(np.fft.ifft(dt * np.fft.fft(r) / (1.0 - dt * lead)))
-    diagonal, correction = lead
-    precondition = _fourier_map(1.0 / (1.0 - dt * diagonal))
+    diagonal, correction = lead if isinstance(lead, tuple) else (lead, None)
+    precondition = spectral.fourier_map(1.0 / (1.0 - dt * diagonal))
+    if correction is None:
+        return precondition(dt * r)
     return precondition(_gmres(lambda y: y - dt * correction(precondition(y)), dt * r,
                                SECOND_KIND_TOL, step_index))
 
@@ -358,11 +343,8 @@ def _velocity_level_lead(symbol, phi, s_min, length):
     u_hat = s_min * symbol(kappa) * phi_hat / (i kappa), on an interface of
     length ``length``.
     """
-    kappa = spectral.odd_wavenumbers(len(phi), length)
-    out = np.zeros(len(phi), dtype=complex)
-    nz = kappa != 0
-    out[nz] = s_min * symbol[nz] * np.fft.fft(phi)[nz] / (1j * kappa[nz])
-    return np.real(np.fft.ifft(out)), _size(s_min, symbol[nz] / kappa[nz], phi)
+    mult = symbol * spectral.antiderivative_multiplier(len(phi), length)
+    return spectral.fourier_map(s_min * mult)(phi), _size(s_min, mult, phi)
 
 
 def _unsteady_leads(state, phys, grid, cfg, dth, dv, second_kind):
@@ -499,14 +481,15 @@ def step_ifrk4_steady(state, phys, grid, cfg):
     iface = state.interface
     dt = cfg.dt
     nb = iface.n_nodes
+    half = nb // 2 + 1      # y holds the rfft half spectra of s_alpha and the angle
     eta, xi, _ = _steady_rates(iface, phys)
-    rate = np.concatenate([eta, xi])
+    rate = np.concatenate([eta[:half], xi[:half]])
     d = partial(spectral.derivative_1d, period=iface.length)
     stage_vel = []
 
     def n_func(stage, y):
-        s = np.real(np.fft.ifft(y[:nb]))
-        phi = np.real(np.fft.ifft(y[nb:]))
+        s = np.fft.irfft(y[:half], nb)
+        phi = np.fft.irfft(y[half:], nb)
         if np.any(s <= 0) or not np.all(np.isfinite(s)):
             raise BlowupError(state.step + 1, "stage state degenerate inside RK4")
         stage_if = InterfaceState(s, phi, iface.ref_points, iface.length)
@@ -514,13 +497,13 @@ def step_ifrk4_steady(state, phys, grid, cfg):
         dth = theta_derivative(stage_if)
         u, _ = _step_map(stage, phys, grid, cfg)(elastic_force(s, dth, phys.elastic, iface.length))
         stage_vel.append(anchor_velocity(stage_if, u))
-        return np.concatenate([np.fft.fft(_stretch_rate(u, dth, d)) + eta * y[:nb],
-                               np.fft.fft(_angle_rate(u, dth, d) / s) + xi * y[nb:]])
+        return np.concatenate([np.fft.rfft(_stretch_rate(u, dth, d)),
+                               np.fft.rfft(_angle_rate(u, dth, d) / s)]) + rate * y
 
-    y0 = np.concatenate([np.fft.fft(iface.s_alpha), np.fft.fft(iface.phi)])
+    y0 = np.concatenate([np.fft.rfft(iface.s_alpha), np.fft.rfft(iface.phi)])
     y1 = _ifrk4_diagonal(y0, rate, dt, n_func)
-    s_new = np.real(np.fft.ifft(y1[:nb]))
-    phi_new = np.real(np.fft.ifft(y1[nb:]))
+    s_new = np.fft.irfft(y1[:half], nb)
+    phi_new = np.fft.irfft(y1[half:], nb)
     # the anchors ride the same RK4 stages (classical weights), keeping the
     # reconstruction at the accuracy of the interface update
     k1, k2, k3, k4 = stage_vel
@@ -568,7 +551,7 @@ def step_stable(state, phys, grid, cfg):
     linear in the unknown.  Step 1 takes F(s^{n+1}, theta^n) = F_lin s^{n+1} +
     F(0, theta^n); Step 2 takes F(s^{n+1}, theta^{n+1}) = F_lin phi^{n+1} +
     F(s^{n+1}, 2 pi/L_b).  Up to DENSE_MAX nodes K is assembled once per step
-    (``_interface_mobility``) and A formed with the derivative matrix; above
+    (``_interface_mobility``) and A formed with the derivative circulant; above
     it GMRES applies A, K as one from-rest grid solve, D as the FFT derivative."""
     iface = state.interface
     dt = cfg.dt
@@ -585,7 +568,8 @@ def step_stable(state, phys, grid, cfg):
     fft_derivative = partial(spectral.derivative_1d, period=length)
     dense = nb <= DENSE_MAX
     if dense:
-        derivative = _derivative_matrix(nb, length).__matmul__
+        derivative = _circulant_from_multiplier(
+            1j * spectral.odd_wavenumbers(nb, length)).__matmul__
         mobility = _interface_mobility(stencils, iface, grid, solve).__matmul__
     else:
         derivative = fft_derivative

@@ -2,11 +2,12 @@
 derivatives, the antiderivative and diagonal Fourier multipliers.
 
 Conventions follow the discrete Fourier transform with wavenumbers
-k in {-N/2+1, ..., N/2}.  numpy's FFT stores the unpaired Nyquist mode at
+k in {-N/2+1, ..., N/2}.  Every multiplier is an FFT-ordered, conjugate-
+symmetric array, applied by ``fourier_map`` alone: one rfft/irfft pair
+through its half spectrum.  numpy's FFT stores the unpaired Nyquist mode at
 index N/2 with the opposite sign convention; the odd-symmetry multipliers
 (ik, 1/ik) zero that mode so results stay real and skew-symmetry is
-preserved.  Even multipliers keep it.  ``odd_wavenumbers`` is that rule,
-for every odd multiplier in the package.
+preserved.  Even multipliers keep it.  ``odd_wavenumbers`` is that rule.
 """
 
 import numpy as np
@@ -40,13 +41,27 @@ def odd_wavenumbers(n, period=TWO_PI):
     return k
 
 
+def fourier_map(mult):
+    """x -> real(ifft(mult * fft(x))) along the last axis of x, for the
+    conjugate-symmetric FFT-ordered multiplier ``mult``: one real transform
+    pair through its half spectrum."""
+    n = len(mult)
+    half = mult[:n // 2 + 1]
+    return lambda x: np.fft.irfft(half * np.fft.rfft(x), n)
+
+
+def antiderivative_multiplier(n, period=TWO_PI):
+    """1/(ik) on the odd wavenumbers, zero where k vanishes (the mean and the
+    Nyquist mode)."""
+    k = odd_wavenumbers(n, period)
+    return np.divide(1.0, 1j * k, out=np.zeros(n, dtype=complex), where=k != 0)
+
+
 def derivative_1d(f, *, period=TWO_PI):
     """Spectral first derivative of periodic samples (even length) over the
     parameter domain of length ``period``."""
     f = _check_1d(f)
-    fh = np.fft.fft(f)
-    fh *= 1j * odd_wavenumbers(f.size, period)
-    return np.real(np.fft.ifft(fh))
+    return fourier_map(1j * odd_wavenumbers(f.size, period))(f)
 
 
 def apply_symbol_1d(f, symbol):
@@ -60,14 +75,13 @@ def apply_symbol_1d(f, symbol):
     sig = np.asarray(symbol)
     if sig.shape != (n,):
         raise ParameterError(f"symbol array has shape {sig.shape}, expected ({n},)")
-    sig = sig.astype(complex)
     paired = np.arange(1, n // 2)
     mismatch = np.max(np.abs(sig[-paired] - np.conj(sig[paired]))) if paired.size else 0.0
     scale = max(np.max(np.abs(sig)), 1e-300)
     if mismatch > 1e-12 * scale or abs(sig[0].imag) > 1e-12 * scale \
             or abs(sig[n // 2].imag) > 1e-12 * scale:
         raise ParameterError("symbol is not conjugate-symmetric; real output impossible")
-    return np.real(np.fft.ifft(np.fft.fft(f) * sig))
+    return fourier_map(sig)(f)
 
 
 def antiderivative(f, value_at_zero=0.0, period=TWO_PI):
@@ -77,16 +91,9 @@ def antiderivative(f, value_at_zero=0.0, period=TWO_PI):
     periodic only when f has zero mean.
     """
     f = _check_1d(f)
-    n = f.size
-    k = odd_wavenumbers(n, period)
-    fh = np.fft.fft(f)
-    mean = fh[0].real / n
-    gh = np.zeros_like(fh)
-    nz = k != 0
-    gh[nz] = fh[nz] / (1j * k[nz])
-    g = np.real(np.fft.ifft(gh))
-    alpha = period * np.arange(n) / n
-    return g - g[0] + mean * alpha + value_at_zero
+    g = fourier_map(antiderivative_multiplier(f.size, period))(f)
+    alpha = period * np.arange(f.size) / f.size
+    return g - g[0] + np.mean(f) * alpha + value_at_zero
 
 
 def derivative_2d(field, axis, length=1.0):
@@ -97,14 +104,9 @@ def derivative_2d(field, axis, length=1.0):
     field = np.asarray(field, dtype=float)
     if field.ndim != 2 or field.shape[0] != field.shape[1] or field.shape[0] == 0:
         raise ParameterError(f"need a square N x N grid, got shape {field.shape}")
-    n = field.shape[0]
-    k = odd_wavenumbers(n, length)
+    derivative = fourier_map(1j * odd_wavenumbers(field.shape[0], length))
     if axis == "x":
-        fh = np.fft.fft(field, axis=0)
-        fh *= (1j * k)[:, None]
-        return np.real(np.fft.ifft(fh, axis=0))
+        return derivative(field.T).T
     if axis == "y":
-        fh = np.fft.fft(field, axis=1)
-        fh *= (1j * k)[None, :]
-        return np.real(np.fft.ifft(fh, axis=1))
+        return derivative(field)
     raise ParameterError(f"axis must be 'x' or 'y', got {axis!r}")

@@ -5,7 +5,9 @@ only its own tests call is dead weight; delete it with its tests, or list it
 below with the reason it stays.  A private module-level function has no
 such outside user: package code must refer to it.  Every function that the
 benchmark's tracer reports by name must exist in the package, and so must
-every package attribute that a demo or a tool loads."""
+every package attribute that a demo or a tool loads.  Periodic multipliers
+go through ``spectral.fourier_map``'s real transforms: the complex 1-D FFT
+is left only to the circulant build."""
 
 import ast
 import importlib
@@ -134,3 +136,20 @@ def test_every_attribute_a_demo_or_tool_loads_exists():
     missing = [f"{module}.{name}" for module, name in sorted(refs)
                if not hasattr(importlib.import_module(f"ibstokes.{module}"), name)]
     assert not missing, f"demos/ or tools/ load names the package lacks: {missing}"
+
+
+# the complex 1-D transforms' one user: the circulant's first column
+COMPLEX_FFT_ALLOWED = {("schemes", "_circulant_from_multiplier")}
+
+
+def test_complex_fft_only_in_circulant_build():
+    found = []
+    for module, tree in TREES.items():
+        for top in tree.body:
+            owner = (module, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in ("fft", "ifft") \
+                        and ast.unparse(node.value) == "np.fft":
+                    found.append(owner)
+    assert set(found) == COMPLEX_FFT_ALLOWED, \
+        f"np.fft.fft / np.fft.ifft outside the circulant build: {sorted(set(found))}"

@@ -145,7 +145,7 @@ def _dense_second_kind(scheme, state, phys, grid, dt, s_new, u, c_v, c_u):
     nb, length = iface.n_nodes, iface.length
     circ = schemes._circulant_from_multiplier
     dth = theta_derivative(iface)
-    transport = (u[nb:] / s_new)[:, None] * schemes._derivative_matrix(nb, length)
+    transport = (u[nb:] / s_new)[:, None] * circ(1j * spectral.odd_wavenumbers(nb, length))
     log_mult = stokes._log_kernel_multiplier(nb, length, grid.length)
     if scheme == "ssd2_steady":
         eta, _, gamma = schemes._steady_rates(iface, phys)
@@ -212,11 +212,8 @@ def test_gmres_solves_a_nonsymmetric_system_and_stalls_out_of_reach():
         schemes._gmres(a.__matmul__, b, 1e-300, 9)
 
 
-def test_derivative_matrix_is_cached_read_only():
-    dmat = schemes._derivative_matrix(16, 2.0 * np.pi)
-    assert schemes._derivative_matrix(16, 2.0 * np.pi) is dmat
-    with pytest.raises(ValueError):
-        dmat[0, 0] = 1.0
+def test_derivative_circulant_applies_derivative_1d():
+    dmat = schemes._circulant_from_multiplier(1j * spectral.odd_wavenumbers(16, 2.0 * np.pi))
     f = np.sin(np.arange(16) * 2.0 * np.pi / 16)
     assert _rel(dmat @ f, spectral.derivative_1d(f)) <= 1e-13
 

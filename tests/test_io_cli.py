@@ -207,6 +207,32 @@ class TestSnapshots:
         with pytest.raises(ParameterError, match=f"snapshot field {field}:"):
             load_snapshot(str(path))
 
+    @pytest.mark.parametrize("version, field", [
+        (4, "t"), (4, "step"), (4, "interface_length"), (4, "phi"), (4, "u_hat"),
+        (4, "v_hat"), (4, "speed_ref"), (4, "c_u"), (3, "u"), (2, "c_v"), (1, "v")])
+    def test_missing_field_names_field(self, tmp_path, version, field):
+        config, phys, grid, state = self.make_state()
+        path = tmp_path / "snap.json"
+        save_snapshot(str(path), state, config)
+        doc = json.loads(path.read_text())
+        if version == 3:
+            doc = _format_3_document(doc, state)
+        elif version < 3:
+            doc = _list_document(state, config, version)
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match=f"snapshot field {field}: missing"):
+            load_snapshot(str(path))
+
+    @pytest.mark.parametrize("content", [b'{"format_version": 4, "t": ', b"[4, 0.5]",
+                                         b"\xff\xfe not text"],
+                             ids=["truncated", "array", "not-utf8"])
+    def test_not_a_json_object_names_path(self, tmp_path, content):
+        path = tmp_path / "snap.json"
+        path.write_bytes(content)
+        with pytest.raises(ParameterError, match=f"snapshot {path}: not a JSON"):
+            load_snapshot(str(path))
+
     def test_failed_write_keeps_earlier_snapshot(self, tmp_path, monkeypatch):
         config, phys, grid, state = self.make_state()
         path = tmp_path / "snap.json"
@@ -388,7 +414,8 @@ class TestCli:
                                             ("snapshot_every", "2.5"),
                                             ("snapshot_every", "true"),
                                             ("mu", "abc"), ("mu", "yes"), ("dt", "on"),
-                                            ("center_x", "left"), ("n", "64.5")])
+                                            ("center_x", "left"), ("n", "64.5"),
+                                            ("label", "a/b")])
     def test_bad_value_or_removed_key_is_usage_error(self, key, value, tmp_path, capsys):
         # non-finite, bool and non-numeric values are refused before the run
         # starts, and the removed options are unknown keys; either way the
@@ -413,7 +440,10 @@ class TestCli:
         ("sweep", "--n-list", "16,15", "--dt-list", "0.1"),
         ("sweep", "--n-list", "16", "--dt-list", "0.1", "--set", "ellipse_a=1e-13"),
         ("cost", "--schemes", "ssd1_unsteady", "--n-list", "16", "--set", "ellipse_a=1e-13"),
-    ], ids=["run-axes", "preset-axes", "sweep-odd-n", "sweep-axes", "cost-axes"])
+        ("run", "--set", "n=16", "--set", "t_end=0", "--set", "label=a/b"),
+        ("run", "--set", "n=16", "--set", "t_end=0", "--set", "label=/ibstokes-no-such-dir/run"),
+    ], ids=["run-axes", "preset-axes", "sweep-odd-n", "sweep-axes", "cost-axes",
+            "label-subdirectory", "label-absolute"])
     def test_refused_input_makes_no_output_directory(self, argv, tmp_path):
         out = tmp_path / "out"
         assert self.run_cli(*argv, "--out", str(out)) == 64

@@ -9,6 +9,32 @@ def grid(n, period=2 * np.pi):
     return period * np.arange(n) / n
 
 
+def _multipliers(n, seed):
+    """A conjugate-symmetric multiplier with a nonzero Nyquist entry (the
+    transform of a real sequence) and an odd one, imaginary with its Nyquist
+    entry zeroed."""
+    rng = np.random.default_rng(seed)
+    general = np.fft.fft(rng.standard_normal(n))
+    r = rng.standard_normal(n)
+    odd = 1j * (r - r[-np.arange(n)])
+    odd[n // 2] = 0.0
+    assert abs(general[n // 2]) > 1e-3 and np.max(np.abs(odd)) > 0.1
+    return general, odd
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_fourier_map_is_complex_fft_multiplier(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    rows = rng.standard_normal((3, n))
+    for mult in _multipliers(n, seed=n + 1):
+        apply = spectral.fourier_map(mult)
+        expect = np.real(np.fft.ifft(mult * np.fft.fft(x)))
+        assert np.max(np.abs(apply(x) - expect)) <= 1e-14 * np.max(np.abs(expect))
+        expect = np.real(np.fft.ifft(mult * np.fft.fft(rows, axis=-1), axis=-1))
+        assert np.max(np.abs(apply(rows) - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
 class TestDerivative1D:
     def test_sin_exact(self):
         a = grid(64)
