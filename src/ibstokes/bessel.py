@@ -79,13 +79,11 @@ def ssd_symbol_s(k, p):
 
 
 def ssd_symbol_second_order(k, p):
-    """Midpoint-rule leading-order multipliers (T, S) of the second-order scheme.
+    """Midpoint-rule leading-order multipliers (T, S) of the second-order scheme:
+    half the first-order symbols, S over s_min once more (its prefactor
+    carries s_min^3, against s_min^2 at first order).
 
     Call with p built from lam_bar = sqrt(2 rho / (mu dt)) and the half-step
-    state.  The S prefactor carries s_min^3 (vs s_min^2 at first order).
+    state.
     """
-    beta = p.lam * p.s_min
-    t = -(p.elastic * p.dt) / (4.0 * p.rho * p.s_min**2) * _bracket_t(k, beta)
-    s = -(p.elastic * p.dt * p.s_max_excess) / (4.0 * p.rho * p.s_min**3) \
-        * _bracket_s(k, beta)
-    return t, s
+    return 0.5 * ssd_symbol_t(k, p), 0.5 * ssd_symbol_s(k, p) / p.s_min

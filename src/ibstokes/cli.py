@@ -2,7 +2,8 @@
 
 Subcommands: run (single run or preset group), convergence (temporal
 refinement study), sweep (stability verdict matrix), cost (per-step scaling
-report), presets (list names).  Exit codes: 0 clean, 2 instability detected,
+report), presets (list names).  The four commands that make runs share
+``--set`` and ``--out``.  Exit codes: 0 clean, 2 instability detected,
 3 solver failure, 64 usage error.
 """
 
@@ -69,6 +70,11 @@ def _parse_assignments(pairs):
     return out
 
 
+def _base_config(args):
+    """The run that ``--config`` and ``--set`` describe."""
+    return load_run_config(args.config, _parse_assignments(args.set))
+
+
 def _out_dir(args, configs=()):
     """Make and return the output directory, only once every run's initial
     state builds: input refused there (degenerate ellipse axes) leaves no
@@ -112,16 +118,16 @@ def execute_run(config, out_dir):
 
 
 def cmd_run(args):
-    overrides = _parse_assignments(args.set)
     if args.preset:
         if args.preset not in PRESETS:
             raise ParameterError(f"unknown preset {args.preset!r}; try 'ibstokes presets'")
+        overrides = _parse_assignments(args.set)
         # an overridden n takes N_b = 2N unless the command sets n_boundary too
         reset = {"n_boundary": None} if "n" in overrides else {}
         configs = [load_run_config(None, {**c.__dict__, **reset, **overrides})
                    for c in PRESETS[args.preset]]
     else:
-        configs = [load_run_config(args.config, overrides)]
+        configs = [_base_config(args)]
     out = _out_dir(args, configs)
     worst = EXIT_OK
     for config in configs:
@@ -134,8 +140,7 @@ def cmd_run(args):
 
 
 def cmd_convergence(args):
-    overrides = _parse_assignments(args.set)
-    base = load_run_config(args.config, overrides)
+    base = _base_config(args)
     phys = base.phys()
     grid = base.grid()
 
@@ -171,11 +176,9 @@ def cmd_convergence(args):
 
 
 def cmd_sweep(args):
-    overrides = _parse_assignments(args.set)
-    base = load_run_config(args.config, overrides)
+    base = _base_config(args)
     ns, dts = args.n_list, args.dt_list
-    configs = {(n, dt): load_run_config(None, {**base.__dict__, "n": n, "n_boundary": None,
-                                               "dt": dt, "label": ""})
+    configs = {(n, dt): replace(base, n=n, n_boundary=None, dt=dt, label="")
                for n in ns for dt in dts}
     path = os.path.join(_out_dir(args, configs.values()), f"sweep-{base.scheme}.csv")
     verdicts = {}
@@ -231,12 +234,10 @@ def _counted_calls():
 
 
 def cmd_cost(args):
-    overrides = _parse_assignments(args.set)
-    base = load_run_config(args.config, overrides)
+    base = _base_config(args)
     ns = args.n_list
     # every run's config is checked before the first run starts
-    runs = {scheme: [load_run_config(None, {**base.__dict__, "scheme": scheme, "n": n,
-                                            "n_boundary": None, "label": ""}) for n in ns]
+    runs = {scheme: [replace(base, scheme=scheme, n=n, n_boundary=None, label="") for n in ns]
             for scheme in args.schemes.split(",")}
     path = os.path.join(_out_dir(args, [c for cs in runs.values() for c in cs]), "cost.csv")
     fields = ("scheme", "n", "seconds_per_step", "fft_per_step", "fluid_solves_per_step",
@@ -281,41 +282,37 @@ def build_parser():
     parser = _Parser(prog="ibstokes",
                      description="Elastic interface in 2D periodic Stokes flow")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of every command that makes runs
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override a config key (repeatable)")
+    common.add_argument("--out", help="output directory")
 
-    run = sub.add_parser("run", help="execute one run or a preset group")
+    run = sub.add_parser("run", parents=[common], help="execute one run or a preset group")
     source = run.add_mutually_exclusive_group()
     source.add_argument("--config", help="key = value config file")
     source.add_argument("--preset", help="named experiment group")
-    run.add_argument("--set", action="append", metavar="KEY=VALUE",
-                     help="override a config key (repeatable)")
-    run.add_argument("--out", help="output directory")
     run.set_defaults(func=cmd_run)
 
-    conv = sub.add_parser("convergence", help="temporal convergence study")
+    conv = sub.add_parser("convergence", parents=[common], help="temporal convergence study")
     conv.add_argument("--config", help="base config file")
     conv.add_argument("--dts", required=True, type=_list_of(_number),
                       help="comma-separated halving chain, e.g. 1/16,1/32,1/64")
-    conv.add_argument("--set", action="append", metavar="KEY=VALUE")
-    conv.add_argument("--out")
     conv.set_defaults(func=cmd_convergence)
 
-    sweep = sub.add_parser("sweep", help="stability verdict matrix")
+    sweep = sub.add_parser("sweep", parents=[common], help="stability verdict matrix")
     sweep.add_argument("--config", help="base config file")
     sweep.add_argument("--n-list", required=True, type=_list_of(int),
                        help="comma-separated grid sizes")
     sweep.add_argument("--dt-list", required=True, type=_list_of(_number),
                        help="comma-separated timesteps")
-    sweep.add_argument("--set", action="append", metavar="KEY=VALUE")
-    sweep.add_argument("--out")
     sweep.set_defaults(func=cmd_sweep)
 
-    cost = sub.add_parser("cost", help="per-step cost scaling report")
+    cost = sub.add_parser("cost", parents=[common], help="per-step cost scaling report")
     cost.add_argument("--config", help="base config file")
     cost.add_argument("--schemes", required=True, help="comma-separated scheme names")
     cost.add_argument("--n-list", required=True, type=_list_of(int))
     cost.add_argument("--steps", type=_positive_int, default=3)
-    cost.add_argument("--set", action="append", metavar="KEY=VALUE")
-    cost.add_argument("--out")
     cost.set_defaults(func=cmd_cost)
 
     pre = sub.add_parser("presets", help="list preset names")

@@ -45,7 +45,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import bessel, coupling, spectral, stokes
 from .bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_second_order, ssd_symbol_t
@@ -66,10 +65,12 @@ ALL_SCHEMES = STEADY_SCHEMES + UNSTEADY_SCHEMES
 
 DENSE_MAX = 256       # dense stable-scheme systems up to this N_b, GMRES above
 LINEAR_TOL = 1e-10    # relative residual of the stable schemes' implicit solves
-SECOND_KIND_TOL = 1e-13  # relative residual of the second-kind increments, the LU's round-off
+SECOND_KIND_TOL = 1e-13  # relative residual of the second-kind increments' GMRES
 BLOWUP_FACTOR = 1e6   # velocity growth over the first step's speed that counts as blowup
-# an SSD leading term under ROUNDOFF times its operator's size (``_size``) is
-# round-off: circle starts read <= 4e-14 of their size at N <= 128, ellipses >= 1e-4
+# a value under ROUNDOFF times the size of the operator that made it is
+# round-off.  An SSD leading term against its operator's size (``_size``):
+# circle starts read <= 4e-14 at N <= 128, ellipses >= 1e-4.  A GMRES pivot
+# against |A q_k|: singular systems read <= 5e-16, the tests' solves >= 3.6e-3
 ROUNDOFF = 1e-12
 
 
@@ -179,24 +180,19 @@ def _finish(state, cfg, s_new, phi_new, refs, fluid=None):
 
 def _circulant_from_multiplier(mult):
     """Real circulant applying a conjugate-symmetric Fourier multiplier, gathered
-    from its first column: C[i, j] = c[(i - j) % n], c = real(ifft(mult)).
-    Row i is the window [c[i], ..., c[0], c[n-1], ..., c[i+1]] of the reversed
-    column extended by its wrap, read with a negative row stride and copied
-    forward."""
+    from its first column: C[i, j] = c[(i - j) % n], c = real(ifft(mult))."""
     c = np.real(np.fft.ifft(mult))
     n = len(c)
-    ext = np.concatenate((c[::-1], c[:0:-1]))
-    step = ext.strides[0]
-    return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step)).copy()
+    return c[np.subtract.outer(np.arange(n), np.arange(n)) % n]
 
 
-def _dense_solve(a, b, step_index, rtol=1e-8):
+def _dense_solve(a, b, step_index):
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:       # an exactly singular system
         raise SolverStallError(f"singular implicit system at step {step_index}") from None
     resid = np.linalg.norm(a @ x - b)
-    if not np.isfinite(resid) or resid > rtol * max(np.linalg.norm(b), 1e-30):
+    if not np.isfinite(resid) or resid > LINEAR_TOL * max(np.linalg.norm(b), 1e-30):
         if np.linalg.cond(a) >= 1e14:
             raise SolverStallError(f"singular implicit system at step {step_index}")
         raise SolverStallError(f"dense solve residual {resid:.2e} at step {step_index}")
@@ -216,7 +212,10 @@ def _gmres(apply, b, tol, step_index):
     unrestarted and at most len(b) iterations, the Krylov basis orthogonalised
     by classical Gram-Schmidt with one re-orthogonalisation, and the
     Hessenberg least-squares problem reduced by Givens rotations as it grows,
-    so each iteration reads its residual norm off the rotated right-hand side."""
+    so each iteration reads its residual norm off the rotated right-hand side.
+    A step whose new pivot is under ROUNDOFF times |apply(q_k)| finds nothing
+    outside the basis but round-off, so the system is singular to working
+    precision: it stalls rather than divide by that pivot."""
     n = len(b)
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
@@ -226,6 +225,7 @@ def _gmres(apply, b, tol, step_index):
     rotations, cols, g = [], [], [beta]  # (cos, sin); the triangle's columns; rotated rhs
     for k in range(n):
         w = apply(basis[k])
+        w_norm = float(np.linalg.norm(w))
         q = basis[:k + 1]
         h = q @ w
         w -= h @ q
@@ -236,7 +236,7 @@ def _gmres(apply, b, tol, step_index):
         for i, (c, s) in enumerate(rotations):
             col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
         rho = math.hypot(col[k], h_next)
-        if not (math.isfinite(rho) and rho > 0.0):
+        if not (math.isfinite(rho) and rho > ROUNDOFF * w_norm):
             raise SolverStallError(f"GMRES stalled on a singular or non-finite Krylov step "
                                    f"at step {step_index}")
         c, s = col[k] / rho, h_next / rho
@@ -280,7 +280,7 @@ def _steady_rates(iface, phys):
     kappa = spectral.wavenumbers(iface.n_nodes, iface.length)
     eta = phys.elastic / (4.0 * phys.mu) * np.abs(kappa)
     gamma = float(np.max(1.0 - 1.0 / iface.s_alpha))
-    return eta, gamma * eta, gamma
+    return eta, gamma * eta
 
 
 def _area_balanced_stretch(s_new, phi_new, refs, length, target_area, step_index):
@@ -302,7 +302,7 @@ def _steady_leads(state, phys, grid, cfg, dth, dv, second_kind):
     as Fourier diagonals, the second kind's L_s paired with the log-kernel
     part of the normal velocity."""
     iface = state.interface
-    eta, xi, _ = _steady_rates(iface, phys)
+    eta, xi = _steady_rates(iface, phys)
     lead_s = -eta
     if second_kind:
         # ds/dt = -(S_b/4mu) H D s - theta_a * U_lead(s) + explicit rate, with
@@ -482,7 +482,7 @@ def step_ifrk4_steady(state, phys, grid, cfg):
     dt = cfg.dt
     nb = iface.n_nodes
     half = nb // 2 + 1      # y holds the rfft half spectra of s_alpha and the angle
-    eta, xi, _ = _steady_rates(iface, phys)
+    eta, xi = _steady_rates(iface, phys)
     rate = np.concatenate([eta[:half], xi[:half]])
     d = partial(spectral.derivative_1d, period=iface.length)
     stage_vel = []
@@ -515,7 +515,7 @@ def _solve_linear(lin, b, step_index):
     """Solve the implicit system A x = b to LINEAR_TOL, with ``lin`` either
     the assembled matrix A (dense solve) or the linear map x -> A x (GMRES)."""
     if isinstance(lin, np.ndarray):
-        return _dense_solve(lin, b, step_index, rtol=LINEAR_TOL)
+        return _dense_solve(lin, b, step_index)
     return _gmres(lin, b, LINEAR_TOL, step_index)
 
 

@@ -113,7 +113,9 @@ def test_kernel_multiplier_is_k0_minus_log_symbol():
 
 def test_scaled_multiplier_is_scaled_circulant():
     config = RunConfig(scheme="ssd2_steady", n=32, dt=0.1, mu=1.0)
-    eta, xi, gamma = schemes._steady_rates(config.initial_state().interface, config.phys())
+    iface = config.initial_state().interface
+    eta, xi = schemes._steady_rates(iface, config.phys())
+    gamma = float(np.max(1.0 - 1.0 / iface.s_alpha))
     assert gamma > 0
     circ = schemes._circulant_from_multiplier
     assert _rel(circ(-xi), -gamma * circ(eta)) <= 1e-14
@@ -148,7 +150,8 @@ def _dense_second_kind(scheme, state, phys, grid, dt, s_new, u, c_v, c_u):
     transport = (u[nb:] / s_new)[:, None] * circ(1j * spectral.odd_wavenumbers(nb, length))
     log_mult = stokes._log_kernel_multiplier(nb, length, grid.length)
     if scheme == "ssd2_steady":
-        eta, _, gamma = schemes._steady_rates(iface, phys)
+        eta, _ = schemes._steady_rates(iface, phys)
+        gamma = float(np.max(1.0 - 1.0 / iface.s_alpha))
         c = phys.elastic / (4.0 * np.pi * phys.mu)
         lead_s = -circ(eta) + c * (dth[:, None] * circ(-log_mult) * dth[None, :])
         return lead_s, -gamma * circ(eta) + transport
@@ -234,3 +237,17 @@ def test_exactly_singular_dense_system_is_a_solver_stall():
     # numpy error
     with pytest.raises(SolverStallError, match="singular implicit system at step 7"):
         schemes._dense_solve(np.ones((6, 6)), np.arange(6.0), 7)
+
+
+def test_near_singular_or_singular_system_is_a_gmres_stall():
+    # the near-singular system above: its last Krylov pivot is the 1e-15 row
+    # noise, and dividing by it gives |x| ~ 2e14 at a true relative
+    # residual of 4e-2
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((6, 6))
+    a[-1] = a[0] + a[1] + 1e-15 * rng.standard_normal(6)
+    msg = "GMRES stalled on a singular or non-finite Krylov step at step 7"
+    with pytest.raises(SolverStallError, match=msg):
+        schemes._gmres(a.__matmul__, rng.standard_normal(6), 1e-13, 7)
+    with pytest.raises(SolverStallError, match=msg):
+        schemes._gmres(np.ones((6, 6)).__matmul__, np.arange(6.0), 1e-13, 7)

@@ -97,7 +97,7 @@ class TestSsd1Steady:
         ang = 2 * np.pi * np.arange(nb) / nb
         iface = InterfaceState(1.0 + eps * np.cos(32 * ang), np.full(nb, np.pi / 2),
                                np.array([[1.5, 0.5], [-0.5, 0.5]]))
-        eta, _, _ = schemes._steady_rates(iface, phys)
+        eta, _ = schemes._steady_rates(iface, phys)
         dt = 0.1
         rhs = spectral.apply_symbol_1d(iface.s_alpha, -eta)
         s_new = iface.s_alpha + schemes._increment(-eta, rhs, dt, 1)
