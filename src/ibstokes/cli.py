@@ -141,13 +141,19 @@ def cmd_run(args):
 
 def cmd_convergence(args):
     base = _base_config(args)
-    phys = base.phys()
-    grid = base.grid()
+    phys, grid = base.phys(), base.grid()
+    # every run of the chain, the extra one at the last dt/2 too, ends at t_end
+    steps = {}
+    for dt in args.dts + [dt / 2 for dt in args.dts[-1:]]:
+        steps[dt] = round(base.t_end / dt)
+        if steps[dt] < 1 or abs(base.t_end / dt - steps[dt]) > schemes.ROUNDOFF * steps[dt]:
+            raise ParameterError(f"t_end {base.t_end:g} is not a positive whole number "
+                                 f"of steps of dt {dt:g}")
 
     def run_fn(dt):
         cfg = replace(base.scheme_config(), dt=dt)
         st = base.initial_state()
-        for s in schemes.simulate(st, phys, grid, cfg, int(round(base.t_end / dt))):
+        for s in schemes.simulate(st, phys, grid, cfg, steps[dt]):
             st = s
         out = {"X": (st.curve.as_array(), st.interface.dalpha)}
         if st.fluid is not None:

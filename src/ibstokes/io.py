@@ -3,16 +3,14 @@
 The config format is a flat key = value document: one assignment per line,
 '#' starts a comment, and each unquoted value is read as its key's declared
 type (int, float or str).  Command-line flags override file values.
-Snapshots are versioned JSON documents.  Format 4 holds each array as a
-record of its dtype, shape and raw little-endian float64 bytes in base64,
-and its scalars as JSON numbers (shortest repr, exact).  The fluid is
-stored as its rfft2 half spectrum (``u_hat``, ``v_hat``, real and imaginary
-parts on a last axis of 2), the spectrum the run carries; a reloaded fluid
-keeps it and forms u, v with the solves' own inverse transform when first
-read, so save/load is lossless and a resumed run retraces the straight one
-bit for bit.  Format 3 (the same records, with the grid fields u, v) and
-formats 1 and 2 (arrays as JSON float lists) still load: their u, v come in
-as written, and their spectrum is formed when first needed.
+Snapshots are JSON documents of format 4, the one format that loads;
+earlier formats are refused.  Each array is a record of its dtype, shape
+and raw little-endian float64 bytes in base64, and each scalar a JSON
+number (shortest repr, exact) or null.  The fluid is stored as its rfft2
+half spectrum (``u_hat``, ``v_hat``, real and imaginary parts on a last
+axis of 2), the form the run carries it in; a reloaded fluid forms u, v
+when first read, as any fluid does, so save/load is lossless and a resumed
+run retraces the straight one bit for bit.
 """
 
 import base64
@@ -30,9 +28,6 @@ from .params import PhysParams, finite_real
 from .schemes import SchemeConfig, StepState, initial_state
 from .stokes import FluidState
 
-# format 2 adds the SSD rescaling coefficients c_v / c_u; format 3 writes
-# arrays as base64 float64 records; format 4 writes the fluid's half
-# spectrum in place of u, v; formats 1-3 still load
 SNAPSHOT_FORMAT_VERSION = 4
 
 TWO_PI = 2.0 * np.pi
@@ -196,7 +191,7 @@ def _decode_fluid(array):
         raise ParameterError(f"snapshot field u_hat: shape {list(u_hat.shape)} is not "
                              "the half spectrum (N, N/2 + 1, 2) of an even N")
     v_hat = array("v_hat", u_hat.shape)
-    return FluidState(spectrum=(u_hat.view(complex)[..., 0], v_hat.view(complex)[..., 0]))
+    return FluidState((u_hat.view(complex)[..., 0], v_hat.view(complex)[..., 0]))
 
 
 def save_snapshot(path, state, run_config=None):
@@ -231,8 +226,9 @@ def save_snapshot(path, state, run_config=None):
 
 
 def load_snapshot(path):
-    """Rebuild a StepState from a snapshot file of any supported format;
-    ParameterError for a file that is not a JSON object or lacks a field."""
+    """Rebuild a StepState from a format-4 snapshot file; ParameterError for
+    a file that is not a JSON object, is of another format, lacks a field or
+    holds a malformed one."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -241,7 +237,7 @@ def load_snapshot(path):
     if not isinstance(doc, dict):
         raise ParameterError(f"snapshot {path}: not a JSON object")
     version = doc.get("format_version")
-    if version not in (1, 2, 3, SNAPSHOT_FORMAT_VERSION):
+    if version != SNAPSHOT_FORMAT_VERSION:
         raise ParameterError(f"unsupported snapshot format {version}")
 
     def field(name):
@@ -251,24 +247,29 @@ def load_snapshot(path):
             raise ParameterError(f"snapshot field {name}: missing") from None
 
     def array(name, shape=None):
-        # formats 1 and 2 hold JSON float lists
-        a = _decode_array(name, field(name)) if version >= 3 else np.array(field(name))
+        a = _decode_array(name, field(name))
         if shape is not None and a.shape != shape:
             raise ParameterError(f"snapshot field {name}: shape {list(a.shape)}, "
                                  f"expected {list(shape)}")
         return a
 
+    def number(name, positive, nullable=False):
+        v = field(name)
+        if not (v is None and nullable or finite_real(v) and (v > 0 if positive else v >= 0)):
+            rule = ("null or " if nullable else "") + ("positive" if positive else "nonnegative")
+            raise ParameterError(f"snapshot field {name}: must be {rule} and finite, got {v!r}")
+        return v
+
+    step = field("step")
+    if not (type(step) is int and step >= 0):   # not bool
+        raise ParameterError(f"snapshot field step: must be a nonnegative integer, got {step!r}")
     s_alpha = array("s_alpha")
     iface = InterfaceState(s_alpha, array("phi", s_alpha.shape), array("ref_points", (2, 2)),
-                           field("interface_length"))
-    if version == SNAPSHOT_FORMAT_VERSION:
-        fluid = None if field("u_hat") is None else _decode_fluid(array)
-    else:
-        u = None if field("u") is None else array("u")
-        fluid = None if u is None else FluidState(u, array("v", u.shape))
-    c_v, c_u = (field("c_v"), field("c_u")) if version >= 2 else (None, None)  # format 1: none
-    return StepState(iface, reconstruct_curve(iface), fluid, field("t"), field("step"),
-                     field("speed_ref"), c_v, c_u)
+                           number("interface_length", positive=True))
+    fluid = None if field("u_hat") is None else _decode_fluid(array)
+    return StepState(iface, reconstruct_curve(iface), fluid, number("t", positive=False), step,
+                     number("speed_ref", positive=True, nullable=True),
+                     *(number(name, positive=False, nullable=True) for name in ("c_v", "c_u")))
 
 
 def write_diagnostics_csv(path, records):

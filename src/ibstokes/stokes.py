@@ -9,12 +9,13 @@ multipliers.
 
 The per-grid operators (wavenumbers, and the symbol's three components
 Gxx, Gxy, Gyy with the unsteady keep factor, keyed on the steady or
-unsteady scalars) are built once and cached as read-only arrays, so a
-solve is four FFTs (one rfft2 and one irfft2 per component) plus one 2x2
-symbol product per mode, written into the output spectra through one
-scratch array.  Each solve's fluid keeps the half spectrum it
-inverse-transformed, and the fluid at rest a zero one, so a solve that
-advances from either transforms only the force.  The module also holds
+unsteady scalars) are built once and cached as read-only arrays.  A
+fluid is its rfft2 half spectrum, and a solve is one rfft2 of each force
+component plus one 2x2 symbol product per mode, written into the output
+spectra through one scratch array; a fluid's velocity fields cost one
+irfft2 per component when first read.  So a solve that advances from a
+solve's fluid, a reloaded one or the fluid at rest (a zero spectrum)
+transforms only the force.  The module also holds
 the Fourier multiplier of the periodized log kernel on the interface,
 which the second-kind schemes' leading terms use.  Beyond those read-only
 caches it keeps no state: ``ibstokes cost`` counts the solves from
@@ -30,25 +31,22 @@ from .errors import ParameterError
 
 
 class FluidState:
-    """Velocity components u, v on the N x N periodic grid and their rfft2
-    half spectrum ``spectrum`` = (rfft2(u), rfft2(v)), read-only.  A fluid
-    is built from either or both and forms what it lacks once, when first
-    needed; the fields are never written in place.  A solve's fluid carries
-    both (its spectrum is the one it inverse-transformed), the fluid at rest
-    a zero spectrum and a reloaded snapshot's fluid its spectrum alone, so a
-    solve that advances from any of them transforms only the force, and a
-    reloaded fluid is the run's bit for bit."""
+    """A fluid on the N x N periodic grid, held as its rfft2 half spectrum
+    ``spectrum`` = (rfft2(u), rfft2(v)), read-only.  The fields u, v are
+    its inverse transform, formed when first read and never written in
+    place.  A solve's fluid and a reloaded one hold the spectrum the run
+    carries, so a solve that advances from either transforms only the
+    force, and a reloaded fluid is the run's bit for bit.  The fluid at
+    rest holds zero fields too, so it is never transformed."""
 
-    def __init__(self, u=None, v=None, spectrum=None):
-        if u is not None:
-            self.u, self.v = u, v
-        if spectrum is not None:
-            self.spectrum = tuple(_read_only(a) for a in spectrum)
+    def __init__(self, spectrum):
+        self.spectrum = tuple(_read_only(a) for a in spectrum)
 
     @classmethod
     def rest(cls, n):
-        zero = np.zeros((n, n // 2 + 1), dtype=complex)
-        return cls(np.zeros((n, n)), np.zeros((n, n)), (zero, zero))
+        fluid = cls((np.zeros((n, n // 2 + 1), dtype=complex),) * 2)
+        fluid.u, fluid.v = np.zeros((n, n)), np.zeros((n, n))
+        return fluid
 
     def max_speed(self):
         speed2 = self.u * self.u
@@ -63,14 +61,10 @@ class FluidState:
     def v(self):
         return _irfft2(self.spectrum[1])
 
-    @cached_property
-    def spectrum(self):
-        return _read_only(np.fft.rfft2(self.u)), _read_only(np.fft.rfft2(self.v))
-
 
 def _irfft2(a):
     """The N x N grid field of the (N, N/2 + 1) half spectrum ``a``: the one
-    inverse transform of the solves and of the reloaded snapshots."""
+    inverse transform of every fluid."""
     n = len(a)
     return np.fft.irfft2(a, s=(n, n))
 
@@ -137,13 +131,11 @@ def divergence_inf_norm(fluid, length=1.0):
 def _spectral_solve(fluid, force, grid, keep, symbol):
     """Per rfft2 mode, u_hat_new = G f_hat + keep u_hat, with ``keep`` and
     the symbol G = (Gxx, Gxy, Gyy) arrays on the half spectrum.  ``fluid``
-    None is a fluid at rest: its term is skipped.  The new fluid keeps
-    u_hat_new as its spectrum."""
+    None is a fluid at rest: its term is skipped.  The new fluid is
+    u_hat_new; its fields are formed when first read."""
     n = grid.n
-    # a reloaded fluid may hold its spectrum alone: its u is not formed here
-    if force.shape != (n, n, 2) or (fluid is not None and (
-            fluid.spectrum[0].shape != (n, n // 2 + 1)
-            or "u" in vars(fluid) and fluid.u.shape != (n, n))):
+    if force.shape != (n, n, 2) or (fluid is not None
+                                    and fluid.spectrum[0].shape != (n, n // 2 + 1)):
         raise ParameterError("field shapes inconsistent with grid")
     gxx, gxy, gyy = symbol
     fu, fv = np.fft.rfft2(force[..., 0]), np.fft.rfft2(force[..., 1])
@@ -156,7 +148,7 @@ def _spectral_solve(fluid, force, grid, keep, symbol):
         fluid_u, fluid_v = fluid.spectrum
         un += np.multiply(keep, fluid_u, out=scratch)
         vn += np.multiply(keep, fluid_v, out=scratch)
-    return FluidState(_irfft2(un), _irfft2(vn), (un, vn))
+    return FluidState((un, vn))
 
 
 def unsteady_stokes_step(fluid, force, rho, mu, dt, grid, theta=1.0):

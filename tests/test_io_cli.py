@@ -5,7 +5,6 @@ import json
 import os
 import pkgutil
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -113,10 +112,15 @@ class TestSnapshots:
         assert np.array_equal(direct.curve.x, resumed.curve.x)
 
     def test_format_version_checked(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format_version": 999}))
-        with pytest.raises(ParameterError):
-            load_snapshot(str(path))
+        # format 4 is the only one that loads: the earlier formats are refused
+        config, phys, grid, state = self.make_state()
+        path = tmp_path / "snap.json"
+        save_snapshot(str(path), state, config)
+        doc = json.loads(path.read_text())
+        for version in (1, 2, 3, 999):
+            path.write_text(json.dumps({**doc, "format_version": version}))
+            with pytest.raises(ParameterError, match=f"unsupported snapshot format {version}$"):
+                load_snapshot(str(path))
 
     def test_arrays_saved_as_base64_records(self, tmp_path):
         config, phys, grid, state = self.make_state()
@@ -137,56 +141,15 @@ class TestSnapshots:
         for a in _state_arrays(back):
             assert a.dtype == np.float64 and a.flags.writeable and a.flags.c_contiguous
 
-    def test_format_3_records_load_bitwise(self, tmp_path):
-        # format 3 stored the grid fields u, v; they load as written, and the
-        # spectrum is formed from them when first needed
-        config, phys, grid, state = self.make_state()
-        path = tmp_path / "v3.json"
-        save_snapshot(str(path), state, config)
-        path.write_text(json.dumps(_format_3_document(json.loads(path.read_text()), state)))
-        back = load_snapshot(str(path))
-        for a, b in zip(_state_arrays(state), _state_arrays(back)):
-            assert np.array_equal(a, b)
-        assert (back.t, back.step, back.speed_ref, back.c_v, back.c_u) \
-            == (state.t, state.step, state.speed_ref, state.c_v, state.c_u)
-        for a, b in zip(back.fluid.spectrum, state.fluid.spectrum):
-            assert np.allclose(a, b, rtol=0, atol=1e-14 * np.max(np.abs(b)))
-
-    def test_format_2_lists_load_bitwise(self, tmp_path):
-        config, phys, grid, state = self.make_state()
-        path = tmp_path / "v2.json"
-        path.write_text(json.dumps(_list_document(state, config, 2)))
-        back = load_snapshot(str(path))
-        for a, b in zip(_state_arrays(state), _state_arrays(back)):
-            assert np.array_equal(a, b)
-        assert (back.t, back.step, back.speed_ref, back.c_v, back.c_u) \
-            == (state.t, state.step, state.speed_ref, state.c_v, state.c_u)
-
-    def test_format_1_still_loads(self, tmp_path):
-        # format 1 has no rescaling coefficients; the next SSD step recomputes them
-        config, phys, grid, state = self.make_state()
-        assert state.c_v is not None and state.c_u is not None
-        path = tmp_path / "v1.json"
-        doc = _list_document(state, config, 1)
-        del doc["c_v"], doc["c_u"]
-        path.write_text(json.dumps(doc))
-        back = load_snapshot(str(path))
-        assert back.c_v is None and back.c_u is None
-        assert np.array_equal(back.interface.s_alpha, state.interface.s_alpha)
-        assert back.t == state.t and back.step == state.step
-
     @pytest.mark.parametrize("field, damage", [
         ("s_alpha", lambda r: {**r, "base64": r["base64"][:-1]}),       # bad padding
         ("phi", lambda r: {**r, "base64": r["base64"][:-4]}),           # whole bytes short
-        ("u", lambda r: {**r, "shape": [r["shape"][0], r["shape"][1] + 1]}),
         ("ref_points", lambda r: {**r, "shape": [-1]}),
-        ("v", lambda r: {**r, "dtype": "<f4"}),
         pytest.param("u_hat", lambda r: {**r, "base64": r["base64"][:-4]}, id="u_hat-short"),
+        pytest.param("v_hat", lambda r: {**r, "dtype": "<f4"}, id="v_hat-f4"),
         # well-formed records whose shapes disagree with the other fields
         pytest.param("phi", lambda r: _first_values(r, r["shape"][0] - 2), id="phi-short"),
         pytest.param("ref_points", lambda r: _first_values(r, 3), id="ref_points-three"),
-        pytest.param("v", lambda r: {**r, "shape": [r["shape"][0] // 2, r["shape"][1] * 2]},
-                     id="v-not-shaped-as-u"),
         # not the (N, N/2 + 1, 2) half spectrum of an even N
         pytest.param("u_hat", lambda r: {**r, "shape": [r["shape"][1], r["shape"][0], 2]},
                      id="u_hat-odd-n"),
@@ -200,28 +163,34 @@ class TestSnapshots:
         path = tmp_path / "snap.json"
         save_snapshot(str(path), state, config)
         doc = json.loads(path.read_text())
-        if field in ("u", "v"):     # the grid fields of format 3
-            doc = _format_3_document(doc, state)
         doc[field] = damage(doc[field])
         path.write_text(json.dumps(doc))
         with pytest.raises(ParameterError, match=f"snapshot field {field}:"):
             load_snapshot(str(path))
 
-    @pytest.mark.parametrize("version, field", [
-        (4, "t"), (4, "step"), (4, "interface_length"), (4, "phi"), (4, "u_hat"),
-        (4, "v_hat"), (4, "speed_ref"), (4, "c_u"), (3, "u"), (2, "c_v"), (1, "v")])
-    def test_missing_field_names_field(self, tmp_path, version, field):
+    @pytest.mark.parametrize("field", ["t", "step", "interface_length", "phi", "u_hat",
+                                       "v_hat", "speed_ref", "c_u"],
+                             ids=lambda field: f"4-{field}")      # format 4's fields
+    def test_missing_field_names_field(self, tmp_path, field):
         config, phys, grid, state = self.make_state()
         path = tmp_path / "snap.json"
         save_snapshot(str(path), state, config)
         doc = json.loads(path.read_text())
-        if version == 3:
-            doc = _format_3_document(doc, state)
-        elif version < 3:
-            doc = _list_document(state, config, version)
         del doc[field]
         path.write_text(json.dumps(doc))
         with pytest.raises(ParameterError, match=f"snapshot field {field}: missing"):
+            load_snapshot(str(path))
+
+    @pytest.mark.parametrize("field, value", [("step", "7"), ("t", None), ("c_v", "x"),
+                                              ("speed_ref", 0.0), ("interface_length", -1.0),
+                                              ("step", 2.5)])
+    def test_malformed_scalar_names_field(self, tmp_path, field, value):
+        config, phys, grid, state = self.make_state()
+        path = tmp_path / "snap.json"
+        save_snapshot(str(path), state, config)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, field: value}))
+        with pytest.raises(ParameterError, match=f"snapshot field {field}: must be"):
             load_snapshot(str(path))
 
     @pytest.mark.parametrize("content", [b'{"format_version": 4, "t": ', b"[4, 0.5]",
@@ -254,37 +223,13 @@ class TestSnapshots:
             assert np.array_equal(a, b)
 
 
-ARRAY_FIELDS = ("s_alpha", "phi", "ref_points", "u", "v")
-SPECTRUM_FIELDS = ARRAY_FIELDS[:3] + ("u_hat", "v_hat")
-
-
-def _record(a):
-    """The base64 float64 record of array ``a``, as formats 3 and 4 write it."""
-    return {"dtype": "<f8", "shape": list(a.shape),
-            "base64": base64.b64encode(np.ascontiguousarray(a, "<f8").tobytes()).decode("ascii")}
-
-
-def _format_3_document(doc, state):
-    """The format-4 document ``doc`` of ``state`` as format 3 wrote it: the
-    fluid as the grid fields u, v in place of its half spectrum."""
-    doc = {k: v for k, v in doc.items() if k not in ("u_hat", "v_hat")}
-    doc.update(format_version=3, u=_record(state.fluid.u), v=_record(state.fluid.v))
-    return doc
+SPECTRUM_FIELDS = ("s_alpha", "phi", "ref_points", "u_hat", "v_hat")
 
 
 def _first_values(record, count):
     """A well-formed record of the first ``count`` values of ``record``."""
     raw = base64.b64decode(record["base64"])[:8 * count]
     return {"dtype": "<f8", "shape": [count], "base64": base64.b64encode(raw).decode("ascii")}
-
-
-def _list_document(state, config, version):
-    """A snapshot document as formats 1 and 2 wrote it: arrays as JSON lists."""
-    doc = {"format_version": version, "t": state.t, "step": state.step,
-           "interface_length": state.interface.length, "speed_ref": state.speed_ref,
-           "c_v": state.c_v, "c_u": state.c_u, "config": asdict(config)}
-    doc.update(zip(ARRAY_FIELDS, (a.tolist() for a in _state_arrays(state))))
-    return doc
 
 
 def _restart_run(scheme):
@@ -442,8 +387,13 @@ class TestCli:
         ("cost", "--schemes", "ssd1_unsteady", "--n-list", "16", "--set", "ellipse_a=1e-13"),
         ("run", "--set", "n=16", "--set", "t_end=0", "--set", "label=a/b"),
         ("run", "--set", "n=16", "--set", "t_end=0", "--set", "label=/ibstokes-no-such-dir/run"),
+        # the dt = 0.1 run would stop at t = 0.2
+        ("convergence", "--dts", "0.1,0.05", "--set", "scheme=ssd1_steady", "--set", "n=16",
+         "--set", "mu=1", "--set", "t_end=0.25"),
+        ("convergence", "--dts", "0.1,0.05", "--set", "scheme=ssd1_steady", "--set", "n=16",
+         "--set", "mu=1", "--set", "t_end=0"),
     ], ids=["run-axes", "preset-axes", "sweep-odd-n", "sweep-axes", "cost-axes",
-            "label-subdirectory", "label-absolute"])
+            "label-subdirectory", "label-absolute", "convergence-part-step", "convergence-no-step"])
     def test_refused_input_makes_no_output_directory(self, argv, tmp_path):
         out = tmp_path / "out"
         assert self.run_cli(*argv, "--out", str(out)) == 64
