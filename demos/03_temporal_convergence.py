@@ -20,7 +20,7 @@ def run(dt):
     st = schemes.initial_state(phys, grid)
     for st in schemes.simulate(st, phys, grid, cfg, round(1.0 / dt)):
         pass
-    return {"X": (st.curve.as_array(), st.interface.dalpha),
+    return {"X": (st.interface.curve.as_array(), st.interface.dalpha),
             "u": (np.stack([st.fluid.u, st.fluid.v], -1), grid.h**2)}
 
 

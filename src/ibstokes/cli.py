@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics, schemes, stokes
 from .errors import BlowupError, ParameterError, SolverStallError
-from .io import _parse_value, load_run_config, output_dir, save_snapshot, write_diagnostics_csv
+from .io import _parse_value, load_run_config, save_snapshot, write_diagnostics_csv
 from .presets import PRESETS
 
 EXIT_OK = 0
@@ -76,12 +76,12 @@ def _base_config(args):
 
 
 def _out_dir(args, configs=()):
-    """Make and return the output directory, only once every run's initial
-    state builds: input refused there (degenerate ellipse axes) leaves no
-    directory behind."""
+    """Make and return the output directory (``--out``, else $IBSTOKES_OUTDIR,
+    else "out"), only once every run's initial state builds: input refused
+    there (degenerate ellipse axes) leaves no directory behind."""
     for config in configs:
         config.initial_state()
-    path = args.out or output_dir()
+    path = args.out or os.environ.get("IBSTOKES_OUTDIR", "out")
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -99,9 +99,8 @@ def execute_run(config, out_dir):
     records = [diagnostics.record_state(state, phys, grid)]
     name = config.run_name()
     code = EXIT_OK
-    n_steps = config.n_steps()
     try:
-        for k in range(n_steps):
+        for k in range(config.n_steps()):
             state = schemes.step(state, phys, grid, cfg)
             records.append(diagnostics.record_state(state, phys, grid))
             if config.snapshot_every and (k + 1) % config.snapshot_every == 0:
@@ -128,6 +127,8 @@ def cmd_run(args):
                    for c in PRESETS[args.preset]]
     else:
         configs = [_base_config(args)]
+    for config in configs:
+        config.n_steps()    # t_end off the dt grid is refused before any output
     out = _out_dir(args, configs)
     worst = EXIT_OK
     for config in configs:
@@ -143,19 +144,17 @@ def cmd_convergence(args):
     base = _base_config(args)
     phys, grid = base.phys(), base.grid()
     # every run of the chain, the extra one at the last dt/2 too, ends at t_end
-    steps = {}
-    for dt in args.dts + [dt / 2 for dt in args.dts[-1:]]:
-        steps[dt] = round(base.t_end / dt)
-        if steps[dt] < 1 or abs(base.t_end / dt - steps[dt]) > schemes.ROUNDOFF * steps[dt]:
-            raise ParameterError(f"t_end {base.t_end:g} is not a positive whole number "
-                                 f"of steps of dt {dt:g}")
+    dts = args.dts + [dt / 2 for dt in args.dts[-1:]]
+    steps = {dt: replace(base, dt=dt).n_steps() for dt in dts}
+    if 0 in steps.values():
+        raise ParameterError(f"t_end {base.t_end:g} makes no step of dt {max(dts):g}")
 
     def run_fn(dt):
         cfg = replace(base.scheme_config(), dt=dt)
         st = base.initial_state()
         for s in schemes.simulate(st, phys, grid, cfg, steps[dt]):
             st = s
-        out = {"X": (st.curve.as_array(), st.interface.dalpha)}
+        out = {"X": (st.interface.curve.as_array(), st.interface.dalpha)}
         if st.fluid is not None:
             out["u"] = (np.stack([st.fluid.u, st.fluid.v], -1), grid.h**2)
         return out
@@ -186,14 +185,14 @@ def cmd_sweep(args):
     ns, dts = args.n_list, args.dt_list
     configs = {(n, dt): replace(base, n=n, n_boundary=None, dt=dt, label="")
                for n in ns for dt in dts}
+    steps = {key: config.n_steps() for key, config in configs.items()}
     path = os.path.join(_out_dir(args, configs.values()), f"sweep-{base.scheme}.csv")
     verdicts = {}
     for (n, dt), config in configs.items():
-        phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
-        st = config.initial_state()
-        verdict, _, _ = diagnostics.stability_probe(st, phys, grid, cfg, config.n_steps())
-        verdicts[(n, dt)] = verdict
-        print(f"N={n} dt={dt:g}: {verdict}")
+        verdicts[(n, dt)] = diagnostics.stability_probe(
+            config.initial_state(), config.phys(), config.grid(), config.scheme_config(),
+            steps[(n, dt)])[0]
+        print(f"N={n} dt={dt:g}: {verdicts[(n, dt)]}")
     with open(path, "w") as fh:
         fh.write("dt\\N," + ",".join(str(n) for n in ns) + "\n")
         for dt in dts:

@@ -66,10 +66,10 @@ def record_state(state, phys, grid):
     max_u = state.fluid.max_speed() if state.fluid is not None else 0.0
     return DiagnosticsRecord(
         step=state.step, t=state.t, kinetic=k, potential=p, total=k + p,
-        area=enclosed_area(state.curve), max_u=max_u,
+        area=enclosed_area(state.interface.curve), max_u=max_u,
         min_salpha=float(np.min(state.interface.s_alpha)),
         max_salpha=float(np.max(state.interface.s_alpha)),
-        anchor_drift=anchor_drift(state.interface, state.curve),
+        anchor_drift=anchor_drift(state.interface),
         c_v=state.c_v, c_u=state.c_u)
 
 
@@ -91,7 +91,7 @@ def stability_probe(state, phys, grid, cfg, n_steps):
     """
     records = [record_state(state, phys, grid)]
     e0 = records[0].total
-    centre = (state.curve.x.mean(), state.curve.y.mean())
+    centre = (state.interface.curve.x.mean(), state.interface.curve.y.mean())
     for _ in range(n_steps):
         try:
             state = step(state, phys, grid, cfg)
@@ -100,7 +100,7 @@ def stability_probe(state, phys, grid, cfg, n_steps):
             return "unstable", records, None
         rec = record_state(state, phys, grid)
         if (not np.isfinite(rec.total)) or rec.total > 10.0 * e0 \
-                or not _curve_in_box(state.curve, centre, grid.length):
+                or not _curve_in_box(state.interface.curve, centre, grid.length):
             rec.stable = False
             records.append(rec)
             return "unstable", records, state

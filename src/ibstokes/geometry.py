@@ -5,7 +5,8 @@ update, and curve reconstruction from two reference points.
 Per-node forces and velocities are block vectors [normal; tangential] in
 the node frames (``tangent_normal``), 2 N_b long."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,8 @@ class InterfaceState:
 
     theta(alpha) = 2*pi*alpha/length + phi(alpha) with phi periodic, so theta
     winds by exactly 2*pi over one period.  ref_points holds the anchors at
-    alpha = 0 and alpha = length/2 as a (2, 2) array of (x, y) rows.
+    alpha = 0 and alpha = length/2 as a (2, 2) array of (x, y) rows.  The
+    curve is formed from these alone (``curve``), once, when first read.
     """
 
     s_alpha: np.ndarray
@@ -52,6 +54,10 @@ class InterfaceState:
     def theta(self):
         return TWO_PI * self.alpha / self.length + self.phi
 
+    @cached_property
+    def curve(self):    # nothing writes an interface after construction
+        return reconstruct_curve(self)
+
 
 @dataclass
 class CurveSamples:
@@ -73,7 +79,7 @@ class CurveSamples:
 
 
 def init_ellipse(a, b, center, n_nodes, rest_radius=1.0):
-    """Sample an axis-aligned ellipse and build its interface state.
+    """Interface state of an axis-aligned ellipse, its curve rebuilt from it as every state's.
 
     The material coordinate runs over [0, 2*pi*rest_radius); rest_radius sets
     the zero-tension stretch, so a circle of that radius has s_alpha = 1.
@@ -86,7 +92,7 @@ def init_ellipse(a, b, center, n_nodes, rest_radius=1.0):
         raise ParameterError(f"n_nodes must be even and positive, got {n_nodes}")
     ang = TWO_PI * np.arange(n_nodes) / n_nodes
     curve = CurveSamples(center[0] + a * np.cos(ang), center[1] + b * np.sin(ang))
-    return state_from_curve(curve, TWO_PI * rest_radius), curve
+    return state_from_curve(curve, TWO_PI * rest_radius)
 
 
 def tangent_normal(state):
@@ -144,12 +150,11 @@ def reconstruct_curve(state):
     return CurveSamples(gx + 0.5 * shift[0], gy + 0.5 * shift[1])
 
 
-def anchor_drift(state, curve):
-    """Distance between the two anchored reconstructions that
-    ``reconstruct_curve`` averaged into ``curve``: the average sits half of
-    it from the anchor at alpha = length/2.  Zero for a curve whose samples
-    gave the anchors (``state_from_curve``)."""
-    mid = state.n_nodes // 2
+def anchor_drift(state):
+    """Distance between the two anchored reconstructions averaged into
+    ``state.curve``, which sits half of it from the anchor at alpha = length/2;
+    round-off for a state built from curve samples (``state_from_curve``)."""
+    mid, curve = state.n_nodes // 2, state.curve
     return 2.0 * float(np.hypot(state.ref_points[1, 0] - curve.x[mid],
                                 state.ref_points[1, 1] - curve.y[mid]))
 

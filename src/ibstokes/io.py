@@ -6,11 +6,10 @@ type (int, float or str).  Command-line flags override file values.
 Snapshots are JSON documents of format 4, the one format that loads;
 earlier formats are refused.  Each array is a record of its dtype, shape
 and raw little-endian float64 bytes in base64, and each scalar a JSON
-number (shortest repr, exact) or null.  The fluid is stored as its rfft2
-half spectrum (``u_hat``, ``v_hat``, real and imaginary parts on a last
-axis of 2), the form the run carries it in; a reloaded fluid forms u, v
-when first read, as any fluid does, so save/load is lossless and a resumed
-run retraces the straight one bit for bit.
+number (shortest repr, exact) or null.  The interface is stored as (s_alpha,
+phi, anchors), the fluid as its rfft2 half spectrum (``u_hat``, ``v_hat``);
+a reloaded state forms its curve and u, v when first read, as every state
+does, so a run resumed at any step, step 0 included, is the unbroken run.
 """
 
 import base64
@@ -22,10 +21,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import InterfaceState, reconstruct_curve
+from .geometry import InterfaceState
 from .grids import GridSpec
 from .params import PhysParams, finite_real
-from .schemes import SchemeConfig, StepState, initial_state
+from .schemes import ROUNDOFF, SchemeConfig, StepState, initial_state
 from .stokes import FluidState
 
 SNAPSHOT_FORMAT_VERSION = 4
@@ -84,12 +83,9 @@ class RunConfig:
             raise ParameterError(f"label: must not contain a path separator, got {self.label!r}")
         self.scheme_config()
 
-    def interface_length(self):
-        return TWO_PI * self.rest_radius
-
     def phys(self):
         return PhysParams(rho=self.rho, mu=self.mu, elastic=self.elastic,
-                          interface_length=self.interface_length())
+                          interface_length=TWO_PI * self.rest_radius)
 
     def grid(self):
         return GridSpec(n=self.n, length=self.domain_length, n_boundary=self.n_boundary)
@@ -102,7 +98,12 @@ class RunConfig:
                              center=(self.center_x, self.center_y))
 
     def n_steps(self):
-        return int(round(self.t_end / self.dt))
+        """The steps of dt that make t_end, a whole number to round-off."""
+        steps = round(self.t_end / self.dt)
+        if abs(self.t_end / self.dt - steps) > ROUNDOFF * max(steps, 1):
+            raise ParameterError(f"t_end {self.t_end:g} is not a whole number "
+                                 f"of steps of dt {self.dt:g}")
+        return steps
 
     def run_name(self):
         if self.label:
@@ -139,8 +140,11 @@ def load_run_config(path=None, overrides=None):
     """Build a RunConfig from an optional file plus override assignments."""
     data = {}
     if path is not None:
-        with open(path) as fh:
-            data.update(parse_config_text(fh.read()))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data.update(parse_config_text(fh.read()))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParameterError(f"config file {path}: {getattr(exc, 'strerror', exc)}") from None
     if overrides:
         data.update(overrides)
     valid = set(RunConfig.__dataclass_fields__)
@@ -267,7 +271,7 @@ def load_snapshot(path):
     iface = InterfaceState(s_alpha, array("phi", s_alpha.shape), array("ref_points", (2, 2)),
                            number("interface_length", positive=True))
     fluid = None if field("u_hat") is None else _decode_fluid(array)
-    return StepState(iface, reconstruct_curve(iface), fluid, number("t", positive=False), step,
+    return StepState(iface, fluid, number("t", positive=False), step,
                      number("speed_ref", positive=True, nullable=True),
                      *(number(name, positive=False, nullable=True) for name in ("c_v", "c_u")))
 
@@ -279,8 +283,3 @@ def write_diagnostics_csv(path, records):
         fh.write(DiagnosticsRecord.CSV_HEADER + "\n")
         for rec in records:
             fh.write(rec.csv_row() + "\n")
-
-
-def output_dir():
-    """Output directory when ``--out`` is not given: $IBSTOKES_OUTDIR, else "out"."""
-    return os.environ.get("IBSTOKES_OUTDIR", "out")

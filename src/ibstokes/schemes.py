@@ -50,8 +50,7 @@ from . import bessel, coupling, spectral, stokes
 from .bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_second_order, ssd_symbol_t
 from .errors import BlowupError, ParameterError, SolverStallError
 from .geometry import (InterfaceState, anchor_velocity, elastic_force, enclosed_area,
-                       init_ellipse, reconstruct_curve, tangent_normal, theta_derivative,
-                       update_reference_points)
+                       init_ellipse, tangent_normal, theta_derivative, update_reference_points)
 from .params import finite_real
 from .stokes import FluidState, steady_stokes_grid_solve, unsteady_stokes_step
 
@@ -88,8 +87,8 @@ class SchemeConfig:
 
 @dataclass
 class StepState:
+    """One step's state; its curve is the interface's (``interface.curve``)."""
     interface: InterfaceState
-    curve: object
     fluid: FluidState = None      # absent for steady schemes
     t: float = 0.0
     step: int = 0
@@ -134,8 +133,8 @@ def _velocity_map(stencils, iface, grid, solve, average_with=None):
 
 def _step_map(state, phys, grid, cfg):
     """K on the step's own curve, through the scheme's fluid solve."""
-    return _velocity_map(coupling.delta_stencils(state.curve, grid), state.interface, grid,
-                         _fluid_solve(state.fluid, phys, grid, cfg))
+    return _velocity_map(coupling.delta_stencils(state.interface.curve, grid), state.interface,
+                         grid, _fluid_solve(state.fluid, phys, grid, cfg))
 
 
 def _rows(v, x):
@@ -173,9 +172,8 @@ def _finish(state, cfg, s_new, phi_new, refs, fluid=None):
             speed_ref = max(speed, 1e-12)
         elif speed > BLOWUP_FACTOR * speed_ref:
             raise BlowupError(k, f"velocity grew {BLOWUP_FACTOR:g}x at step {k}")
-    iface = InterfaceState(s_new, phi_new, refs, state.interface.length)
-    curve = reconstruct_curve(iface)
-    return StepState(iface, curve, fluid, state.t + cfg.dt, k, speed_ref, state.c_v, state.c_u)
+    return StepState(InterfaceState(s_new, phi_new, refs, state.interface.length), fluid,
+                     state.t + cfg.dt, k, speed_ref, state.c_v, state.c_u)
 
 
 def _circulant_from_multiplier(mult):
@@ -289,8 +287,7 @@ def _area_balanced_stretch(s_new, phi_new, refs, length, target_area, step_index
     translation, so the shoelace area scales with the factor squared."""
     if not np.all(np.isfinite(s_new)) or np.any(s_new <= 0):
         return s_new  # _finish reports the collapse
-    trial = reconstruct_curve(InterfaceState(s_new, phi_new, refs, length))
-    ratio = target_area / enclosed_area(trial)
+    ratio = target_area / enclosed_area(InterfaceState(s_new, phi_new, refs, length).curve)
     if not ratio > 0:
         raise BlowupError(step_index, f"area balance has no positive stretch at step {step_index}")
     return s_new * np.sqrt(ratio)
@@ -455,7 +452,7 @@ def step_semi_implicit(state, phys, grid, cfg):
     if area_balance:
         flux = float(np.sum(u_star[:nb] * iface.s_alpha)) * iface.dalpha
         s_new = _area_balanced_stretch(s_new, phi_new, refs, length,
-                                       enclosed_area(state.curve) - dt * flux, state.step + 1)
+                                       enclosed_area(iface.curve) - dt * flux, state.step + 1)
     return _finish(replace(state, c_v=c_v, c_u=c_u), cfg, s_new, phi_new, refs, fluid)
 
 
@@ -493,7 +490,7 @@ def step_ifrk4_steady(state, phys, grid, cfg):
         if np.any(s <= 0) or not np.all(np.isfinite(s)):
             raise BlowupError(state.step + 1, "stage state degenerate inside RK4")
         stage_if = InterfaceState(s, phi, iface.ref_points, iface.length)
-        stage = replace(state, interface=stage_if, curve=reconstruct_curve(stage_if))
+        stage = replace(state, interface=stage_if)
         dth = theta_derivative(stage_if)
         u, _ = _step_map(stage, phys, grid, cfg)(elastic_force(s, dth, phys.elastic, iface.length))
         stage_vel.append(anchor_velocity(stage_if, u))
@@ -557,7 +554,7 @@ def step_stable(state, phys, grid, cfg):
     dt = cfg.dt
     nb = iface.n_nodes
     elastic, length = phys.elastic, iface.length
-    stencils = coupling.delta_stencils(state.curve, grid)
+    stencils = coupling.delta_stencils(iface.curve, grid)
     dth = theta_derivative(iface)
     solve = _fluid_solve(None, phys, grid, cfg)
     from_rest = _velocity_map(stencils, iface, grid, solve)
@@ -619,7 +616,7 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     # it and is unnecessary at second-order accuracy)
     half = step_semi_implicit(replace(state, c_v=1.0, c_u=1.0), phys, grid,
                               replace(cfg, scheme="ssd1_unsteady", dt=dt / 2))
-    iface_h, curve_h = half.interface, half.curve
+    iface_h = half.interface
     del half    # its fluid is not kept: free it before the next solve
     dth_h = theta_derivative(iface_h)
     d = partial(spectral.derivative_1d, period=iface.length)
@@ -632,7 +629,7 @@ def step_second_order_unsteady(state, phys, grid, cfg):
     # trapezoidal solves on the midpoint curve; the velocity is that of the
     # centred fluid (u^n + u^{n+1})/2
     centered_velocity = _velocity_map(
-        coupling.delta_stencils(curve_h, grid), iface_h, grid,
+        coupling.delta_stencils(iface_h.curve, grid), iface_h, grid,
         lambda f_grid: unsteady_stokes_step(state.fluid, f_grid, phys.rho, phys.mu, dt, grid,
                                             theta=0.5),
         average_with=state.fluid)
@@ -680,8 +677,8 @@ def initial_state(phys, grid, a=0.32, b=0.24, center=(0.5, 0.5)):
     """Ellipse interface (rest radius from phys.interface_length) in a fluid
     at rest; steady schemes ignore the fluid field."""
     rest_radius = phys.interface_length / TWO_PI
-    state, curve = init_ellipse(a, b, center, grid.n_boundary, rest_radius=rest_radius)
-    return StepState(state, curve, FluidState.rest(grid.n), 0.0, 0, None)
+    return StepState(init_ellipse(a, b, center, grid.n_boundary, rest_radius=rest_radius),
+                     FluidState.rest(grid.n), 0.0, 0, None)
 
 
 def simulate(state, phys, grid, cfg, n_steps):

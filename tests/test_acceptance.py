@@ -138,8 +138,8 @@ def test_criterion_4_steady_stability_dichotomy():
     v2, _, _ = probe("explicit_steady", 1.0, 50)
     v3, _, f3 = probe("ssd1_steady", 10.0, 20)
     v4, _, f4 = probe("ifrk4_steady", 10.0, 20)
-    circ3 = radius_variation(f3.curve) if f3 else np.inf
-    circ4 = radius_variation(f4.curve) if f4 else np.inf
+    circ3 = radius_variation(f3.interface.curve) if f3 else np.inf
+    circ4 = radius_variation(f4.interface.curve) if f4 else np.inf
     ok = (v1 == "stable" and v2 == "unstable" and v3 == "stable" and v4 == "stable"
           and circ3 <= 2e-2 and circ4 <= 2e-2)
     report(4, ok, f"explicit@0.1={v1}, explicit@1={v2}, ssd1@10={v3} (circ {circ3:.1e}), "
@@ -170,7 +170,7 @@ def _convergence_rate(n, mu, dts, t_end=1.0):
         st = schemes.initial_state(phys, grid)
         for s in schemes.simulate(st, phys, grid, cfg, round(t_end / dt)):
             st = s
-        return {"X": (st.curve.as_array(), st.interface.dalpha),
+        return {"X": (st.interface.curve.as_array(), st.interface.dalpha),
                 "u": (np.stack([st.fluid.u, st.fluid.v], -1), grid.h**2)}
 
     return diagnostics.run_convergence_study(run, dts)

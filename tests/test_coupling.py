@@ -214,12 +214,12 @@ def test_spread_of_elastic_force_has_zero_mean():
     # force is a derivative of a periodic quantity, so the spread field
     # integrates to ~0: the steady grid solve relies on this
     grid = GridSpec.make(32)
-    state, curve = geometry.init_ellipse(0.32, 0.24, (0.5, 0.5), 64, rest_radius=0.2)
+    state = geometry.init_ellipse(0.32, 0.24, (0.5, 0.5), 64, rest_radius=0.2)
     f = geometry.elastic_force(state.s_alpha, geometry.theta_derivative(state), 1.0,
                                state.length)
     tau, nrm = geometry.tangent_normal(state)
     f_xy = f[:64, None] * nrm + f[64:, None] * tau
-    field = coupling.spread(coupling.delta_stencils(curve, grid), f_xy, grid, state.dalpha)
+    field = coupling.spread(coupling.delta_stencils(state.curve, grid), f_xy, grid, state.dalpha)
     for c in range(2):
         assert abs(np.sum(field[..., c]) * grid.h**2) <= 1e-10
 

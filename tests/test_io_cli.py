@@ -62,6 +62,15 @@ class TestConfigParsing:
     def test_default_boundary_count(self):
         assert RunConfig(n=48).n_boundary == 96
 
+    def test_steps_make_t_end(self):
+        # t_end / dt off a whole number by round-off takes that number; off
+        # by more it is refused, never rounded to another end time
+        assert RunConfig(dt=0.1, t_end=0.3).n_steps() == 3
+        assert RunConfig(dt=0.1, t_end=0).n_steps() == 0
+        for t_end in (0.25, 0.04):
+            with pytest.raises(ParameterError, match="t_end"):
+                RunConfig(dt=0.1, t_end=t_end).n_steps()
+
 
 @pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)
 def test_grid_without_interface_length_steps_like_run_config(scheme):
@@ -109,7 +118,7 @@ class TestSnapshots:
         direct = schemes.step(state, phys, grid, cfg1)
         resumed = schemes.step(load_snapshot(str(path)), phys, grid, cfg2)
         assert np.array_equal(direct.interface.s_alpha, resumed.interface.s_alpha)
-        assert np.array_equal(direct.curve.x, resumed.curve.x)
+        assert np.array_equal(direct.interface.curve.x, resumed.interface.curve.x)
 
     def test_format_version_checked(self, tmp_path):
         # format 4 is the only one that loads: the earlier formats are refused
@@ -266,6 +275,25 @@ def test_restart_follows_straight_run(scheme, tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)
+def test_start_state_restarts_bitwise(scheme, tmp_path):
+    # the start state's curve, as every state's, is formed from its interface
+    # alone: reloaded, it records and steps as the state that was saved
+    config = _restart_run(scheme)
+    phys, grid, cfg = config.phys(), config.grid(), config.scheme_config()
+    start = config.initial_state()
+    path = tmp_path / "start.json"
+    save_snapshot(str(path), start, config)
+    back = load_snapshot(str(path))
+    record = diagnostics.record_state
+    assert record(back, phys, grid) == record(start, phys, grid)
+    for a, b in zip(schemes.simulate(start, phys, grid, cfg, 3),
+                    schemes.simulate(back, phys, grid, cfg, 3)):
+        for x, y in zip(_state_arrays(a) + (a.interface.curve.as_array(),),
+                        _state_arrays(b) + (b.interface.curve.as_array(),)):
+            assert np.array_equal(x, y)
+
+
 def test_step_snapshots_reload_the_straight_run(tmp_path):
     # snapshot_every = 2 over 4 steps writes steps 2 and 4 beside the final
     # snapshot, each the state of the run at that step, bit for bit
@@ -392,11 +420,30 @@ class TestCli:
          "--set", "mu=1", "--set", "t_end=0.25"),
         ("convergence", "--dts", "0.1,0.05", "--set", "scheme=ssd1_steady", "--set", "n=16",
          "--set", "mu=1", "--set", "t_end=0"),
+        # the run would stop at t = 0.2, the dt = 0.002 preset runs at t = 0
+        ("run", "--set", "scheme=ssd1_steady", "--set", "n=16", "--set", "mu=1",
+         "--set", "dt=0.1", "--set", "t_end=0.25"),
+        ("run", "--preset", "stab-fig8", "--set", "t_end=0.001"),
+        ("sweep", "--n-list", "16", "--dt-list", "0.05,0.1", "--set", "scheme=ssd1_steady",
+         "--set", "mu=1", "--set", "t_end=0.25"),
+        ("convergence", "--dts", "0,0", "--set", "n=16"),
     ], ids=["run-axes", "preset-axes", "sweep-odd-n", "sweep-axes", "cost-axes",
-            "label-subdirectory", "label-absolute", "convergence-part-step", "convergence-no-step"])
+            "label-subdirectory", "label-absolute", "convergence-part-step", "convergence-no-step",
+            "run-part-step", "preset-part-step", "sweep-part-step", "convergence-zero-dt"])
     def test_refused_input_makes_no_output_directory(self, argv, tmp_path):
         out = tmp_path / "out"
         assert self.run_cli(*argv, "--out", str(out)) == 64
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_file_is_usage_error(self, kind, tmp_path, capsys):
+        path, out = tmp_path / "run.cfg", tmp_path / "out"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"n = 16\n\xff\n")
+        assert self.run_cli("run", "--config", str(path), "--out", str(out)) == 64
+        assert capsys.readouterr().err.startswith(f"usage error: config file {path}: ")
         assert not out.exists()
 
     def test_sweep_needs_a_dt_list(self, tmp_path, capsys):
@@ -462,7 +509,7 @@ class TestCli:
                          (tmp_path / "rec.csv").read_text().splitlines()]
         assert header[9:12] == ["anchor_drift", "c_v", "c_u"]
         assert all(len(row) == len(header) for row in rows)
-        assert rows[0][9:12] == ["0", "", ""]
+        assert float(rows[0][9]) <= 1e-14 and rows[0][10:12] == ["", ""]
         coefficients = {tuple(row[10:12]) for row in rows[1:]}
         assert coefficients == ({("", "")} if scheme == "stable_steady"
                                 else {(rows[1][10], "1")})

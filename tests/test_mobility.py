@@ -19,7 +19,7 @@ def mobility_case(scheme, n=32):
                        mu=1.0 if steady else 0.01)
     phys, grid = config.phys(), config.grid()
     state = config.initial_state()
-    stencils = coupling.delta_stencils(state.curve, grid)
+    stencils = coupling.delta_stencils(state.interface.curve, grid)
     if steady:
         def solve(f_grid):
             return stokes.steady_stokes_grid_solve(f_grid, phys.mu, grid)

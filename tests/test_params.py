@@ -5,7 +5,7 @@ import pytest
 
 from ibstokes import schemes
 from ibstokes.errors import ParameterError
-from ibstokes.geometry import CurveSamples, InterfaceState
+from ibstokes.geometry import InterfaceState
 from ibstokes.grids import GridSpec
 from ibstokes.io import RunConfig
 from ibstokes.params import PhysParams
@@ -34,7 +34,7 @@ def test_steady_time_rescaling_equivalence():
         st = schemes.initial_state(phys, grid)
         for s in schemes.simulate(st, phys, grid, cfg, 10):
             st = s
-        return st.curve.as_array()
+        return st.interface.curve.as_array()
 
     x1 = run(p1, dt1)
     x2 = run(p2, dt2)
@@ -110,7 +110,8 @@ def test_translation_by_one_grid_cell(scheme):
 @pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)
 def test_quarter_turn_about_the_domain_centre(scheme):
     # the turn maps the periodic grid onto itself; the nodes keep their
-    # labels, so the angle gains pi/2 and the anchors and samples turn
+    # labels, so the angle gains pi/2 and the anchors (and the curve rebuilt
+    # from them) turn
     config = RunConfig(scheme=scheme, n=32, **_cost_table_values(scheme))
     centre = np.full(2, config.domain_length / 2)
 
@@ -120,10 +121,8 @@ def test_quarter_turn_about_the_domain_centre(scheme):
 
     start = config.initial_state()
     iface = start.interface
-    turned = turn(start.curve.as_array())
     b = _five_steps(config, replace(
         start, interface=InterfaceState(iface.s_alpha, iface.phi + np.pi / 2,
-                                        turn(iface.ref_points), iface.length),
-        curve=CurveSamples(turned[:, 0], turned[:, 1])))
+                                        turn(iface.ref_points), iface.length)))
     _assert_same_interface(_five_steps(config), b.s_alpha, b.phi - np.pi / 2,
                            turn(b.ref_points, sign=-1.0))

@@ -3,8 +3,7 @@ import pytest
 
 from ibstokes import coupling, diagnostics, schemes, spectral
 from ibstokes.errors import BlowupError
-from ibstokes.geometry import (InterfaceState, elastic_force, enclosed_area, reconstruct_curve,
-                               theta_derivative)
+from ibstokes.geometry import InterfaceState, elastic_force, enclosed_area, theta_derivative
 from ibstokes.grids import GridSpec
 from ibstokes.params import PhysParams
 from ibstokes.schemes import SchemeConfig, StepState
@@ -25,8 +24,7 @@ def equilibrium_state(n_boundary):
     ang = 2 * np.pi * np.arange(n_boundary) / n_boundary
     refs = np.array([[1.5, 0.5], [-0.5, 0.5]])
     iface = InterfaceState(np.ones(n_boundary), np.full(n_boundary, np.pi / 2), refs)
-    curve = reconstruct_curve(iface)
-    return StepState(iface, curve, FluidState.rest(n_boundary // 2), 0.0, 0, None)
+    return StepState(iface, FluidState.rest(n_boundary // 2), 0.0, 0, None)
 
 
 def march(phys, grid, cfg, n_steps, state=None):
@@ -85,7 +83,7 @@ class TestSsd1Steady:
         assert verdict == "stable"
         # final shape is an approximate circle
         from ibstokes.geometry import radius_variation
-        assert radius_variation(final.curve) <= 2e-2
+        assert radius_variation(final.interface.curve) <= 2e-2
 
     def test_high_mode_contraction_factor(self):
         # frozen-coefficient analysis: with the Hilbert leading term
@@ -123,16 +121,16 @@ class TestSsd1Steady:
         u, _ = schemes._step_map(state, phys, grid, cfg)(
             elastic_force(iface.s_alpha, theta_derivative(iface), phys.elastic, iface.length))
         flux = cfg.dt * np.sum(u[:iface.n_nodes] * iface.s_alpha) * iface.dalpha
-        a0 = enclosed_area(state.curve)
-        a1 = enclosed_area(schemes.step(state, phys, grid, cfg).curve)
+        a0 = enclosed_area(state.interface.curve)
+        a1 = enclosed_area(schemes.step(state, phys, grid, cfg).interface.curve)
         assert abs((a1 - a0) + flux) <= 1e-12 * a0
 
     def test_area_kept_at_large_dt(self):
         phys, grid = model(64)
         state = schemes.initial_state(phys, grid)
         final = march(phys, grid, SchemeConfig(scheme="ssd1_steady", dt=10.0), 20, state)
-        a0 = enclosed_area(state.curve)
-        assert abs(enclosed_area(final.curve) - a0) <= 0.01 * a0
+        a0 = enclosed_area(state.interface.curve)
+        assert abs(enclosed_area(final.interface.curve) - a0) <= 0.01 * a0
 
 
 class TestSsd2Steady:
@@ -175,7 +173,7 @@ class TestIfrk4Steady:
         sols = {}
         for dt in dts:
             cfg = SchemeConfig(scheme="ifrk4_steady", dt=dt)
-            sols[dt] = march(phys, grid, cfg, round(T / dt)).curve.as_array()
+            sols[dt] = march(phys, grid, cfg, round(T / dt)).interface.curve.as_array()
         w = phys.interface_length / grid.n_boundary
         errs = [np.sqrt(np.sum((sols[a] - sols[b]) ** 2) * w) for a, b in zip(dts, dts[1:])]
         return [errs[i] / errs[i + 1] for i in range(2)]
@@ -240,7 +238,7 @@ class TestStableSteady:
         force = phys.elastic * (
             spectral.derivative_1d(new.interface.s_alpha, period=iface.length)[:, None] * tau
             + ((new.interface.s_alpha - 1.0) * dth)[:, None] * nrm)
-        stencils = coupling.delta_stencils(state.curve, grid)
+        stencils = coupling.delta_stencils(state.interface.curve, grid)
         fl = steady_stokes_grid_solve(coupling.spread(stencils, force, grid, iface.dalpha),
                                       phys.mu, grid)
         uv = coupling.interpolate(stencils, np.stack([fl.u, fl.v], -1), grid)
@@ -258,6 +256,6 @@ def test_all_steady_schemes_agree_with_explicit_after_10_tiny_steps():
     w = phys.interface_length / grid.n_boundary
     for scheme in STEADY[1:]:
         got = march(phys, grid, SchemeConfig(scheme=scheme, dt=dt), 10)
-        dx = got.curve.as_array() - ref.curve.as_array()
+        dx = got.interface.curve.as_array() - ref.interface.curve.as_array()
         err = np.sqrt(np.sum(dx**2) * w)
         assert err <= 1e-5, f"{scheme} drifted {err:.2e} from the explicit reference"

@@ -5,7 +5,7 @@ import pytest
 
 from ibstokes import diagnostics, schemes, spectral, stokes
 from ibstokes.bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_t
-from ibstokes.geometry import InterfaceState, reconstruct_curve
+from ibstokes.geometry import InterfaceState
 from ibstokes.grids import GridSpec
 from ibstokes.io import RunConfig
 from ibstokes.params import PhysParams
@@ -43,7 +43,7 @@ def test_equilibrium_fixed_point(scheme):
     nb = grid.n_boundary
     iface = InterfaceState(np.ones(nb), np.full(nb, np.pi / 2),
                            np.array([[1.5, 0.5], [-0.5, 0.5]]))
-    state = StepState(iface, reconstruct_curve(iface), FluidState.rest(32), 0.0, 0, None,
+    state = StepState(iface, FluidState.rest(32), 0.0, 0, None,
                       c_v=1.0, c_u=1.0)
     cfg = SchemeConfig(scheme=scheme, dt=0.1)
     new = schemes.step(state, phys, grid, cfg)
@@ -60,7 +60,7 @@ class TestExplicitUnsteady:
         iface = InterfaceState(np.ones(nb), np.full(nb, np.pi / 2),
                                np.array([[0.7, 0.5], [0.3, 0.5]]),
                                length=2 * np.pi)
-        state = StepState(iface, reconstruct_curve(iface), FluidState.rest(32), 0.0, 0, None)
+        state = StepState(iface, FluidState.rest(32), 0.0, 0, None)
         cfg = SchemeConfig(scheme="explicit_unsteady", dt=0.01)
         phys2 = PhysParams(rho=1.0, mu=0.1, elastic=1.0)
         new = schemes.step(state, phys2, grid, cfg)
@@ -115,7 +115,7 @@ class TestSsd1Unsteady:
         a = march(phys, grid, SchemeConfig(scheme="explicit_unsteady", dt=dt), 10)
         b = march(phys, grid, SchemeConfig(scheme="ssd1_unsteady", dt=dt), 10,
                   unrescaled(phys, grid))
-        dx = a.curve.as_array() - b.curve.as_array()
+        dx = a.interface.curve.as_array() - b.interface.curve.as_array()
         err = np.sqrt(np.sum(dx**2) * a.interface.dalpha)
         assert err <= 1e-6
 
@@ -171,7 +171,7 @@ class TestSecondOrder:
         def run(dt):
             cfg = SchemeConfig(scheme="second_order_unsteady", dt=dt)
             st = march(phys, grid, cfg, round(1.0 / dt))
-            return {"X": (st.curve.as_array(), st.interface.dalpha)}
+            return {"X": (st.interface.curve.as_array(), st.interface.dalpha)}
 
         res = diagnostics.run_convergence_study(run, [1 / 8, 1 / 16, 1 / 32, 1 / 64])
         assert res["X"]["rate"] == pytest.approx(2.0, abs=0.5)
@@ -232,7 +232,7 @@ def test_all_unsteady_schemes_agree_with_explicit_after_10_tiny_steps():
     w = phys.interface_length / grid.n_boundary
     for scheme in UNSTEADY[1:]:
         got = march(phys, grid, SchemeConfig(scheme=scheme, dt=dt), 10, unrescaled(phys, grid))
-        dx = got.curve.as_array() - ref.curve.as_array()
+        dx = got.interface.curve.as_array() - ref.interface.curve.as_array()
         err = np.sqrt(np.sum(dx**2) * w)
         assert err <= 1e-5, f"{scheme} drifted {err:.2e} from the explicit reference"
 
