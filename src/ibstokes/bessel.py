@@ -25,7 +25,6 @@ class SsdSymbolParams:
     """
 
     elastic: float
-    mu: float
     rho: float
     dt: float
     lam: float
@@ -35,7 +34,7 @@ class SsdSymbolParams:
     def __post_init__(self):
         if not (self.lam > 0 and self.s_min > 0):
             raise ParameterError("need lam > 0 and s_min > 0")
-        for name in ("elastic", "mu", "rho", "dt", "lam", "s_min", "s_max_excess"):
+        for name in ("elastic", "rho", "dt", "lam", "s_min", "s_max_excess"):
             if not np.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} is not finite")
 
@@ -43,7 +42,7 @@ class SsdSymbolParams:
     def from_state(cls, s_alpha, elastic, mu, rho, dt):
         lam = 1.0 / np.sqrt(mu * dt / rho)
         s_min = float(np.min(s_alpha))
-        return cls(elastic=elastic, mu=mu, rho=rho, dt=dt, lam=lam,
+        return cls(elastic=elastic, rho=rho, dt=dt, lam=lam,
                    s_min=s_min,
                    s_max_excess=float(np.max(s_alpha - 1.0)))
 

@@ -90,24 +90,17 @@ def spread(stencils, values, grid, dalpha):
     return field.reshape((grid.n, grid.n) + values.shape[1:])
 
 
-def interpolate(stencils, field, grid):
-    """Gather a grid field at the interface: sum_x u(x) delta_h(x - X_j) h^2.
+def interpolate(stencils, field):
+    """Gather grid fields at the interface: sum_x u(x) delta_h(x - X_j) h^2.
 
-    field (N, N, ...) gives node values (N_b, ...); a tuple of (N, N)
-    components, such as (u, v), gives (N_b, len(field)) without stacking them.
+    field, a tuple of (N, N) components such as (u, v), gives node values
+    (N_b, len(field)), one column per component, without stacking them.
     """
-    if isinstance(field, tuple):
-        comps = [np.asarray(c, dtype=float).reshape(-1) for c in field]
-        trailing = (len(comps),)
-    else:
-        field = np.asarray(field, dtype=float)
-        cols = field.reshape(grid.n * grid.n, -1)
-        comps = [cols[:, c] for c in range(cols.shape[1])]
-        trailing = field.shape[2:]
-    out = np.empty((len(stencils.wh2), len(comps)))
-    for c, comp in enumerate(comps):
+    out = np.empty((len(stencils.wh2), len(field)))
+    for c, comp in enumerate(field):
+        comp = np.asarray(comp, dtype=float).reshape(-1)
         out[:, c] = np.einsum("jpq,jpq->j", stencils.wh2, comp[stencils.cells])
-    return out.reshape(out.shape[:1] + trailing)
+    return out
 
 
 def inner_product_gamma(f, g, dalpha):

@@ -12,8 +12,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ParameterError
-
-TWO_PI = 2.0 * np.pi
+from .spectral import TWO_PI
 
 
 @dataclass
@@ -86,6 +85,9 @@ def init_ellipse(a, b, center, n_nodes, rest_radius=1.0):
     With the default rest_radius = 1 the parameter is the plain angle and
     s_alpha equals |dX/d(angle)|.
     """
+    if not np.all(np.isfinite([a, b, *center])):
+        raise ParameterError(f"ellipse axes and centre must be finite, got a={a}, b={b}, "
+                             f"center={tuple(center)}")
     if a <= 1e-12 or b <= 1e-12:
         raise ParameterError(f"degenerate ellipse axes a={a}, b={b}")
     if n_nodes % 2 != 0 or n_nodes <= 0:

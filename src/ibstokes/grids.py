@@ -3,23 +3,27 @@
 from dataclasses import dataclass
 
 from .errors import ParameterError
+from .params import finite_real
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """N x N periodic fluid grid of size length, with n_boundary interface
     nodes for the initial curve.  The node spacing belongs to the interface
-    (``InterfaceState.dalpha``), not to the grid."""
+    (``InterfaceState.dalpha``), not to the grid.  The counts are Python
+    ints, as a run's JSON-dumped config holds them."""
 
     n: int
     length: float
     n_boundary: int
 
     def __post_init__(self):
-        if self.n <= 0 or self.n % 2 != 0:
-            raise ParameterError(f"grid count N must be even and positive, got {self.n}")
-        if self.n_boundary <= 0 or self.n_boundary % 2 != 0:
-            raise ParameterError(f"N_b must be even and positive, got {self.n_boundary}")
+        for name in ("n", "n_boundary"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or v <= 0 or v % 2 != 0:
+                raise ParameterError(f"{name}: must be a positive even integer, got {v!r}")
+        if not (finite_real(self.length) and self.length > 0):
+            raise ParameterError(f"length: must be positive and finite, got {self.length!r}")
 
     @property
     def h(self):

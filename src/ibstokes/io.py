@@ -25,11 +25,10 @@ from .geometry import InterfaceState
 from .grids import GridSpec
 from .params import PhysParams, finite_real
 from .schemes import ROUNDOFF, SchemeConfig, StepState, initial_state
+from .spectral import TWO_PI
 from .stokes import FluidState
 
 SNAPSHOT_FORMAT_VERSION = 4
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass
@@ -59,13 +58,9 @@ class RunConfig:
         self.validate()
 
     def validate(self):
-        """Check the run's values; SchemeConfig checks scheme and dt."""
-        for name in ("n", "n_boundary"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0 or v % 2 != 0:
-                raise ParameterError(f"{name}: must be a positive even integer, got {v}")
-        for name in ("rho", "mu", "elastic", "domain_length",
-                     "ellipse_a", "ellipse_b", "rest_radius"):
+        """Check the run's values; GridSpec checks n and n_boundary,
+        PhysParams rho, mu and elastic, and SchemeConfig scheme and dt."""
+        for name in ("domain_length", "ellipse_a", "ellipse_b", "rest_radius"):
             v = getattr(self, name)
             if not (finite_real(v) and v > 0):
                 raise ParameterError(f"{name}: must be positive and finite, got {v!r}")
@@ -81,6 +76,8 @@ class RunConfig:
         # the label is the stem of every output file: it names no other directory
         if any(sep and sep in self.label for sep in ("/", os.sep, os.altsep)):
             raise ParameterError(f"label: must not contain a path separator, got {self.label!r}")
+        self.grid()
+        self.phys()
         self.scheme_config()
 
     def phys(self):
@@ -165,7 +162,8 @@ def _encode_array(a):
 def _decode_array(name, record):
     """The writable, C-contiguous float64 array of the record of
     snapshot field ``name``; ParameterError naming the field when the record
-    is malformed or its payload does not hold exactly its shape's values."""
+    is malformed, its payload does not hold exactly its shape's values or
+    one of them is not finite."""
     try:
         dtype, shape = record["dtype"], tuple(record["shape"])
         raw = base64.b64decode(record["base64"], validate=True)
@@ -175,7 +173,10 @@ def _decode_array(name, record):
             or len(raw) != 8 * math.prod(shape):
         raise ParameterError(f"snapshot field {name}: {len(raw)} bytes of {dtype!r} do not "
                              f"make a float64 array of shape {list(shape)}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.all(np.isfinite(a)):
+        raise ParameterError(f"snapshot field {name}: holds a non-finite value")
+    return a
 
 
 def _encode_spectrum(a):
@@ -198,7 +199,7 @@ def _decode_fluid(array):
     return FluidState((u_hat.view(complex)[..., 0], v_hat.view(complex)[..., 0]))
 
 
-def save_snapshot(path, state, run_config=None):
+def save_snapshot(path, state, run_config):
     """Write the full simulation state as versioned JSON.  The document goes
     to a temporary file beside ``path`` and replaces it only once complete,
     so a failed write leaves any earlier snapshot at ``path`` intact."""
@@ -216,9 +217,8 @@ def save_snapshot(path, state, run_config=None):
         "speed_ref": state.speed_ref,
         "c_v": state.c_v,
         "c_u": state.c_u,
+        "config": asdict(run_config),
     }
-    if run_config is not None:
-        doc["config"] = asdict(run_config)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-
-TWO_PI = 2.0 * np.pi
+from .spectral import TWO_PI
 
 
 def finite_real(v):
@@ -31,4 +30,4 @@ class PhysParams:
         for name in ("rho", "mu", "elastic", "interface_length"):
             v = getattr(self, name)
             if not (finite_real(v) and v > 0):
-                raise ParameterError(f"{name} must be positive and finite, got {v!r}")
+                raise ParameterError(f"{name}: must be positive and finite, got {v!r}")

@@ -52,9 +52,8 @@ from .errors import BlowupError, ParameterError, SolverStallError
 from .geometry import (InterfaceState, anchor_velocity, elastic_force, enclosed_area,
                        init_ellipse, tangent_normal, theta_derivative, update_reference_points)
 from .params import finite_real
+from .spectral import TWO_PI
 from .stokes import FluidState, steady_stokes_grid_solve, unsteady_stokes_step
-
-TWO_PI = 2.0 * np.pi
 
 STEADY_SCHEMES = ("explicit_steady", "ssd1_steady", "ssd2_steady",
                   "ifrk4_steady", "stable_steady")
@@ -97,9 +96,9 @@ class StepState:
     c_u: float = None             # a start state with c_v = c_u = 1 runs unrescaled
 
 
-def _node_velocity(stencils, fluid, grid):
+def _node_velocity(stencils, fluid):
     """J u: the fluid's xy velocity interpolated at the nodes, (N_b, 2)."""
-    return coupling.interpolate(stencils, (fluid.u, fluid.v), grid)
+    return coupling.interpolate(stencils, (fluid.u, fluid.v))
 
 
 def _fluid_solve(fluid, phys, grid, cfg):
@@ -119,12 +118,12 @@ def _velocity_map(stencils, iface, grid, solve, average_with=None):
     ``average_with``, interpolated once per map."""
     tau, nrm = tangent_normal(iface)
     nb = len(tau)
-    uv_with = None if average_with is None else _node_velocity(stencils, average_with, grid)
+    uv_with = None if average_with is None else _node_velocity(stencils, average_with)
 
     def velocity(force):
         fluid = solve(coupling.spread(stencils, force[:nb, None] * nrm + force[nb:, None] * tau,
                                       grid, iface.dalpha))
-        uv = _node_velocity(stencils, fluid, grid)
+        uv = _node_velocity(stencils, fluid)
         if uv_with is not None:
             uv = 0.5 * (uv + uv_with)
         return np.concatenate([np.sum(uv * nrm, axis=1), np.sum(uv * tau, axis=1)]), fluid
@@ -457,20 +456,20 @@ def step_semi_implicit(state, phys, grid, cfg):
 
 
 def _ifrk4_diagonal(y0, rate, dt, n_func):
-    """Integrating-factor RK4 for y' = -rate*y + n(t, y), diagonal rate >= 0.
+    """Integrating-factor RK4 for y' = -rate*y + n(y), diagonal rate >= 0.
 
-    ``n_func(stage, y)`` returns the nonlinear part at stages 0, 1, 2, 3
-    (times t, t+dt/2, t+dt/2, t+dt).
+    ``n_func(y)`` returns the nonlinear part at each stage's y (times t,
+    t+dt/2, t+dt/2, t+dt, in that order).
     """
     e_half = np.exp(-0.5 * dt * rate)
     e_full = e_half * e_half
-    k1 = n_func(0, y0)
+    k1 = n_func(y0)
     y2 = e_half * (y0 + 0.5 * dt * k1)
-    k2 = n_func(1, y2)
+    k2 = n_func(y2)
     y3 = e_half * y0 + 0.5 * dt * k2
-    k3 = n_func(2, y3)
+    k3 = n_func(y3)
     y4 = e_full * y0 + dt * e_half * k3
-    k4 = n_func(3, y4)
+    k4 = n_func(y4)
     return e_full * y0 + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
@@ -484,7 +483,7 @@ def step_ifrk4_steady(state, phys, grid, cfg):
     d = partial(spectral.derivative_1d, period=iface.length)
     stage_vel = []
 
-    def n_func(stage, y):
+    def n_func(y):
         s = np.fft.irfft(y[:half], nb)
         phi = np.fft.irfft(y[half:], nb)
         if np.any(s <= 0) or not np.all(np.isfinite(s)):
@@ -531,7 +530,7 @@ def _interface_mobility(stencils, iface, grid, solve):
         units = np.stack([nrm[j], tau[j]], axis=-1)[None]    # (1, xy, a)
         fields = coupling.spread(stencils[j:j + 1], units, grid, iface.dalpha)  # (N, N, xy, a)
         for a in range(2):
-            uv[..., a * nb + j] = _node_velocity(stencils, solve(fields[..., a]), grid)
+            uv[..., a * nb + j] = _node_velocity(stencils, solve(fields[..., a]))
     return np.concatenate([np.sum(uv * nrm[..., None], axis=1),
                            np.sum(uv * tau[..., None], axis=1)])
 

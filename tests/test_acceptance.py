@@ -62,7 +62,7 @@ def test_criterion_1_adjointness():
         stencils = coupling.delta_stencils(curve, grid)
         dalpha = 2 * np.pi / nb     # the curve's spacing over the parameter interval
         lhs = inner_product_omega(u, coupling.spread(stencils, g, grid, dalpha), grid.h)
-        rhs = inner_product_gamma(coupling.interpolate(stencils, u, grid), g, dalpha)
+        rhs = inner_product_gamma(coupling.interpolate(stencils, (u,))[:, 0], g, dalpha)
         scale = np.linalg.norm(u) * np.linalg.norm(g)
         worst = max(worst, abs(lhs - rhs) / scale)
     elapsed = time.time() - t0
@@ -214,7 +214,7 @@ def test_criterion_8_ssd_symbol_asymptotics():
     s_exc = 0.4
     # high-viscosity limit: both symbols approach the steady-flow rates
     mu = 1e4
-    p = SsdSymbolParams(elastic=1.0, mu=mu, rho=1.0, dt=0.1,
+    p = SsdSymbolParams(elastic=1.0, rho=1.0, dt=0.1,
                         lam=1.0 / np.sqrt(mu * 0.1), s_min=1.0,
                         s_max_excess=s_exc)
     for k in range(1, 9):
@@ -224,7 +224,7 @@ def test_criterion_8_ssd_symbol_asymptotics():
         worst = max(worst, abs(s / (-(s_exc / (4 * mu)) * k) - 1.0))
     # low-viscosity limit
     mu, dt = 1e-6, 0.1
-    p = SsdSymbolParams(elastic=1.0, mu=mu, rho=1.0, dt=dt,
+    p = SsdSymbolParams(elastic=1.0, rho=1.0, dt=dt,
                         lam=1.0 / np.sqrt(mu * dt), s_min=1.0,
                         s_max_excess=s_exc)
     for k in range(1, 9):

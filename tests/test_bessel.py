@@ -37,7 +37,7 @@ class TestK0ConvolutionSymbol:
 
 def params(mu, dt=0.1, elastic=1.0, rho=1.0, s_min=1.0, s_exc=0.0):
     lam = 1.0 / np.sqrt(mu * dt / rho)
-    return SsdSymbolParams(elastic=elastic, mu=mu, rho=rho, dt=dt, lam=lam,
+    return SsdSymbolParams(elastic=elastic, rho=rho, dt=dt, lam=lam,
                            s_min=s_min, s_max_excess=s_exc)
 
 
@@ -88,7 +88,7 @@ class TestSsdSymbols:
         # denominator picking up one extra power of s_min
         mu, dt, s_min, s_exc = 0.02, 0.25, 1.25, 0.45
         lam_bar = np.sqrt(2.0 / (mu * dt))
-        p2 = SsdSymbolParams(elastic=1.0, mu=mu, rho=1.0, dt=dt, lam=lam_bar,
+        p2 = SsdSymbolParams(elastic=1.0, rho=1.0, dt=dt, lam=lam_bar,
                              s_min=s_min, s_max_excess=s_exc)
         k = 4
         t2, s2 = bessel.ssd_symbol_second_order(k, p2)
@@ -101,7 +101,7 @@ class TestSsdSymbols:
     def test_second_order_s_prefactor_scales_cubed(self):
         mu, dt = 0.02, 0.25
         lam_bar = np.sqrt(2.0 / (mu * dt))
-        base = dict(elastic=1.0, mu=mu, rho=1.0, dt=dt, lam=lam_bar,
+        base = dict(elastic=1.0, rho=1.0, dt=dt, lam=lam_bar,
                     s_max_excess=0.45)
         k = 4.0
         p_a = SsdSymbolParams(s_min=1.0, **base)
@@ -117,5 +117,5 @@ class TestSsdSymbols:
 
     def test_invalid_params(self):
         with pytest.raises(ParameterError, match="need lam > 0 and s_min > 0"):
-            SsdSymbolParams(elastic=1, mu=1, rho=1, dt=0.1, lam=-1.0,
+            SsdSymbolParams(elastic=1, rho=1, dt=0.1, lam=-1.0,
                             s_min=1.0, s_max_excess=0.0)

@@ -88,7 +88,7 @@ class TestSpreadInterpolate:
     def test_interpolate_constant(self):
         grid = GridSpec.make(32)
         stencils = coupling.delta_stencils(random_curve(np.random.default_rng(3), 64), grid)
-        vals = coupling.interpolate(stencils, np.full((32, 32), 2.7), grid)
+        vals = coupling.interpolate(stencils, (np.full((32, 32), 2.7),))
         assert np.max(np.abs(vals - 2.7)) <= 1e-12
 
     def test_interpolate_linear_field_on_grid_line(self):
@@ -98,7 +98,7 @@ class TestSpreadInterpolate:
         x = np.arange(32) * grid.h
         field = np.tile(x[:, None], (1, 32))
         curve = CurveSamples(np.array([0.37, 0.5]), np.array([0.4, 0.52]))
-        vals = coupling.interpolate(coupling.delta_stencils(curve, grid), field, grid)
+        vals = coupling.interpolate(coupling.delta_stencils(curve, grid), (field,))[:, 0]
         assert abs(vals[0] - 0.37) <= 1e-12
         assert abs(vals[1] - 0.5) <= 1e-12
 
@@ -112,7 +112,8 @@ class TestSpreadInterpolate:
             stencils = coupling.delta_stencils(curve, grid)
             lhs = inner_product_omega(u, coupling.spread(stencils, g, grid, spacing(curve)),
                                       grid.h)
-            rhs = inner_product_gamma(coupling.interpolate(stencils, u, grid), g, spacing(curve))
+            rhs = inner_product_gamma(coupling.interpolate(stencils, (u,))[:, 0], g,
+                                      spacing(curve))
             scale = np.linalg.norm(u) * np.linalg.norm(g)
             assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -124,34 +125,23 @@ class TestSpreadInterpolate:
         u = rng.standard_normal((32, 32, 2))
         stencils = coupling.delta_stencils(curve, grid)
         lhs = inner_product_omega(u, coupling.spread(stencils, g, grid, spacing(curve)), grid.h)
-        rhs = inner_product_gamma(coupling.interpolate(stencils, u, grid), g, spacing(curve))
+        rhs = inner_product_gamma(coupling.interpolate(stencils, (u[..., 0], u[..., 1])), g,
+                                  spacing(curve))
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(g)
 
     def test_trailing_components_match_single_component_transfers(self):
-        # one code path for every trailing shape: a two-component transfer is
-        # bitwise the pair of one-component transfers through the same object
+        # one code path for every trailing shape: a two-component spread is
+        # bitwise the pair of one-component spreads through the same object
         grid = GridSpec.make(32)
         rng = np.random.default_rng(7)
         curve = random_curve(rng, 64)
         stencils = coupling.delta_stencils(curve, grid)
         g = rng.standard_normal((64, 2))
-        u = rng.standard_normal((32, 32, 2))
         field = coupling.spread(stencils, g, grid, spacing(curve))
-        vals = coupling.interpolate(stencils, u, grid)
-        assert field.shape == (32, 32, 2) and vals.shape == (64, 2)
+        assert field.shape == (32, 32, 2)
         for c in range(2):
             assert np.array_equal(field[..., c],
                                   coupling.spread(stencils, g[:, c], grid, spacing(curve)))
-            assert np.array_equal(vals[:, c], coupling.interpolate(stencils, u[..., c], grid))
-
-    def test_component_tuple_interpolates_as_the_stacked_field(self):
-        grid = GridSpec.make(32)
-        rng = np.random.default_rng(8)
-        stencils = coupling.delta_stencils(random_curve(rng, 64), grid)
-        u = rng.standard_normal((32, 32, 2))
-        stacked = coupling.interpolate(stencils, u, grid)
-        assert np.array_equal(coupling.interpolate(stencils, (u[..., 0], u[..., 1]), grid),
-                              stacked)
 
     def test_periodic_wrap(self):
         # a node just outside the box spreads onto wrapped cells with full mass

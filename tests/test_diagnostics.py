@@ -99,6 +99,39 @@ class TestConvergenceHarness:
         assert pairs == pytest.approx([2.0, 2.0])
 
 
+# (mu, dt) at which each scheme refines cleanly to N = 256 over T = 0.2
+SPATIAL_CASES = [
+    ("explicit_steady", 1.0, 0.005),
+    ("ssd1_steady", 1.0, 0.05),
+    ("ifrk4_steady", 1.0, 0.02),
+    ("stable_steady", 1.0, 0.05),
+    pytest.param("ssd1_unsteady", 0.01, 0.01, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=(
+            "ROADMAP item 10: ssd1_unsteady at N = 256, dt = 0.01 breaks "
+            "(e(128) = 7e-2 against e(64) = 1.4e-3)"))),
+]
+
+
+@pytest.mark.parametrize("scheme, mu, dt", SPATIAL_CASES)
+def test_spatial_self_convergence_first_order(scheme, mu, dt):
+    # the grid as the harness's variable: h = 1/N for N = 32 -> 256 at
+    # N_b = 2N, each final curve compared at the 64 material points every
+    # N shares; the 4-point delta makes it first order, ratios e(N)/e(2N)
+    # read 1.80-1.94
+    def run_fn(h):
+        config = RunConfig(scheme=scheme, n=round(1 / h), mu=mu, dt=dt, t_end=0.2)
+        state = config.initial_state()
+        for state in schemes.simulate(state, config.phys(), config.grid(),
+                                      config.scheme_config(), config.n_steps()):
+            pass
+        shared = state.interface.curve.as_array()[::config.n_boundary // 64]
+        return {"X": (shared, state.interface.length / 64)}
+
+    ratios = 2.0 ** np.array(run_convergence_study(run_fn, [1 / 32, 1 / 64, 1 / 128])
+                             ["X"]["pair_rates"])
+    assert np.all((ratios >= 1.6) & (ratios <= 2.6)), ratios
+
+
 class TestStabilityProbe:
     def probe(self, dt, steps=50, n=64):
         phys = PhysParams(rho=1.0, mu=1.0, elastic=1.0,

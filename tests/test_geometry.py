@@ -55,6 +55,13 @@ class TestInitEllipse:
         with pytest.raises(ParameterError, match="n_nodes must be even and positive, got 63"):
             geometry.init_ellipse(0.2, 0.2, (0.5, 0.5), 63)
 
+    @pytest.mark.parametrize("a, b, center", [(np.nan, 0.2, (0.5, 0.5)), (np.inf, 0.2, (0.5, 0.5)),
+                                              (0.3, 0.2, (np.nan, 0.5))],
+                             ids=["a-nan", "a-inf", "center-nan"])
+    def test_non_finite_axes_or_centre(self, a, b, center):
+        with pytest.raises(ParameterError, match="ellipse axes and centre must be finite"):
+            geometry.init_ellipse(a, b, center, 64)
+
 
 class TestTangentNormal:
     def test_orthonormal(self):

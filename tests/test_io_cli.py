@@ -166,6 +166,11 @@ class TestSnapshots:
                      id="u_hat-no-pairs"),
         pytest.param("v_hat", lambda r: {**r, "shape": [r["shape"][0] // 2, r["shape"][1] * 2, 2]},
                      id="v_hat-not-shaped-as-u_hat"),
+        # well-formed records that hold a non-finite value
+        *(pytest.param(name, lambda r, value=value: _with_value(r, 3, value), id=f"{name}-{value}")
+          for name, value in [("s_alpha", np.nan), ("phi", np.nan), ("ref_points", np.nan),
+                              ("u_hat", np.nan), ("v_hat", np.nan), ("s_alpha", np.inf),
+                              ("u_hat", -np.inf)]),
     ])
     def test_damaged_array_names_field(self, tmp_path, field, damage):
         config, phys, grid, state = self.make_state()
@@ -233,6 +238,13 @@ class TestSnapshots:
 
 
 SPECTRUM_FIELDS = ("s_alpha", "phi", "ref_points", "u_hat", "v_hat")
+
+
+def _with_value(record, index, value):
+    """``record`` with its ``index``-th value replaced by ``value``."""
+    a = np.frombuffer(base64.b64decode(record["base64"]), dtype="<f8").copy()
+    a[index] = value
+    return {**record, "base64": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 def _first_values(record, count):

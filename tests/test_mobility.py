@@ -39,7 +39,7 @@ def test_mobility_applies_the_grid_response(scheme):
     f_n, f_t = np.random.default_rng(3).standard_normal((2, nb))
     fluid = solve(coupling.spread(stencils, f_n[:, None] * nrm + f_t[:, None] * tau, grid,
                                   iface.dalpha))
-    uv = coupling.interpolate(stencils, np.stack([fluid.u, fluid.v], axis=-1), grid)
+    uv = coupling.interpolate(stencils, (fluid.u, fluid.v))
     frame_uv = np.concatenate([np.sum(uv * nrm, axis=1), np.sum(uv * tau, axis=1)])
     assert mob.shape == (2 * nb, 2 * nb)
     assert np.linalg.norm(mob @ np.concatenate([f_n, f_t]) - frame_uv) \

@@ -14,8 +14,22 @@ from ibstokes.schemes import SchemeConfig
 
 class TestGroups:
     def test_positive_params_required(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="mu: must be positive and finite"):
             PhysParams(mu=-1.0)
+
+    @pytest.mark.parametrize("length", [-1.0, 0.0, np.nan, np.inf])
+    def test_grid_length_must_be_positive_and_finite(self, length):
+        with pytest.raises(ParameterError, match="length: must be positive and finite"):
+            GridSpec(n=16, length=length, n_boundary=32)
+
+    @pytest.mark.parametrize("name, value", [("n", 15), ("n", 16.0), ("n_boundary", 0),
+                                             ("n_boundary", np.int64(32))],
+                             ids=["n-odd", "n-float", "n_boundary-zero", "n_boundary-numpy-int"])
+    def test_grid_counts_are_positive_even_ints(self, name, value):
+        # a Python int, as a run's JSON-dumped config holds it
+        counts = {"n": 16, "n_boundary": 32, name: value}
+        with pytest.raises(ParameterError, match=f"{name}: must be a positive even integer"):
+            GridSpec(length=1.0, **counts)
 
 
 def test_steady_time_rescaling_equivalence():

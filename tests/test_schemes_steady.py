@@ -160,7 +160,7 @@ class TestIfrk4Steady:
         # exp(-eta dt) exactly
         rate = np.array([0.0, 1.0, 4.0, 25.0])
         y0 = np.array([1.0, 1.0, 2.0, -3.0], dtype=complex)
-        out = schemes._ifrk4_diagonal(y0, rate, 0.7, lambda stage, y: 0.0 * y)
+        out = schemes._ifrk4_diagonal(y0, rate, 0.7, lambda y: 0.0 * y)
         assert np.max(np.abs(out - y0 * np.exp(-rate * 0.7))) <= 1e-14
 
     @staticmethod
@@ -241,7 +241,7 @@ class TestStableSteady:
         stencils = coupling.delta_stencils(state.interface.curve, grid)
         fl = steady_stokes_grid_solve(coupling.spread(stencils, force, grid, iface.dalpha),
                                       phys.mu, grid)
-        uv = coupling.interpolate(stencils, np.stack([fl.u, fl.v], -1), grid)
+        uv = coupling.interpolate(stencils, (fl.u, fl.v))
         u_n = uv[:, 0] * nrm[:, 0] + uv[:, 1] * nrm[:, 1]
         u_t = uv[:, 0] * tau[:, 0] + uv[:, 1] * tau[:, 1]
         rhs = spectral.derivative_1d(u_t, period=iface.length) - dth * u_n
