@@ -1,15 +1,16 @@
 """Peskin 4-point discrete delta, the spreading/interpolation pair, and the
 discrete inner products they are adjoint under.
 
-``delta_stencils`` builds one transfer object per curve: the 4x4 weight
-block of delta_h at each interface node and the grid cells it covers.
-Spreading scatters interface quantities onto the grid with weights
-delta_h(x - X_j) * dalpha, with the interface's spacing dalpha passed in;
-interpolation gathers grid fields with weights delta_h * h^2.  Both read the
-same object and never rebuild it, so the pair is adjoint by construction,
-exactly in floating point; that identity is what the energy estimates of the
-semi-implicit schemes rest on.  A step builds the object once for each curve
-it couples through.
+``delta_stencils`` builds one transfer object per curve: the 4x4 weight block
+of delta_h at each interface node and the grid cells it covers.  Each axis's
+four weights are the kernel's closed form (Peskin 2002) in the node's offset
+from the cell below: one square root per node and axis.  Spreading scatters
+interface quantities onto the grid with weights delta_h(x - X_j) * dalpha,
+with the interface's spacing dalpha passed in; interpolation gathers grid
+fields with weights delta_h * h^2.  Both read the same object and never
+rebuild it, so the pair is adjoint by construction, exactly in floating point;
+that identity is what the energy estimates of the semi-implicit schemes rest
+on.  A step builds the object once for each curve it couples through.
 """
 
 from dataclasses import dataclass
@@ -17,23 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-
-
-def peskin_phi(r):
-    """The 4-point kernel, vectorized over r.
-
-    Roundoff can push the radicands a hair negative at |r| = 1, 2; they are
-    clamped at 0.
-    """
-    r = np.abs(np.asarray(r, dtype=float))
-    out = np.zeros_like(r)
-    inner = r <= 1.0
-    outer = (r > 1.0) & (r < 2.0)
-    rad1 = np.clip(1.0 + 4.0 * r[inner] - 4.0 * r[inner] ** 2, 0.0, None)
-    out[inner] = (3.0 - 2.0 * r[inner] + np.sqrt(rad1)) / 8.0
-    rad2 = np.clip(-7.0 + 12.0 * r[outer] - 4.0 * r[outer] ** 2, 0.0, None)
-    out[outer] = (5.0 - 2.0 * r[outer] - np.sqrt(rad2)) / 8.0
-    return out
 
 
 @dataclass(frozen=True)
@@ -58,19 +42,24 @@ class Stencils:
         return Stencils(self.w[nodes], self.cells[nodes], self.wh2[nodes])
 
 
+def _kernel_weights(f):
+    """phi(f + 1), phi(f), phi(f - 1), phi(f - 2) on a last axis, for offsets f
+    in [0, 1): (3 - 2f -+ q)/8 and (1 + 2f +- q)/8 with q = sqrt(1 + 4f - 4f^2),
+    its radicand formed as 1 + 4f(1 - f), which rounds closer."""
+    q = np.sqrt(1.0 + 4.0 * f * (1.0 - f))
+    a, b = 3.0 - 2.0 * f, 1.0 + 2.0 * f
+    return np.stack([a - q, a + q, b + q, b - q], axis=-1) / 8.0
+
+
 def delta_stencils(curve, grid):
     """The transfer object of ``curve`` on ``grid``: 4x4 weight blocks of
-    delta_h centered at each interface node."""
-    h = grid.h
-    n = grid.n
-    gx = np.asarray(curve.x, dtype=float)[:, None] / h
-    gy = np.asarray(curve.y, dtype=float)[:, None] / h
-    offs = np.arange(-1, 3)
-    cx = np.floor(gx).astype(int) + offs      # unwrapped cell indices, (N_b, 4)
-    cy = np.floor(gy).astype(int) + offs
-    ix, iy = cx % n, cy % n
-    w = peskin_phi(gx - cx)[:, :, None] * peskin_phi(gy - cy)[:, None, :] / h**2
-    return Stencils(w, ix[:, :, None] * n + iy[:, None, :], w * h**2)
+    delta_h centered at each interface node, from both axes' weights at once."""
+    g = np.array([curve.x, curve.y], dtype=float) / grid.h     # (2, N_b)
+    base = np.floor(g)
+    wx, wy = _kernel_weights(g - base)
+    ix, iy = (base.astype(int)[..., None] + np.arange(-1, 3)) % grid.n     # (N_b, 4) each
+    w = wx[:, :, None] * wy[:, None, :] / grid.h**2
+    return Stencils(w, ix[:, :, None] * grid.n + iy[:, None, :], w * grid.h**2)
 
 
 def spread(stencils, values, grid, dalpha):

@@ -20,8 +20,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .diagnostics import potential_energy
 from .errors import ParameterError
-from .geometry import InterfaceState
+from .geometry import InterfaceState, enclosed_area
 from .grids import GridSpec
 from .params import PhysParams, finite_real
 from .schemes import ROUNDOFF, SchemeConfig, StepState, initial_state
@@ -61,9 +62,9 @@ class RunConfig:
         """Check the run's values; GridSpec checks n and n_boundary,
         PhysParams rho, mu and elastic, and SchemeConfig scheme and dt."""
         for name in ("domain_length", "ellipse_a", "ellipse_b", "rest_radius"):
-            v = getattr(self, name)
-            if not (finite_real(v) and v > 0):
-                raise ParameterError(f"{name}: must be positive and finite, got {v!r}")
+            v = getattr(self, name)     # 2 pi rest_radius is the interface length
+            if not (finite_real(v) and v > 0 and finite_real(TWO_PI * v)):
+                raise ParameterError(f"{name}: must be positive with 2 pi {name} finite, got {v!r}")
         if not (type(self.snapshot_every) is int and self.snapshot_every >= 0):  # not bool
             raise ParameterError("snapshot_every: must be a nonnegative integer, "
                                  f"got {self.snapshot_every}")
@@ -91,8 +92,15 @@ class RunConfig:
         return SchemeConfig(scheme=self.scheme, dt=self.dt)
 
     def initial_state(self):
-        return initial_state(self.phys(), self.grid(), a=self.ellipse_a, b=self.ellipse_b,
-                             center=(self.center_x, self.center_y))
+        state = initial_state(self.phys(), self.grid(), a=self.ellipse_a, b=self.ellipse_b,
+                              center=(self.center_x, self.center_y))
+        iface = state.interface
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = potential_energy(iface.s_alpha, 1.0, iface.dalpha) + enclosed_area(iface.curve)
+        if not np.isfinite(size):
+            raise ParameterError("ellipse_a, ellipse_b: the start state's elastic energy or area "
+                                 f"overflows, got a={self.ellipse_a!r}, b={self.ellipse_b!r}")
+        return state
 
     def n_steps(self):
         """The steps of dt that make t_end, a whole number to round-off."""

@@ -20,18 +20,19 @@ The explicit and semi-implicit (SSD) schemes share one stepper,
 (``_increment``), first for s_alpha, then for the angle, r the explicit rate
 R K F and L the implicit leading operator, so every scheme is consistent with
 the same dynamics; only the stability properties differ.  L is absent for
-forward Euler and a Fourier diagonal for the first kind.  The second kind's
-L is the first kind's diagonal plus a correction, a convolution: the
-log-kernel (steady) or smooth-kernel (unsteady) part of the normal velocity
-in s_alpha, the transport (V/s) D in the angle.  Diagonal and convolution
-alike are applied by ``spectral.fourier_map``.  The second kind's
+forward Euler and a Fourier diagonal for the first kind.  The second kind's L
+is the first kind's diagonal plus a correction, the triple (left, mult, right)
+of x -> left conv(mult, right x): the log-kernel (steady) or smooth-kernel
+(unsteady) part of the normal velocity in s_alpha, and the transport (V/s) D in
+the angle, whose scalar right folds D into the preconditioner.  Diagonal and
+convolution alike are applied by ``spectral.fourier_map``.  The second kind's
 increments are solved matrix-free by GMRES (``_gmres``), right-preconditioned
 by the first kind's own Fourier solve, to SECOND_KIND_TOL: O(N_b log N_b) per
-iteration and no N_b x N_b array.  The trapezoidal scheme's Crank-Nicolson
-pair goes through ``_increment`` too.  The integrating-factor scheme takes
-the continuum Hilbert rates as its factor: it is fourth order in time while
-the interface is no finer than the grid (N_b <= N/2), and loses that order
-at the default N_b = 2N, whose highest modes the 4-point delta cannot see.
+iteration and no N_b x N_b array.  The trapezoidal scheme's Crank-Nicolson pair
+goes through ``_increment`` too.  The integrating-factor scheme takes the
+continuum Hilbert rates as its factor: it is fourth order in time while the
+interface is no finer than the grid (N_b <= N/2), and loses that order at the
+default N_b = 2N, whose highest modes the 4-point delta cannot see.
 Both implicit systems of the two-step stable schemes read
 A = I - diag(scale) R K F_lin, with F_lin the linear part of F in the unknown
 and K the interface mobility: formed once per step, one fluid solve per unit
@@ -196,14 +197,6 @@ def _dense_solve(a, b, step_index):
     return x
 
 
-def _kernel_map(left, mult, right):
-    """x -> left * conv(mult, right * x): a diagonal, the circulant of the
-    conjugate-symmetric Fourier multiplier ``mult`` and a diagonal, applied
-    by two real FFTs."""
-    conv = spectral.fourier_map(mult)
-    return lambda x: left * conv(right * x)
-
-
 def _gmres(apply, b, tol, step_index):
     """Solve apply(x) = b to the relative residual ``tol`` by GMRES from x = 0:
     unrestarted and at most len(b) iterations, the Krylov basis orthogonalised
@@ -257,18 +250,24 @@ def _gmres(apply, b, tol, step_index):
 def _increment(lead, r, dt, step_index):
     """Delta = x^{n+1} - x^n of the step x^{n+1} = x^n + dt (r + L Delta), so
     (I - dt L) Delta = dt r, for the leading operator L = ``lead`` absent
-    (forward Euler), a Fourier diagonal, or a pair (diagonal, correction map)
-    of the second kind, L = L_diag + C.  The pair is solved matrix-free by
-    GMRES to SECOND_KIND_TOL, right-preconditioned by M = (I - dt L_diag)^-1,
-    the first kind's own Fourier solve: (I - dt C M) y = dt r, Delta = M y."""
+    (forward Euler), a Fourier diagonal, or a pair (diagonal, (left, mult,
+    right)) of the second kind, L = L_diag + C, C x = left conv(mult, right x).
+    The pair is solved matrix-free by GMRES to SECOND_KIND_TOL, right-
+    preconditioned by M = (I - dt L_diag)^-1, the first kind's own Fourier
+    solve: (I - dt C M) y = dt r, Delta = M y.  A scalar right (the transport)
+    makes C M one multiplier, right mult/(1 - dt L_diag): one transform pair."""
     if lead is None:
         return dt * r
     diagonal, correction = lead if isinstance(lead, tuple) else (lead, None)
     precondition = spectral.fourier_map(1.0 / (1.0 - dt * diagonal))
     if correction is None:
         return precondition(dt * r)
-    return precondition(_gmres(lambda y: y - dt * correction(precondition(y)), dt * r,
-                               SECOND_KIND_TOL, step_index))
+    left, mult, right = correction
+    fused = np.ndim(right) == 0
+    conv = spectral.fourier_map(right * mult / (1.0 - dt * diagonal) if fused else mult)
+    return precondition(_gmres(
+        lambda y: y - dt * (left * conv(y if fused else right * precondition(y))),
+        dt * r, SECOND_KIND_TOL, step_index))
 
 
 def _steady_rates(iface, phys):
@@ -305,7 +304,7 @@ def _steady_leads(state, phys, grid, cfg, dth, dv, second_kind):
         # U_lead(s) = -c * int ln|a-a'| (s-1) theta_a da'; the constant part of
         # U_lead goes with the explicit rate, leaving L_s linear in s
         c = phys.elastic / (4.0 * np.pi * phys.mu)
-        lead_s = (lead_s, _kernel_map(c * dth, -stokes._log_kernel_multiplier(
+        lead_s = (lead_s, (c * dth, -stokes._log_kernel_multiplier(
             iface.n_nodes, iface.length, grid.length), dth))
     return lead_s, None, lambda s_new, u: (-xi, None)
 
@@ -380,9 +379,10 @@ def _unsteady_leads(state, phys, grid, cfg, dth, dv, second_kind):
     # the leading term T s + pref coef conv((s - 1) theta_a) is affine in s;
     # its constant part goes with the explicit rate, leaving L_s linear in s
     c_v = _rescaling_coefficient(state.c_v, dv, lambda: (
-        spectral.apply_symbol_1d(s0, t_hat) + _kernel_map(pref * coef, d2_mult, dth)(s0 - 1.0),
+        spectral.apply_symbol_1d(s0, t_hat) + pref * coef * spectral.fourier_map(d2_mult)(
+            dth * (s0 - 1.0)),
         _size(t_hat, s0) + _size(pref, coef, d2_mult, (s0 - 1.0) * dth)))
-    return (c_v * t_hat, _kernel_map(c_v * pref * coef, d2_mult, dth)), c_v, lead_phi
+    return (c_v * t_hat, (c_v * pref * coef, d2_mult, dth)), c_v, lead_phi
 
 
 # scheme: (leading operators, none for forward Euler; second kind; angle and
@@ -443,8 +443,7 @@ def step_semi_implicit(state, phys, grid, cfg):
     lead_phi, c_u = lead_phi(s_new, u)
     s_rate = iface.s_alpha if leads is None else s_new   # forward Euler: all at t^n
     if second_kind:     # the transport (V/s^{n+1}) D
-        lead_phi = (lead_phi, _kernel_map(u[nb:] / s_new,
-                                          1j * spectral.odd_wavenumbers(nb, length), 1.0))
+        lead_phi = (lead_phi, (u[nb:] / s_new, spectral.derivative_multiplier(nb, length), 1.0))
     phi_new = iface.phi + _increment(lead_phi, _angle_rate(u, dth, d) / s_rate, dt,
                                      state.step + 1)
     refs = update_reference_points(iface, u, dt)
@@ -565,7 +564,7 @@ def step_stable(state, phys, grid, cfg):
     dense = nb <= DENSE_MAX
     if dense:
         derivative = _circulant_from_multiplier(
-            1j * spectral.odd_wavenumbers(nb, length)).__matmul__
+            spectral.derivative_multiplier(nb, length)).__matmul__
         mobility = _interface_mobility(stencils, iface, grid, solve).__matmul__
     else:
         derivative = fft_derivative

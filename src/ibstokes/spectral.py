@@ -8,13 +8,23 @@ through its half spectrum.  numpy's FFT stores the unpaired Nyquist mode at
 index N/2 with the opposite sign convention; the odd-symmetry multipliers
 (ik, 1/ik) zero that mode so results stay real and skew-symmetry is
 preserved.  Even multipliers keep it.  ``odd_wavenumbers`` is that rule.
+The derivative's and the antiderivative's multipliers are cached read-only per
+size (n, period), as ``stokes`` caches its symbols: a call costs its transforms.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ParameterError
 
 TWO_PI = 2.0 * np.pi
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
 
 def _check_1d(f):
     f = np.asarray(f, dtype=float)
@@ -50,18 +60,25 @@ def fourier_map(mult):
     return lambda x: np.fft.irfft(half * np.fft.rfft(x), n)
 
 
+@lru_cache(maxsize=16)
+def derivative_multiplier(n, period=TWO_PI):
+    """ik on the odd wavenumbers, the first derivative; read-only, built once per (n, period)."""
+    return _read_only(1j * odd_wavenumbers(n, period))
+
+
+@lru_cache(maxsize=16)
 def antiderivative_multiplier(n, period=TWO_PI):
     """1/(ik) on the odd wavenumbers, zero where k vanishes (the mean and the
-    Nyquist mode)."""
+    Nyquist mode).  Read-only, built once per (n, period)."""
     k = odd_wavenumbers(n, period)
-    return np.divide(1.0, 1j * k, out=np.zeros(n, dtype=complex), where=k != 0)
+    return _read_only(np.divide(1.0, 1j * k, out=np.zeros(n, dtype=complex), where=k != 0))
 
 
 def derivative_1d(f, *, period=TWO_PI):
     """Spectral first derivative of periodic samples (even length) over the
     parameter domain of length ``period``."""
     f = _check_1d(f)
-    return fourier_map(1j * odd_wavenumbers(f.size, period))(f)
+    return fourier_map(derivative_multiplier(f.size, period))(f)
 
 
 def apply_symbol_1d(f, symbol):
@@ -104,7 +121,7 @@ def derivative_2d(field, axis, length=1.0):
     field = np.asarray(field, dtype=float)
     if field.ndim != 2 or field.shape[0] != field.shape[1] or field.shape[0] == 0:
         raise ParameterError(f"need a square N x N grid, got shape {field.shape}")
-    derivative = fourier_map(1j * odd_wavenumbers(field.shape[0], length))
+    derivative = fourier_map(derivative_multiplier(field.shape[0], length))
     if axis == "x":
         return derivative(field.T).T
     if axis == "y":

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ParameterError
+from .spectral import _read_only
 
 
 class FluidState:
@@ -67,11 +68,6 @@ def _irfft2(a):
     inverse transform of every fluid."""
     n = len(a)
     return np.fft.irfft2(a, s=(n, n))
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
 
 
 @lru_cache(maxsize=8)
@@ -180,17 +176,18 @@ def steady_stokes_grid_solve(force, mu, grid):
     return _spectral_solve(None, force, grid, None, _steady_symbol(grid.n, grid.length, mu))
 
 
+@lru_cache(maxsize=8)
 def _log_kernel_multiplier(n, interface_length, domain_length):
     """Multiplier of f -> int -ln((L_b/(pi L))|sin(pi (a-a')/L_b)|) f da', the
     periodized log kernel with its distances in units of the domain length L,
     the unit of the log in the periodic Green's function of the grid solves.
 
     pi/|kappa| for kappa != 0 and -L_b ln(L_b/(2 pi L)) at kappa = 0 (which
-    vanishes when L_b = 2 pi L).
+    vanishes when L_b = 2 pi L).  Read-only, built once per size.
     """
     kappa = spectral.wavenumbers(n, interface_length)
     mult = np.zeros(n)
     nz = kappa != 0
     mult[nz] = np.pi / np.abs(kappa[nz])
     mult[0] = -interface_length * np.log(interface_length / (2.0 * np.pi * domain_length))
-    return mult
+    return _read_only(mult)

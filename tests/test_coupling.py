@@ -1,8 +1,10 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from ibstokes import coupling, geometry, schemes
-from ibstokes.coupling import inner_product_gamma, inner_product_omega, peskin_phi
+from ibstokes.coupling import _kernel_weights, inner_product_gamma, inner_product_omega
 from ibstokes.errors import ParameterError
 from ibstokes.geometry import CurveSamples
 from ibstokes.grids import GridSpec
@@ -22,28 +24,53 @@ def spacing(curve):
     return 2 * np.pi / curve.n_nodes
 
 
+# offsets f from the cell below: both ends of [0, 1), the middle, random ones
+OFFSETS = np.concatenate([[0.0, 1e-300, 1e-9, 0.5, 1.0 - 1e-9, np.nextafter(1.0, 0.0)],
+                          np.random.default_rng(7).random(2000)])
+CELLS = np.arange(-1, 3)        # the cells floor - 1 ... floor + 2 of the weights
+
+
+def piecewise_phi(r):
+    """The 4-point kernel by its two branches, in the Decimal context's precision."""
+    r = abs(Decimal(r))
+    if r <= 1:
+        return (3 - 2 * r + (1 + 4 * r - 4 * r * r).sqrt()) / 8
+    if r < 2:
+        return (5 - 2 * r - max(-7 + 12 * r - 4 * r * r, Decimal(0)).sqrt()) / 8
+    return Decimal(0)
+
+
 class TestPeskinPhi:
+    """The kernel through ``coupling._kernel_weights``, its closed form."""
+
     def test_branch_values(self):
-        assert peskin_phi(0.0) == pytest.approx(0.5)
-        assert peskin_phi(1.0) == pytest.approx(0.25)
-        assert peskin_phi(2.0) == 0.0
-        assert peskin_phi(2.5) == 0.0
-        # both branches agree at |r| = 1
-        assert peskin_phi(1.0 - 1e-12) == pytest.approx(peskin_phi(1.0 + 1e-12), abs=1e-9)
+        # phi(1), phi(0), phi(-1), phi(-2) at f = 0
+        assert _kernel_weights(np.array(0.0)).tolist() == [0.25, 0.5, 0.25, 0.0]
+        # both branches agree at |r| = 1: f just under 1 is f = 0 one cell on
+        below = _kernel_weights(np.array(1.0 - 1e-12))
+        assert np.max(np.abs(below - [0.0, 0.25, 0.5, 0.25])) <= 1e-9
+
+    def test_weights_match_the_piecewise_kernel(self):
+        w = _kernel_weights(OFFSETS)
+        with localcontext() as context:
+            context.prec = 50
+            ref = np.array([[float(piecewise_phi(Decimal(f) - c)) for c in CELLS]
+                            for f in OFFSETS.tolist()])
+        assert np.max(np.abs(w - ref) / np.max(w, axis=1)[:, None]) <= 2e-16
 
     def test_partition_of_unity(self):
-        for r in (0.0, 0.25, 0.5, 0.73):
-            shifts = r - np.arange(-3, 4)
-            assert abs(np.sum(peskin_phi(shifts)) - 1.0) <= 1e-12
+        assert np.max(np.abs(np.sum(_kernel_weights(OFFSETS), axis=1) - 1.0)) <= 1e-15
 
     def test_first_moment_vanishes(self):
-        for r in (0.0, 0.1, 0.37, 0.5, 0.99):
-            j = np.arange(-3, 4)
-            assert abs(np.sum((r - j) * peskin_phi(r - j))) <= 1e-12
+        moment = np.sum((OFFSETS[:, None] - CELLS) * _kernel_weights(OFFSETS), axis=1)
+        assert np.max(np.abs(moment)) <= 1e-15
+
+    def test_sum_of_squares_is_three_eighths(self):
+        squares = np.sum(_kernel_weights(OFFSETS) ** 2, axis=1)
+        assert np.max(np.abs(squares - 0.375)) <= 1e-15
 
     def test_nonnegative(self):
-        r = np.linspace(-2.5, 2.5, 1001)
-        assert np.all(peskin_phi(r) >= 0)
+        assert np.all(_kernel_weights(OFFSETS) >= 0)
 
 
 class TestStencils:
@@ -55,6 +82,27 @@ class TestStencils:
         sums = np.sum(w, axis=(1, 2)) * grid.h**2
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
         assert np.min(w) >= 0.0
+
+    def test_cells_keep_their_layout(self):
+        # cells[j, p, q] = ix[j, p] * N + iy[j, q], the 4x4 block from the
+        # cell below the node less one, wrapped; nodes off the domain included
+        grid = GridSpec.make(16)
+        curve = CurveSamples(np.array([0.0, 0.37, 0.999, -0.2, 1.7, 3 * grid.h]),
+                             np.array([0.5, 0.0, 0.031, 1.3, -0.9, 1e-17]))
+        ix = (np.floor(curve.x / grid.h).astype(int)[:, None] + CELLS) % 16
+        iy = (np.floor(curve.y / grid.h).astype(int)[:, None] + CELLS) % 16
+        cells = coupling.delta_stencils(curve, grid).cells
+        assert np.array_equal(cells, ix[:, :, None] * 16 + iy[:, None, :])
+
+    def test_weights_are_the_outer_product_of_both_axes(self):
+        grid = GridSpec.make(16)
+        curve = random_curve(np.random.default_rng(8), 32)
+        gx, gy = curve.x / grid.h, curve.y / grid.h
+        wx = _kernel_weights(gx - np.floor(gx))
+        wy = _kernel_weights(gy - np.floor(gy))
+        stencils = coupling.delta_stencils(curve, grid)
+        assert np.array_equal(stencils.w, wx[:, :, None] * wy[:, None, :] / grid.h**2)
+        assert np.array_equal(stencils.wh2, stencils.w * grid.h**2)
 
 
 class TestSpreadInterpolate:
@@ -82,7 +130,7 @@ class TestSpreadInterpolate:
         # second node parked far away with zero weight value
         field = coupling.spread(coupling.delta_stencils(curve, grid), np.array([1.0, 0.0]), grid,
                                 spacing(curve))
-        peak = peskin_phi(0.0) ** 2 / grid.h**2 * spacing(curve)
+        peak = 0.5**2 / grid.h**2 * spacing(curve)     # phi(0) = 1/2 on both axes
         assert field[8, 4] == pytest.approx(peak, rel=1e-13)
 
     def test_interpolate_constant(self):

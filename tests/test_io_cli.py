@@ -419,6 +419,28 @@ class TestCli:
         assert capsys.readouterr().err == "usage error: degenerate ellipse axes a=1e-13, b=0.24\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("scheme", schemes.ALL_SCHEMES)
+    def test_start_state_that_overflows_is_usage_error(self, scheme, tmp_path, capsys):
+        # the axis passes every config check, but the start state's elastic
+        # energy and area overflow: refused at input, before any output
+        out = tmp_path / "out"
+        code = self.run_cli("run", "--set", f"scheme={scheme}", "--set", "n=16",
+                            "--set", "ellipse_a=1e200", "--set", "dt=0.25",
+                            "--set", "t_end=0.25", "--out", str(out))
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ellipse_a, ellipse_b:") and "1e+200" in err
+        assert not out.exists()
+
+    def test_rest_radius_whose_interface_length_overflows_is_usage_error(self, tmp_path, capsys):
+        # 2 pi rest_radius, the interface length, is not finite
+        out = tmp_path / "out"
+        code = self.run_cli("run", "--set", "n=16", "--set", "rest_radius=1e308",
+                            "--out", str(out))
+        assert code == 64
+        assert capsys.readouterr().err.startswith("usage error: rest_radius:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("run", "--set", "ellipse_a=1e-13"),
         ("run", "--preset", "unsteady-fig5", "--set", "ellipse_b=1e-13"),

@@ -1,9 +1,10 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from ibstokes import diagnostics, schemes, spectral, stokes
+from ibstokes import diagnostics, geometry, schemes, spectral, stokes
 from ibstokes.bessel import SsdSymbolParams, ssd_symbol_s, ssd_symbol_t
 from ibstokes.geometry import InterfaceState
 from ibstokes.grids import GridSpec
@@ -289,3 +290,35 @@ def test_each_fluid_solve_transforms_only_the_force(scheme, monkeypatch):
         state = schemes.step(state, phys, grid, cfg)
         assert counts["_spectral_solve"] > 0
         assert counts["rfft2"] == counts["irfft2"] == 2 * counts["_spectral_solve"], counts
+
+
+def test_fused_transport_increment_matches_the_two_pair_path(monkeypatch):
+    # the second kind's angle system on the model ellipse: the transport's
+    # triple (V/s, ik, 1.0) folds D and the preconditioner into one
+    # multiplier; the same triple with right an array of ones takes the
+    # two transform pairs per GMRES iteration
+    config = RunConfig(scheme="ssd2_unsteady", n=64, dt=1.0)
+    state, phys, grid, cfg = (config.initial_state(), config.phys(), config.grid(),
+                              config.scheme_config())
+    iface = state.interface
+    nb, length = iface.n_nodes, iface.length
+    dth = geometry.theta_derivative(iface)
+    u, _ = schemes._step_map(state, phys, grid, cfg)(
+        geometry.elastic_force(iface.s_alpha, dth, phys.elastic, length))
+    d = partial(spectral.derivative_1d, period=length)
+    _, _, lead_phi = schemes._unsteady_leads(state, phys, grid, cfg, dth, d(u[nb:]), True)
+    diagonal, _ = lead_phi(iface.s_alpha, u)
+    r = schemes._angle_rate(u, dth, d) / iface.s_alpha
+    transforms = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: transforms.append(1) or rfft(*a, **k))
+
+    def increment(right):
+        transforms.clear()
+        triple = (u[nb:] / iface.s_alpha, spectral.derivative_multiplier(nb, length), right)
+        return schemes._increment((diagonal, triple), r, cfg.dt, 1), len(transforms)
+
+    fused, fused_count = increment(1.0)
+    pairs, pairs_count = increment(np.ones(nb))
+    assert np.max(np.abs(fused - pairs)) <= 1e-13 * np.max(np.abs(pairs))
+    assert 3 <= fused_count < pairs_count == 2 * fused_count - 1

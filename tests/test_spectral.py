@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ibstokes import spectral
+from ibstokes import spectral, stokes
 from ibstokes.errors import ParameterError
 
 
@@ -33,6 +33,35 @@ def test_fourier_map_is_complex_fft_multiplier(n):
         assert np.max(np.abs(apply(x) - expect)) <= 1e-14 * np.max(np.abs(expect))
         expect = np.real(np.fft.ifft(mult * np.fft.fft(rows, axis=-1), axis=-1))
         assert np.max(np.abs(apply(rows) - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+class TestCachedMultipliers:
+    """The derivative's and the antiderivative's multipliers are built once per
+    (n, period), read-only, and give what a freshly built multiplier gives."""
+
+    @pytest.mark.parametrize("n, period", [(16, 2 * np.pi), (64, 0.4 * np.pi)])
+    def test_read_only_and_reused(self, n, period):
+        for build in (spectral.derivative_multiplier, spectral.antiderivative_multiplier):
+            mult = build(n, period)
+            assert not mult.flags.writeable
+            assert build(n, period) is mult
+            with pytest.raises(ValueError):
+                mult[1] = 0.0
+        assert not stokes._log_kernel_multiplier(n, period, 1.0).flags.writeable
+
+    @pytest.mark.parametrize("n, period", [(16, 2 * np.pi), (64, 0.4 * np.pi)])
+    def test_bitwise_as_a_fresh_multiplier(self, n, period):
+        f = np.random.default_rng(n).standard_normal(n)
+        k = 2 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / period
+        k[n // 2] = 0.0
+        derivative = spectral.fourier_map(1j * k)(f)
+        assert np.array_equal(spectral.derivative_1d(f, period=period), derivative)
+        inverse = np.zeros(n, dtype=complex)
+        inverse[k != 0] = 1.0 / (1j * k[k != 0])
+        g = spectral.fourier_map(inverse)(f)
+        ramp = period * np.arange(n) / n
+        assert np.array_equal(spectral.antiderivative(f, 0.7, period=period),
+                              g - g[0] + np.mean(f) * ramp + 0.7)
 
 
 class TestDerivative1D:
