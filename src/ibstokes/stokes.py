@@ -10,12 +10,14 @@ multipliers.
 The per-grid operators (wavenumbers, and the symbol's three components
 Gxx, Gxy, Gyy with the unsteady keep factor, keyed on the steady or
 unsteady scalars) are built once and cached as read-only arrays.  A
-fluid is its rfft2 half spectrum, and a solve is one rfft2 of each force
-component plus one 2x2 symbol product per mode, written into the output
-spectra through one scratch array; a fluid's velocity fields cost one
-irfft2 per component when first read.  So a solve that advances from a
-solve's fluid, a reloaded one or the fluid at rest (a zero spectrum)
-transforms only the force.  The module also holds
+fluid is its rfft2 half spectrum.  A solve transforms each force component
+by two 1-D passes, real along the second axis into the array it returns and
+complex along the first in place (np.fft.rfft2's passes, bitwise, without
+its n-d wrapper or second array), then forms one 2x2 symbol product per
+mode, written into the output spectra through one scratch array; a fluid's
+velocity fields cost the two inverse passes per component when first read.
+So a solve that advances from a solve's fluid, a reloaded one or the fluid
+at rest (a zero spectrum) transforms only the force.  The module also holds
 the Fourier multiplier of the periodized log kernel on the interface,
 which the second-kind schemes' leading terms use.  Beyond those read-only
 caches it keeps no state: ``ibstokes cost`` counts the solves from
@@ -63,11 +65,19 @@ class FluidState:
         return _irfft2(self.spectrum[1])
 
 
+def _rfft2(x):
+    """The (N, N/2 + 1) half spectrum of the N x N grid field ``x``, bitwise
+    np.fft.rfft2's: the real pass along the second axis into a fresh array,
+    then the complex pass along the first axis in place.  ``x`` is only read."""
+    a = np.fft.rfft(x, axis=1)
+    return np.fft.fft(a, axis=0, out=a)
+
+
 def _irfft2(a):
-    """The N x N grid field of the (N, N/2 + 1) half spectrum ``a``: the one
-    inverse transform of every fluid."""
-    n = len(a)
-    return np.fft.irfft2(a, s=(n, n))
+    """The N x N grid field of the (N, N/2 + 1) half spectrum ``a``, bitwise
+    np.fft.irfft2's: the complex pass along the first axis, then the real
+    pass along the second.  The one inverse transform of every fluid."""
+    return np.fft.irfft(np.fft.ifft(a, axis=0), len(a), axis=1)
 
 
 @lru_cache(maxsize=8)
@@ -134,7 +144,7 @@ def _spectral_solve(fluid, force, grid, keep, symbol):
                                     and fluid.spectrum[0].shape != (n, n // 2 + 1)):
         raise ParameterError("field shapes inconsistent with grid")
     gxx, gxy, gyy = symbol
-    fu, fv = np.fft.rfft2(force[..., 0]), np.fft.rfft2(force[..., 1])
+    fu, fv = _rfft2(force[..., 0]), _rfft2(force[..., 1])
     un = np.multiply(gxx, fu)
     vn = np.multiply(gxy, fu)
     scratch = fu        # spent: each remaining product goes through it

@@ -138,8 +138,11 @@ def test_every_attribute_a_demo_or_tool_loads_exists():
     assert not missing, f"demos/ or tools/ load names the package lacks: {missing}"
 
 
-# the complex 1-D transforms' one user: the circulant's first column
-COMPLEX_FFT_ALLOWED = {("schemes", "_circulant_from_multiplier")}
+# the complex 1-D transforms' users: the circulant's first column, and the
+# grid transform pair, whose complex pass along the first axis is one of a
+# real 2-D transform's two passes
+COMPLEX_FFT_ALLOWED = {("schemes", "_circulant_from_multiplier"),
+                       ("stokes", "_rfft2"), ("stokes", "_irfft2")}
 
 
 def test_complex_fft_only_in_circulant_build():
@@ -152,4 +155,5 @@ def test_complex_fft_only_in_circulant_build():
                         and ast.unparse(node.value) == "np.fft":
                     found.append(owner)
     assert set(found) == COMPLEX_FFT_ALLOWED, \
-        f"np.fft.fft / np.fft.ifft outside the circulant build: {sorted(set(found))}"
+        f"np.fft.fft / np.fft.ifft outside the circulant build and the grid pair: " \
+        f"{sorted(set(found))}"

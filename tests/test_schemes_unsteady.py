@@ -266,7 +266,8 @@ def test_ssd_symbols_recomputed_per_step():
 
 @pytest.mark.parametrize("scheme", UNSTEADY)
 def test_each_fluid_solve_transforms_only_the_force(scheme, monkeypatch):
-    # one rfft2 and one irfft2 per component per fluid solve, on every step
+    # one forward and one inverse grid transform per component per fluid
+    # solve, on every step
     # from the fluid at rest on: each fluid carries its half spectrum into
     # the next solve, so none is transformed again
     config = RunConfig(scheme=scheme, n=16, mu=0.01,
@@ -282,14 +283,14 @@ def test_each_fluid_solve_transforms_only_the_force(scheme, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((np.fft, "rfft2"), (np.fft, "irfft2"), (stokes, "_spectral_solve")):
-        count(owner, name)
+    for name in ("_rfft2", "_irfft2", "_spectral_solve"):
+        count(stokes, name)
     state = config.initial_state()
     for _ in range(3):
-        counts.update(rfft2=0, irfft2=0, _spectral_solve=0)
+        counts.update(_rfft2=0, _irfft2=0, _spectral_solve=0)
         state = schemes.step(state, phys, grid, cfg)
         assert counts["_spectral_solve"] > 0
-        assert counts["rfft2"] == counts["irfft2"] == 2 * counts["_spectral_solve"], counts
+        assert counts["_rfft2"] == counts["_irfft2"] == 2 * counts["_spectral_solve"], counts
 
 
 def test_fused_transport_increment_matches_the_two_pair_path(monkeypatch):
